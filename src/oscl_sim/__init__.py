@@ -16,7 +16,6 @@ from .names import (
     InvalidName,
     PrefixTable,
     is_prefix,
-    name_to_text,
     parse_name,
 )
 from .ndn import (
@@ -49,12 +48,10 @@ from .scl import (
 )
 from .topology import (
     ExperimentConfig,
-    ScalingFit,
     TopologyStats,
     bfs_bounded,
     predicted_degree,
     run_topology_experiment,
-    scaling_check,
 )
 
 __all__ = [
@@ -80,7 +77,6 @@ __all__ = [
     "PrefixTable",
     "QosMetrics",
     "QosPolicy",
-    "ScalingFit",
     "SclInstance",
     "SclKind",
     "Subscription",
@@ -88,11 +84,9 @@ __all__ = [
     "bfs_bounded",
     "fib_register",
     "is_prefix",
-    "name_to_text",
     "on_data",
     "on_interest",
     "parse_name",
     "predicted_degree",
     "run_topology_experiment",
-    "scaling_check",
 ]

@@ -8,6 +8,7 @@ bodies. Exit codes: 0 success, 1 runtime failure, 2 bad flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,7 +16,8 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .scenarios import SCENARIO_NAMES, ScenarioConfig, run_scenario
+from .overlay import LinkMetrics
+from .scenarios import NSCL_ID, SCENARIO_NAMES, ScenarioConfig, run_scenario
 from .topology import (
     AT_MOST,
     COMPARISONS,
@@ -118,6 +120,8 @@ def cmd_topology(args: argparse.Namespace) -> int:
         raise FlagError("--n must be >= 2")
     if args.d < 1:
         raise FlagError("--d must be >= 1")
+    if args.pairs is not None and args.pairs < 1:
+        raise FlagError("--pairs must be >= 1")
     config = {
         "n": args.n,
         "d": args.d,
@@ -247,6 +251,8 @@ def _parse_links_file(path: str) -> List[List]:
     """key=value escape hatch for custom overlay links.
 
     Each non-comment line: `link <u> <v> [delay_ms=X] [loss=X] [capacity=X]`.
+    Omitted keys take the LinkMetrics defaults, and every line must
+    make a valid LinkMetrics.
     """
     links: List[List] = []
     with open(path) as fh:
@@ -257,15 +263,19 @@ def _parse_links_file(path: str) -> List[List]:
             parts = line.split()
             if parts[0] != "link" or len(parts) < 3:
                 raise FlagError(f"{path}:{lineno}: expected 'link <u> <v> [k=v ...]'")
-            spec = {"delay_ms": 5.0, "loss": 0.0, "capacity": 100.0}
-            for kv in parts[3:]:
-                if "=" not in kv:
-                    raise FlagError(f"{path}:{lineno}: expected key=value, got {kv!r}")
-                key, value = kv.split("=", 1)
-                if key not in spec:
-                    raise FlagError(f"{path}:{lineno}: unknown key {key!r}")
-                spec[key] = float(value)
-            links.append([parts[1], parts[2], spec["delay_ms"], spec["loss"], spec["capacity"]])
+            spec = dataclasses.asdict(LinkMetrics())
+            try:
+                for kv in parts[3:]:
+                    if "=" not in kv:
+                        raise FlagError(f"{path}:{lineno}: expected key=value, got {kv!r}")
+                    key, value = kv.split("=", 1)
+                    if key not in spec:
+                        raise FlagError(f"{path}:{lineno}: unknown key {key!r}")
+                    spec[key] = float(value)
+                metrics = LinkMetrics(**spec)
+            except ValueError as exc:  # not a number, or out of LinkMetrics' range
+                raise FlagError(f"{path}:{lineno}: {exc}") from None
+            links.append([parts[1], parts[2], metrics.delay_ms, metrics.loss, metrics.capacity])
     return links
 
 
@@ -290,8 +300,7 @@ def _run_scenario(config: Dict, out_dir: str) -> int:
     _write_csv(os.path.join(out_dir, "counters.csv"), COUNTERS_HEADER, system.counters.rows())
     _write_manifest(out_dir, "scenario", config, ["messages.csv", "counters.csv"], started)
 
-    nscl_id = "Nscl"
-    relayed_notify = system.counters.get(nscl_id, "notify", "relayed")
+    relayed_notify = system.counters.get(NSCL_ID, "notify", "relayed")
     received_data = system.counters.get(result.subscriber.node_id, "data", "received")
     method = result.discovery.method if result.discovery else "-"
     hops = result.discovery.path_hops if result.discovery else None

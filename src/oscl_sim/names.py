@@ -69,10 +69,6 @@ def parse_name(text: str) -> HierarchicalName:
     return HierarchicalName(tuple(parts))
 
 
-def name_to_text(name: HierarchicalName) -> str:
-    return str(name)
-
-
 def is_prefix(prefix: HierarchicalName, name: HierarchicalName) -> bool:
     """True when every component of ``prefix`` leads ``name``.
 

@@ -210,14 +210,6 @@ def fib_register(node: NdnNode, prefix: HierarchicalName, face: str) -> None:
         entry.next_hops.append(face)
 
 
-def cs_lookup(node: NdnNode, name: HierarchicalName, now: float) -> Optional[DataPacket]:
-    return node.cs.lookup(name, now)
-
-
-def cs_insert(node: NdnNode, packet: DataPacket, now: float) -> None:
-    node.cs.insert(packet, now)
-
-
 def pit_expire(node: NdnNode, now: float) -> List[HierarchicalName]:
     """Drop every PIT entry whose lifetime has passed."""
     dead = [name for name, e in node.pit.items() if e.expiry <= now]
@@ -281,7 +273,7 @@ def on_interest(
         return [Drop("loop")]
     node.seen_nonces.add(key)
 
-    cached = cs_lookup(node, pkt.name, now)
+    cached = node.cs.lookup(pkt.name, now)
     if cached is not None:
         return [SendData(in_face, cached)]
 
@@ -332,5 +324,5 @@ def on_data(node: NdnNode, pkt: DataPacket, in_face: str, now: float) -> List[Em
     entry.remaining -= 1
     if entry.remaining <= 0:
         del node.pit[pkt.name]
-    cs_insert(node, pkt, now)
+    node.cs.insert(pkt, now)
     return emissions

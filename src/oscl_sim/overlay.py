@@ -31,13 +31,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 from .names import HierarchicalName, is_prefix, parse_name
 from .ndn import (
     APP_FACE,
-    DEFAULT_PIT_LIFETIME_MS,
     DataPacket,
     Drop,
     FLOOD,
     InterestPacket,
     NdnNode,
-    SendData,
     SendInterest,
     fib_register,
     on_data,
@@ -63,7 +61,7 @@ from .scl import (
     centralized_discover,
     resolve_resource,
 )
-from .topology import AT_MOST, COMPARISONS, bfs_bounded
+from .topology import AT_MOST, COMPARISONS, hop_bound
 
 DEFAULT_SUBSCRIBE_SCOPE = 16
 
@@ -99,11 +97,11 @@ class LinkMetrics:
     capacity: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.delay_ms < 0:
+        if not self.delay_ms >= 0:  # written so that NaN fails too
             raise ValueError("delay_ms must be >= 0")
         if not (0.0 <= self.loss <= 1.0):
             raise ValueError("loss must be in [0, 1]")
-        if self.capacity <= 0:
+        if not self.capacity > 0:
             raise ValueError("capacity must be positive")
 
 
@@ -144,9 +142,7 @@ class QosPolicy:
             raise ValueError(f"comparison must be one of {COMPARISONS}")
 
     def path_acceptable(self, hops: int) -> bool:
-        if self.comparison == AT_MOST:
-            return hops <= self.max_path_hops
-        return hops < self.max_path_hops
+        return hops <= hop_bound(self.max_path_hops, self.comparison)
 
     def metrics_acceptable(self, metrics: QosMetrics) -> bool:
         if metrics.loss_ratio > self.max_loss:
@@ -178,10 +174,6 @@ class OverlayGraph:
     def has_vertex(self, node_id: str) -> bool:
         return node_id in self._adj
 
-    @property
-    def vertices(self) -> List[str]:
-        return list(self._adj)
-
     def add_edge(self, u: str, v: str, metrics: Optional[LinkMetrics] = None) -> None:
         if u == v:
             raise ValueError("self links are not allowed")
@@ -203,30 +195,19 @@ class OverlayGraph:
         except KeyError:
             raise UnknownLink(f"{u} -- {v}") from None
 
-    def neighbors(self, u: str) -> Set[str]:
-        if u not in self._adj:
-            raise UnknownNode(u)
-        return set(self._adj[u])
-
     @property
     def edge_count(self) -> int:
         return len(self._metrics)
 
-    def average_degree(self) -> float:
-        if not self._adj:
-            return 0.0
-        return 2.0 * len(self._metrics) / len(self._adj)
 
-    def path_length(self, u: str, v: str, bound: int) -> Optional[int]:
-        """Hop distance if within ``bound``, else None."""
-        for x in (u, v):
-            if x not in self._adj:
-                raise UnknownNode(x)
-        index = {name: i for i, name in enumerate(self._adj)}
-        adjacency: List[Set[int]] = [set() for _ in index]
-        for name, nbrs in self._adj.items():
-            adjacency[index[name]] = {index[n] for n in nbrs}
-        return bfs_bounded(adjacency, index[u], index[v], bound)
+def _notification(
+    container_name: HierarchicalName, producer_id: str, payload: str, index: int
+) -> DataPacket:
+    """Data message carrying one new content instance to a subscriber."""
+    body = json.dumps(
+        {"uri": str(container_name), "value": payload, "index": index}, sort_keys=True
+    ).encode()
+    return DataPacket(container_name, body, producer_id=producer_id)
 
 
 @dataclass
@@ -246,18 +227,10 @@ class Overlay:
     given seed replays the same message sequence.
     """
 
-    def __init__(
-        self,
-        system: M2mSystem,
-        seed: int = 0,
-        strategy: str = FLOOD,
-        default_link: LinkMetrics = LinkMetrics(),
-    ) -> None:
+    def __init__(self, system: M2mSystem, seed: int = 0) -> None:
         self.system = system
         self.graph = OverlayGraph()
         self.rng = random.Random(seed)
-        self.strategy = strategy
-        self.default_link = default_link
         self._events: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         # (consumer, name) -> delivered (packet, trail) answers
@@ -270,10 +243,10 @@ class Overlay:
 
     def add_node(self, scl: SclInstance) -> None:
         self.graph.add_vertex(scl.node_id)
-        scl.ndn.strategy = self.strategy
+        scl.ndn.strategy = FLOOD
 
     def add_link(self, u: str, v: str, metrics: Optional[LinkMetrics] = None) -> None:
-        self.graph.add_edge(u, v, metrics or self.default_link)
+        self.graph.add_edge(u, v, metrics)
         self._node(u).add_face(v)
         self._node(v).add_face(u)
 
@@ -297,18 +270,15 @@ class Overlay:
 
     # ----- packet plumbing -----
 
-    def _inject_interest(self, origin: str, pkt: InterestPacket) -> None:
+    def _inject(self, origin: str, pkt: Union[InterestPacket, DataPacket], kind: str) -> None:
+        """Hand a packet from ``origin``'s application to its forwarder."""
         node = self._node(origin)
-        self.system.counters.record(origin, MSG_INTEREST, ROLE_ORIGINATED)
-        env = _Envelope(pkt, origin, (origin,), MSG_INTEREST)
-        emissions = on_interest(node, pkt, APP_FACE, self.system.clock_ms)
-        self._handle(origin, env, emissions)
-
-    def _inject_data(self, origin: str, pkt: DataPacket) -> None:
-        node = self._node(origin)
-        self.system.counters.record(origin, MSG_DATA, ROLE_ORIGINATED)
-        env = _Envelope(pkt, origin, (origin,), MSG_DATA)
-        emissions = on_data(node, pkt, APP_FACE, self.system.clock_ms)
+        self.system.counters.record(origin, kind, ROLE_ORIGINATED)
+        env = _Envelope(pkt, origin, (origin,), kind)
+        if kind == MSG_INTEREST:
+            emissions = on_interest(node, pkt, APP_FACE, self.system.clock_ms)
+        else:
+            emissions = on_data(node, pkt, APP_FACE, self.system.clock_ms)
         self._handle(origin, env, emissions)
 
     def _handle(self, at_node: str, env: _Envelope, emissions) -> None:
@@ -394,13 +364,13 @@ class Overlay:
                 mode="p2p",
                 delivery_path=tuple(reversed(env.trail)),  # producer first
                 remaining=pkt.solicit_count,
+                deliver=partial(self._notify, node_id, pkt.name),
             )
-            sub.deliver = self._notifier(node_id, pkt.name, sub)
             container.subscriptions.append(sub)
             self._subs[(env.origin, str(pkt.name), pkt.nonce)] = sub
             return
         payload = self._answer_payload(scl, pkt.name, resolved)
-        self._inject_data(node_id, DataPacket(pkt.name, payload, producer_id=node_id))
+        self._inject(node_id, DataPacket(pkt.name, payload, producer_id=node_id), MSG_DATA)
 
     def _answer_payload(self, scl: SclInstance, name: HierarchicalName, resolved) -> bytes:
         body = {
@@ -416,45 +386,27 @@ class Overlay:
             body["index"] = resolved[2]
         return json.dumps(body, sort_keys=True).encode()
 
-    def _notifier(
-        self, producer_id: str, container_name: HierarchicalName, sub: Subscription
-    ) -> Callable[[str, int], None]:
-        def deliver(payload: str, index: int) -> None:
-            body = json.dumps(
-                {"uri": str(container_name), "value": payload, "index": index},
-                sort_keys=True,
-            ).encode()
-            self._inject_data(
-                producer_id, DataPacket(container_name, body, producer_id=producer_id)
-            )
-            self.run()
-            if sub.remaining is not None:
-                sub.remaining -= 1
-                if sub.remaining <= 0:
-                    sub.active = False
+    def _notify(self, producer_id: str, name: HierarchicalName, payload: str, index: int) -> None:
+        """Remote subscription hook: send one Data along the reverse path."""
+        self._inject(producer_id, _notification(name, producer_id, payload, index), MSG_DATA)
+        self.run()
 
-        return deliver
+    def _notify_local(self, origin: str, name: HierarchicalName, payload: str, index: int) -> None:
+        """Hook of a subscription to the origin's own container."""
+        packet = _notification(name, origin, payload, index)
+        self._inbox.setdefault((origin, str(name)), []).append((packet, [origin]))
 
     def _app_data(self, node_id: str, pkt: DataPacket, env: _Envelope) -> None:
         key = (node_id, str(pkt.name))
         self._inbox.setdefault(key, []).append((pkt, list(env.trail)))
 
     def _request(
-        self,
-        origin: str,
-        name: HierarchicalName,
-        solicit: int,
-        scope: int,
-        lifetime_ms: float = DEFAULT_PIT_LIFETIME_MS,
+        self, origin: str, name: HierarchicalName, solicit: int, scope: int
     ) -> Tuple[int, List[Tuple[DataPacket, List[str]]]]:
         """Inject one Interest and run to quiescence; returns (nonce, answers)."""
         key = (origin, str(name))
         self._inbox.pop(key, None)
-        nonce = self.rng.getrandbits(62)
-        pkt = InterestPacket(
-            name, nonce, hop_limit=scope, solicit_count=solicit, lifetime_ms=lifetime_ms
-        )
-        self._inject_interest(origin, pkt)
+        nonce = self.begin_fetch(origin, name, scope, solicit)
         self.run()
         return nonce, self._inbox.pop(key, [])
 
@@ -545,7 +497,7 @@ class Overlay:
         """
         nonce = self.rng.getrandbits(62)
         pkt = InterestPacket(name, nonce, hop_limit=scope, solicit_count=solicit)
-        self._inject_interest(origin, pkt)
+        self._inject(origin, pkt, MSG_INTEREST)
         return nonce
 
     def answers(self, origin: str, name: HierarchicalName) -> List[Tuple[dict, List[str]]]:
@@ -666,23 +618,8 @@ class Overlay:
                 mode="p2p",
                 delivery_path=(origin,),
                 remaining=expected_notifications,
+                deliver=partial(self._notify_local, origin, target_uri),
             )
-
-            def deliver_local(payload: str, index: int) -> None:
-                body = json.dumps(
-                    {"uri": str(target_uri), "value": payload, "index": index},
-                    sort_keys=True,
-                ).encode()
-                packet = DataPacket(target_uri, body, producer_id=origin)
-                self._inbox.setdefault((origin, str(target_uri)), []).append(
-                    (packet, [origin])
-                )
-                if sub.remaining is not None:
-                    sub.remaining -= 1
-                    if sub.remaining <= 0:
-                        sub.active = False
-
-            sub.deliver = deliver_local
             container.subscriptions.append(sub)
             return sub
         nonce, _ = self._request(

@@ -1,6 +1,7 @@
 """End-to-end smart metering scenarios, with and without the overlay.
 
-Two deployments are modeled. In the first, a monitoring device tracks
+Two deployments are modeled, each one ScenarioSpec in SCENARIOS and
+both driven by run_scenario. In the first, a monitoring device tracks
 a meter application behind a single gateway; the baseline (overlay
 off) routes every notification through the network SCL, while the
 overlay variant discovers the producer, brings up one direct link and
@@ -32,10 +33,48 @@ from .scl import (
     subscribe_centralized,
 )
 
-SCENARIO_NAMES = ("usecase1", "usecase2")
-
 NSCL_ID = "Nscl"
 SUBSCRIBER_ID = "Dscl1"
+CONTAINER = "meter_data"
+
+
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """One metering deployment.
+
+    NSCL_ID, the ``gateways`` and the subscriber SUBSCRIBER_ID register
+    with the hub and join the overlay; ``producer`` hosts ``app`` with
+    one CONTAINER. ``chain`` is the default overlay, a node path from
+    the subscriber to the producer (empty: no links). Each chain link
+    also gives its near end a FIB route toward the producer, standing
+    for routes that earlier traffic taught the chain; custom links
+    replace both. With the overlay on, discovery asks for the app's
+    full URI when ``discover_by_uri`` is set and else for its bare
+    name, which only the hub can expand; the baseline asks the hub by
+    bare name.
+    """
+
+    gateways: Tuple[str, ...]
+    producer: str
+    app: str
+    chain: Tuple[str, ...] = ()
+    discover_by_uri: bool = False
+
+
+SCENARIOS = {
+    # meter behind one gateway; the monitor knows nothing yet
+    "usecase1": ScenarioSpec(gateways=("Gscl1",), producer="Gscl1", app="meter_app"),
+    # meter three gateway domains away over an existing overlay chain
+    "usecase2": ScenarioSpec(
+        gateways=("Gscl1", "Gscl2", "Gscl3"),
+        producer="Gscl1",
+        app="electricity_meter",
+        chain=(SUBSCRIBER_ID, "Gscl3", "Gscl2", "Gscl1"),
+        discover_by_uri=True,
+    ),
+}
+
+SCENARIO_NAMES = tuple(SCENARIOS)
 
 # custom-topology escape hatch: (u, v, delay_ms, loss, capacity)
 LinkSpec = Tuple[str, str, float, float, float]
@@ -49,26 +88,15 @@ class ScenarioConfig:
     seed: int = 0
     probe_count: int = 8
     policy: QosPolicy = field(default_factory=QosPolicy)
-    links: Optional[Tuple[LinkSpec, ...]] = None  # None = built-in topology
+    links: Optional[Tuple[LinkSpec, ...]] = None  # None = the spec's chain
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIO_NAMES:
+        if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.appends < 1:
             raise ValueError("appends must be >= 1")
         if self.probe_count < 1:
             raise ValueError("probe_count must be >= 1")
-
-
-def _wire_links(overlay: Overlay, config: ScenarioConfig, defaults) -> bool:
-    """Apply custom links when given; returns True when defaults ran."""
-    if config.links is None:
-        for u, v in defaults:
-            overlay.add_link(u, v)
-        return True
-    for u, v, delay_ms, loss, capacity in config.links:
-        overlay.add_link(u, v, LinkMetrics(delay_ms, loss, capacity))
-    return False
 
 
 @dataclass
@@ -88,43 +116,44 @@ class ScenarioResult:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    if config.scenario == "usecase1":
-        return _run_usecase1(config)
-    return _run_usecase2(config)
-
-
-def _run_usecase1(config: ScenarioConfig) -> ScenarioResult:
-    """Meter behind one gateway; the monitor lives on a device SCL."""
+    """Build the configured deployment, subscribe, then append readings."""
+    spec = SCENARIOS[config.scenario]
     system = M2mSystem()
     nscl = system.add_scl(SclKind.NSCL, NSCL_ID)
-    gscl = system.add_scl(SclKind.GSCL, "Gscl1")
+    gateways = [system.add_scl(SclKind.GSCL, node_id) for node_id in spec.gateways]
     dscl = system.add_scl(SclKind.DSCL, SUBSCRIBER_ID)
-    register_scl(gscl, nscl)
-    register_scl(dscl, nscl)
+    for scl in (*gateways, dscl):
+        register_scl(scl, nscl)
 
-    create_application(gscl, "meter_app")
-    create_container(gscl, "meter_app", "meter_data")
+    producer = system.scl(spec.producer)
+    app_uri = create_application(producer, spec.app)
+    container_uri = create_container(producer, spec.app, CONTAINER)
     create_application(dscl, "monitor_app")  # local registration only
 
     overlay = Overlay(system, seed=config.seed)
-    for scl in (nscl, gscl, dscl):
+    for scl in (nscl, *gateways, dscl):
         overlay.add_node(scl)
-    # defaults to no initial links: the monitor knows nothing yet
-    _wire_links(overlay, config, defaults=())
+    if config.links is None:
+        for u, v in zip(spec.chain, spec.chain[1:]):
+            overlay.add_link(u, v)
+            fib_register(system.scl(u).ndn, producer.base_name, v)
+    else:
+        for u, v, delay_ms, loss, capacity in config.links:
+            overlay.add_link(u, v, LinkMetrics(delay_ms, loss, capacity))
 
     result = ScenarioResult(
         config=config,
         system=system,
         overlay=overlay,
-        producer=gscl,
+        producer=producer,
         subscriber=dscl,
-        app_uri="Gscl1/applications/meter_app",
-        container_uri="Gscl1/applications/meter_app/containers/meter_data",
+        app_uri=str(app_uri),
+        container_uri=str(container_uri),
     )
-    query = parse_name("meter_app")
-    container_uri = parse_name(result.container_uri)
+    bare_app = parse_name(spec.app)
 
     if config.oscl_enabled:
+        query = app_uri if spec.discover_by_uri else bare_app
         edges_before = overlay.graph.edge_count
         result.discovery = overlay.discover(
             dscl.node_id, query, scope=config.policy.max_path_hops, nscl=nscl
@@ -139,75 +168,9 @@ def _run_usecase1(config: ScenarioConfig) -> ScenarioResult:
             dscl.node_id, container_uri, expected_notifications=config.appends
         )
     else:
-        result.discovery = centralized_discover(dscl, nscl, query)
+        result.discovery = centralized_discover(dscl, nscl, bare_app)
         result.subscription = subscribe_centralized(dscl, nscl, container_uri)
 
     for i in range(config.appends):
-        create_content_instance(gscl, "meter_app", "meter_data", f"reading-{i}")
-    return result
-
-
-def _run_usecase2(config: ScenarioConfig) -> ScenarioResult:
-    """Meter three gateway domains away over an existing overlay chain."""
-    system = M2mSystem()
-    nscl = system.add_scl(SclKind.NSCL, NSCL_ID)
-    gscl1 = system.add_scl(SclKind.GSCL, "Gscl1")
-    gscl2 = system.add_scl(SclKind.GSCL, "Gscl2")
-    gscl3 = system.add_scl(SclKind.GSCL, "Gscl3")
-    dscl = system.add_scl(SclKind.DSCL, SUBSCRIBER_ID)
-    for scl in (gscl1, gscl2, gscl3, dscl):
-        register_scl(scl, nscl)
-
-    create_application(gscl1, "electricity_meter")
-    create_container(gscl1, "electricity_meter", "meter_data")
-    create_application(dscl, "monitor_app")
-
-    overlay = Overlay(system, seed=config.seed)
-    for scl in (nscl, gscl1, gscl2, gscl3, dscl):
-        overlay.add_node(scl)
-    chain = (
-        (dscl.node_id, gscl3.node_id),
-        (gscl3.node_id, gscl2.node_id),
-        (gscl2.node_id, gscl1.node_id),
-    )
-    if _wire_links(overlay, config, defaults=chain):
-        # routes toward the producer domain, learned by earlier traffic
-        fib_register(dscl.ndn, gscl1.base_name, gscl3.node_id)
-        fib_register(gscl3.ndn, gscl1.base_name, gscl2.node_id)
-        fib_register(gscl2.ndn, gscl1.base_name, gscl1.node_id)
-
-    result = ScenarioResult(
-        config=config,
-        system=system,
-        overlay=overlay,
-        producer=gscl1,
-        subscriber=dscl,
-        app_uri="Gscl1/applications/electricity_meter",
-        container_uri="Gscl1/applications/electricity_meter/containers/meter_data",
-    )
-    container_uri = parse_name(result.container_uri)
-
-    if config.oscl_enabled:
-        edges_before = overlay.graph.edge_count
-        result.discovery = overlay.discover(
-            dscl.node_id,
-            parse_name(result.app_uri),
-            scope=config.policy.max_path_hops,
-            nscl=nscl,
-        )
-        if result.discovery.path_hops not in (None, 0):
-            result.qos = overlay.qos_monitor(result.discovery.path, config.probe_count)
-        result.link_decision = overlay.ensure_link(
-            dscl.node_id, result.discovery, config.policy, result.qos
-        )
-        result.new_links = overlay.graph.edge_count - edges_before
-        result.subscription = overlay.p2p_subscribe(
-            dscl.node_id, container_uri, expected_notifications=config.appends
-        )
-    else:
-        result.discovery = centralized_discover(dscl, nscl, parse_name("electricity_meter"))
-        result.subscription = subscribe_centralized(dscl, nscl, container_uri)
-
-    for i in range(config.appends):
-        create_content_instance(gscl1, "electricity_meter", "meter_data", f"reading-{i}")
+        create_content_instance(producer, spec.app, CONTAINER, f"reading-{i}")
     return result

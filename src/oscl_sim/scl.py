@@ -12,7 +12,6 @@ the overlay later lets endpoints avoid.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
@@ -210,9 +209,8 @@ class MessageCounters:
 class M2mSystem:
     """One deployment: the SCL population, a shared clock, and logs."""
 
-    def __init__(self, control_leg_ms: float = CONTROL_LEG_MS) -> None:
+    def __init__(self) -> None:
         self.clock_ms = 0.0
-        self.control_leg_ms = control_leg_ms
         self.scls: Dict[str, SclInstance] = {}
         self.nscl: Optional[SclInstance] = None
         self.log: List[MessageRecord] = []
@@ -253,14 +251,14 @@ class M2mSystem:
     # --- synchronous control-plane message primitives ---
 
     def send_direct(self, src: str, dst: str, msg_type: str, name: str) -> None:
-        self.clock_ms += self.control_leg_ms
+        self.clock_ms += CONTROL_LEG_MS
         self.log.append(MessageRecord(self.clock_ms, src, dst, "", msg_type, name))
         self.counters.record(src, msg_type, ROLE_ORIGINATED)
         self.counters.record(dst, msg_type, ROLE_RECEIVED)
 
     def send_relayed(self, src: str, dst: str, relayer: str, msg_type: str, name: str) -> None:
         """Two infrastructure legs through ``relayer`` (normally the NSCL)."""
-        self.clock_ms += 2 * self.control_leg_ms
+        self.clock_ms += 2 * CONTROL_LEG_MS
         self.log.append(MessageRecord(self.clock_ms, src, dst, relayer, msg_type, name))
         self.counters.record(src, msg_type, ROLE_ORIGINATED)
         self.counters.record(relayer, msg_type, ROLE_RELAYED)
@@ -317,8 +315,9 @@ def create_content_instance(
     """Append one instance and fan out notifications to live subscribers.
 
     Centralized subscribers are notified through the network SCL;
-    peer-to-peer subscribers through their overlay delivery hook.
-    Returns the new instance index.
+    peer-to-peer subscribers through their overlay delivery hook. Each
+    notification spends one unit of a bounded subscription, which goes
+    inactive when none remain. Returns the new instance index.
     """
     container = _container(scl, app_name, container_name)
     container.instances.append(payload)
@@ -339,6 +338,10 @@ def create_content_instance(
         else:
             assert sub.deliver is not None
             sub.deliver(payload, index)
+        if sub.remaining is not None:
+            sub.remaining -= 1
+            if sub.remaining <= 0:
+                sub.active = False
     return index
 
 
@@ -471,11 +474,3 @@ def subscribe_centralized(
     container.subscriptions.append(sub)
     system.send_relayed(origin.node_id, owner.node_id, nscl.node_id, MSG_SUBSCRIBE, str(uri))
     return sub
-
-
-_uid = itertools.count(1)
-
-
-def fresh_id(prefix: str) -> str:
-    """Monotonic helper for ad-hoc node ids in tests."""
-    return f"{prefix}{next(_uid)}"

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
 AT_MOST = "at-most-d"  # link when no path of <= h hops (default)
 STRICTLY_LESS = "strictly-less-d"  # link when no path of < h hops
@@ -24,8 +24,9 @@ STRICTLY_LESS = "strictly-less-d"  # link when no path of < h hops
 COMPARISONS = (AT_MOST, STRICTLY_LESS)
 
 
-class NotSaturated(Warning):
-    """Experiment ended while links were still being added."""
+def hop_bound(max_hops: int, comparison: str) -> int:
+    """Longest path, in hops, that still serves a pair under ``comparison``."""
+    return max_hops if comparison == AT_MOST else max_hops - 1
 
 
 def bfs_bounded(
@@ -76,8 +77,9 @@ class ExperimentConfig:
     """One topology-formation run.
 
     pair_count defaults to 50 * n * ln n draws, enough for the link
-    rate to die out at every size this package targets. series_stride
-    thins the degree series to one sample per n draws.
+    rate to die out at every size this package targets. The degree
+    series takes one sample per n draws (``stride``), and a run counts
+    as saturated when its last 10 n draws added no link (``window``).
     """
 
     n_nodes: int
@@ -85,8 +87,6 @@ class ExperimentConfig:
     seed: int = 0
     pair_count: Optional[int] = None
     comparison: str = AT_MOST
-    series_stride: Optional[int] = None
-    saturation_window: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n_nodes < 2:
@@ -106,12 +106,10 @@ class ExperimentConfig:
 
     @property
     def stride(self) -> int:
-        return self.series_stride if self.series_stride is not None else self.n_nodes
+        return self.n_nodes
 
     @property
     def window(self) -> int:
-        if self.saturation_window is not None:
-            return self.saturation_window
         return 10 * self.n_nodes
 
 
@@ -142,22 +140,21 @@ class TopologyStats:
 def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
     """Draw random pairs and link the ones the overlay cannot serve.
 
-    The hop test uses bound = max_hops for the at-most comparison and
-    max_hops - 1 for strictly-less: a pair is linked exactly when
-    bfs_bounded finds nothing within the bound.
+    A pair is linked exactly when bfs_bounded finds no path within
+    hop_bound of the configured budget and comparison.
     """
     n = config.n_nodes
     rng = random.Random(config.seed)
     adjacency: List[Set[int]] = [set() for _ in range(n)]
-    bound = config.max_hops if config.comparison == AT_MOST else config.max_hops - 1
+    bound = hop_bound(config.max_hops, config.comparison)
 
     series: List[Tuple[int, float]] = []
-    stride = max(1, config.stride)
+    stride = config.stride
+    pairs = config.pairs
     links = 0
     last_link = -1
-    edge_total = 0
 
-    for i in range(config.pairs):
+    for i in range(pairs):
         u = rng.randrange(n)
         v = rng.randrange(n - 1)
         if v >= u:
@@ -167,11 +164,10 @@ def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
             adjacency[v].add(u)
             links += 1
             last_link = i
-            edge_total += 1
-        if (i + 1) % stride == 0 or i + 1 == config.pairs:
-            series.append((i + 1, 2.0 * edge_total / n))
+        if (i + 1) % stride == 0 or i + 1 == pairs:
+            series.append((i + 1, 2.0 * links / n))
 
-    saturated = (config.pairs - 1 - last_link) >= config.window
+    saturated = (pairs - 1 - last_link) >= config.window
     return TopologyStats(
         config=config,
         adjacency=adjacency,
@@ -189,86 +185,3 @@ def predicted_degree(n_nodes: float, max_hops: int) -> float:
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
     return (2.0 * n_nodes * math.log(n_nodes)) ** (1.0 / max_hops)
-
-
-@dataclass(frozen=True)
-class SeedRun:
-    n_nodes: int
-    max_hops: int
-    seed: int
-    final_degree: float
-    predicted: float
-    ratio: float
-    saturated: bool
-
-
-@dataclass(frozen=True)
-class ScalingRow:
-    """Seed-averaged measurement for one (n, h) point."""
-
-    n_nodes: int
-    max_hops: int
-    measured_degree: float
-    predicted: float
-    ratio: float
-    saturated: bool  # all seeds saturated
-
-
-@dataclass
-class ScalingFit:
-    """Measured-vs-model comparison across sizes for one hop budget."""
-
-    max_hops: int
-    rows: List[ScalingRow]
-    per_seed: List[SeedRun]
-    warnings: List[str] = field(default_factory=list)
-
-    @property
-    def spread(self) -> float:
-        """max/min of the measured/model ratio across sizes."""
-        ratios = [r.ratio for r in self.rows]
-        return max(ratios) / min(ratios)
-
-
-def scaling_check(
-    sizes: Iterable[int],
-    max_hops: int,
-    seeds: Sequence[int] = (0, 1, 2),
-    pair_count: Optional[Dict[int, int]] = None,
-    comparison: str = AT_MOST,
-) -> ScalingFit:
-    """Run the experiment over several sizes and compare to the model.
-
-    A run that did not saturate is kept but flagged in ``warnings``;
-    its degree is still a lower bound and the caller decides severity.
-    """
-    rows: List[ScalingRow] = []
-    per_seed: List[SeedRun] = []
-    warnings: List[str] = []
-    for n in sizes:
-        predicted = predicted_degree(n, max_hops)
-        degrees: List[float] = []
-        all_saturated = True
-        for seed in seeds:
-            pairs = None if pair_count is None else pair_count.get(n)
-            config = ExperimentConfig(
-                n_nodes=n,
-                max_hops=max_hops,
-                seed=seed,
-                pair_count=pairs,
-                comparison=comparison,
-            )
-            stats = run_topology_experiment(config)
-            degrees.append(stats.final_degree)
-            per_seed.append(
-                SeedRun(n, max_hops, seed, stats.final_degree, predicted,
-                        stats.final_degree / predicted, stats.saturated)
-            )
-            if not stats.saturated:
-                all_saturated = False
-                warnings.append(f"n={n} h={max_hops} seed={seed}: not saturated")
-        measured = sum(degrees) / len(degrees)
-        rows.append(
-            ScalingRow(n, max_hops, measured, predicted, measured / predicted, all_saturated)
-        )
-    return ScalingFit(max_hops=max_hops, rows=rows, per_seed=per_seed, warnings=warnings)

@@ -59,6 +59,7 @@ def _mean_degree(n: int, d: int) -> float:
     return sum(_final_degree(n, d, s) for s in SEEDS) / len(SEEDS)
 
 
+@pytest.mark.slow
 def test_degree_scaling_law(report):
     details = []
     ok = True
@@ -72,6 +73,7 @@ def test_degree_scaling_law(report):
     report(1, "degree tracks (2n ln n)^(1/d) across sizes", ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_hop_budget_monotonicity(report):
     degrees = [_mean_degree(512, d) for d in (3, 5, 7)]
     ok = degrees[0] > degrees[1] > degrees[2]

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from oscl_sim.cli import BUDGET_ENV, main
+
+GOLDEN = Path(__file__).resolve().parents[1] / "runs" / "usecases"
 
 
 def _read(path):
@@ -29,6 +32,12 @@ def test_topology_rejects_tiny_n(tmp_path, capsys):
 def test_topology_rejects_zero_d(tmp_path, capsys):
     assert main(["topology", "--n", "8", "--d", "0", "--out", str(tmp_path)]) == 2
     assert ">= 1" in capsys.readouterr().err
+
+
+def test_topology_rejects_zero_pairs(tmp_path, capsys):
+    code = main(["topology", "--n", "8", "--d", "3", "--pairs", "0", "--out", str(tmp_path)])
+    assert code == 2
+    assert "--pairs" in capsys.readouterr().err
 
 
 def test_topology_requires_out(capsys):
@@ -70,6 +79,19 @@ def test_bad_links_file_reports_line(tmp_path, capsys):
     )
     assert code == 2
     assert f"{links}:3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["delay_ms=abc", "delay_ms=nan", "loss=2", "capacity=0"])
+def test_bad_links_value_reports_line(tmp_path, capsys, bad):
+    links = tmp_path / "links.txt"
+    links.write_text(f"link Dscl1 Gscl1\nlink Gscl1 Nscl {bad}\n")
+    code = main(
+        ["scenario", "usecase1", "--links", str(links), "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{links}:2" in err
+    assert "Traceback" not in err
 
 
 # ===== topology outputs =====
@@ -231,6 +253,15 @@ def test_scenario_outputs_and_replay(tmp_path, capsys):
     capsys.readouterr()
     assert _read(out / "messages.csv") == _read(again / "messages.csv")
     assert _read(out / "counters.csv") == _read(again / "counters.csv")
+
+
+@pytest.mark.parametrize("variant", ["usecase1-on", "usecase1-off", "usecase2-on", "usecase2-off"])
+def test_scenario_matches_committed_outputs(tmp_path, capsys, variant):
+    name, oscl = variant.split("-")
+    assert main(["scenario", name, "--oscl", oscl, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for output in ("messages.csv", "counters.csv"):
+        assert _read(tmp_path / output) == _read(GOLDEN / variant / output)
 
 
 def test_scenario_with_overlay_prints_summary(tmp_path, capsys):

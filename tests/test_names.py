@@ -9,7 +9,6 @@ from oscl_sim.names import (
     InvalidName,
     PrefixTable,
     is_prefix,
-    name_to_text,
     parse_name,
 )
 
@@ -36,7 +35,7 @@ def test_parse_tolerates_one_leading_slash():
 
 def test_str_round_trip():
     text = "Gscl1/applications/meter_app"
-    assert name_to_text(parse_name(text)) == text
+    assert str(parse_name(text)) == text
 
 
 @pytest.mark.parametrize("bad", ["", "/"])

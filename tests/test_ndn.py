@@ -16,7 +16,6 @@ from oscl_sim.ndn import (
     SendData,
     SendInterest,
     UnknownFace,
-    cs_insert,
     fib_register,
     on_data,
     on_interest,
@@ -170,7 +169,7 @@ def test_interest_unknown_face_raises():
 def test_interest_loop_dropped_before_cache():
     # a looped copy dies even when the cache could answer it
     node = _node(faces=["peer"])
-    cs_insert(node, _data(), 0.0)
+    node.cs.insert(_data(), 0.0)
     first = on_interest(node, _interest(nonce=3), "peer", 0.0)
     assert first == [SendData("peer", node.cs.lookup(NAME, 0.0))]
     second = on_interest(node, _interest(nonce=3), "peer", 1.0)
@@ -180,7 +179,7 @@ def test_interest_loop_dropped_before_cache():
 def test_interest_cache_hit_answers_arrival_face():
     node = _node(faces=["peer"])
     packet = _data()
-    cs_insert(node, packet, 0.0)
+    node.cs.insert(packet, 0.0)
     assert on_interest(node, _interest(), "peer", 1.0) == [SendData("peer", packet)]
     assert NAME not in node.pit  # no pending state for answered Interests
 

@@ -74,19 +74,6 @@ def test_graph_rejects_self_and_duplicate_links():
         g.add_edge("a", "ghost")
 
 
-def test_graph_path_length_bounded():
-    g = OverlayGraph()
-    for x in "abcd":
-        g.add_vertex(x)
-    g.add_edge("a", "b")
-    g.add_edge("b", "c")
-    g.add_edge("c", "d")
-    assert g.path_length("a", "d", 3) == 3
-    assert g.path_length("a", "d", 2) is None
-    assert g.path_length("a", "a", 0) == 0
-    assert g.average_degree() == pytest.approx(1.5)
-
-
 # ===== distributed discovery =====
 
 

@@ -5,6 +5,7 @@ from collections import deque
 import pytest
 from hypothesis import given, strategies as st
 
+from oscl_sim.cli import main
 from oscl_sim.topology import (
     AT_MOST,
     STRICTLY_LESS,
@@ -13,7 +14,6 @@ from oscl_sim.topology import (
     default_pair_count,
     predicted_degree,
     run_topology_experiment,
-    scaling_check,
 )
 
 
@@ -224,23 +224,24 @@ def test_predicted_degree_rejects_degenerate_input():
 # ===== scaling sweep =====
 
 
-def test_scaling_check_shape_and_ratios():
-    fit = scaling_check([16, 32], max_hops=3, seeds=(0, 1))
-    assert fit.max_hops == 3
-    assert [r.n_nodes for r in fit.rows] == [16, 32]
-    assert len(fit.per_seed) == 4
-    for row in fit.rows:
-        seed_degrees = [
-            s.final_degree for s in fit.per_seed if s.n_nodes == row.n_nodes
-        ]
-        assert row.measured_degree == pytest.approx(sum(seed_degrees) / 2)
-        assert row.predicted == pytest.approx(predicted_degree(row.n_nodes, 3))
-        assert row.ratio == pytest.approx(row.measured_degree / row.predicted)
-    ratios = [r.ratio for r in fit.rows]
-    assert fit.spread == pytest.approx(max(ratios) / min(ratios))
+def test_sweep_spread_of_seed_mean_ratios(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--n", "16,32", "--d", "3", "--seeds", "2", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
 
-
-def test_scaling_check_reports_unsaturated_runs():
-    fit = scaling_check([16], max_hops=3, seeds=(0,), pair_count={16: 30})
-    assert not fit.rows[0].saturated
-    assert any("not saturated" in w for w in fit.warnings)
+    lines = (out / "summary.csv").read_text().strip().split("\n")
+    rows = [line.split(",") for line in lines[1:]]
+    assert [tuple(map(int, r[:3])) for r in rows] == [
+        (16, 3, 0), (16, 3, 1), (32, 3, 0), (32, 3, 1)
+    ]
+    ratios = {}
+    for n, _, seed, degree, predicted, ratio, _ in rows:
+        stats = run_topology_experiment(
+            ExperimentConfig(n_nodes=int(n), max_hops=3, seed=int(seed))
+        )
+        assert float(degree) == stats.final_degree
+        assert float(predicted) == pytest.approx(predicted_degree(int(n), 3))
+        assert float(ratio) == pytest.approx(float(degree) / float(predicted))
+        ratios.setdefault(int(n), []).append(float(ratio))
+    means = [sum(r) / len(r) for r in ratios.values()]
+    assert f"d=3: spread={max(means) / min(means):.4f} over 2 sizes" in printed
