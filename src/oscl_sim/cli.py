@@ -211,9 +211,13 @@ def _parse_int_list(text: str, flag: str) -> List[int]:
     if not items:
         raise FlagError(f"{flag} needs at least one value")
     try:
-        return [int(t) for t in items]
+        values = [int(t) for t in items]
     except ValueError as exc:
         raise FlagError(f"{flag}: {exc}") from None
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise FlagError(f"{flag} repeats the value {value}")
+    return values
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -231,8 +235,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             budget: Optional[float] = float(env_budget)
         except ValueError:
             raise FlagError(f"{BUDGET_ENV} must be a number, got {env_budget!r}") from None
+        source = BUDGET_ENV
     else:
         budget = args.time_budget
+        source = "--time-budget"
+    if budget is not None and not budget >= 0:  # also catches NaN
+        raise FlagError(f"{source} must be a number >= 0, got {budget!r}")
     config = {
         "n": sizes,
         "d": hops,

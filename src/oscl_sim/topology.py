@@ -8,7 +8,11 @@ link state against worst-case path stretch.
 
 This module works on bare adjacency sets rather than Overlay objects:
 the experiment needs millions of pair draws, and bookkeeping on full
-forwarder state would drown the measurement.
+forwarder state would drown the measurement. The experiment decides
+each draw with a meet-in-the-middle test over cached hop balls kept as
+integer bitmasks; a link clears the cached balls it can change (see
+run_topology_experiment). bfs_bounded is the reference search that
+the tests check that kernel against.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 AT_MOST = "at-most-d"  # link when no path of <= h hops (default)
 STRICTLY_LESS = "strictly-less-d"  # link when no path of < h hops
@@ -140,13 +144,47 @@ class TopologyStats:
 def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
     """Draw random pairs and link the ones the overlay cannot serve.
 
-    A pair is linked exactly when bfs_bounded finds no path within
-    hop_bound of the configured budget and comparison.
+    A pair is linked exactly when no path of at most h hops joins it,
+    h being hop_bound of the configured budget and comparison, which is
+    the answer bfs_bounded would give. The test meets in the middle:
+    u and v are within h hops iff the closed ball of radius h//2 around
+    u meets the closed ball of radius h - h//2 around v. Balls are
+    bitmasks over node indices. Radius 0 and 1 are kept exact; larger
+    radii are grown from radius r-1 by adding the radius-1 balls of the
+    new shell, and cached until a link makes them stale.
+
+    A link (u, v) can change the r-ball only of nodes within r-1 hops
+    of u or v, so those entries are cleared. The stale sets of every
+    radius are gathered before any entry is cleared: clearing radius r
+    first would make the radius r+1 gather rebuild ball(u, r) from the
+    old graph and put it back in the cache, where the link leaves it
+    stale.
     """
     n = config.n_nodes
     rng = random.Random(config.seed)
     adjacency: List[Set[int]] = [set() for _ in range(n)]
-    bound = hop_bound(config.max_hops, config.comparison)
+    # no simple path is longer than n-1 hops, so a larger bound decides alike
+    bound = min(hop_bound(config.max_hops, config.comparison), n - 1)
+    near, far = bound // 2, bound - bound // 2
+
+    # balls[r][x]: closed r-ball of x as a bitmask; None once stale. A link
+    # that stales radius r also stales every larger radius, so the cached
+    # radii of a node are always 0..m for some m.
+    balls: List[List[Optional[int]]] = [[1 << x for x in range(n)] for _ in range(2)]
+    balls += [[None] * n for _ in range(2, far + 1)]
+    ones = balls[1]
+    near_balls, far_balls = balls[near], balls[far]
+
+    def ball(x: int, r: int) -> int:
+        top = r
+        while balls[top][x] is None:
+            top -= 1
+        grown = balls[top][x]
+        for k in range(top + 1, r + 1):
+            for y in _members(grown & ~balls[k - 2][x]):
+                grown |= ones[y]
+            balls[k][x] = grown
+        return grown
 
     series: List[Tuple[int, float]] = []
     stride = config.stride
@@ -159,7 +197,16 @@ def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
         v = rng.randrange(n - 1)
         if v >= u:
             v += 1
-        if v not in adjacency[u] and bfs_bounded(adjacency, u, v, bound) is None:
+        # a ball holds its centre, so it is never 0 and `or` only rebuilds stale ones
+        if v not in adjacency[u] and not (
+            (near_balls[u] or ball(u, near)) & (far_balls[v] or ball(v, far))
+        ):
+            stale = [ball(u, r - 1) | ball(v, r - 1) for r in range(2, far + 1)]
+            for radius_balls, hit in zip(balls[2:], stale):
+                for x in _members(hit):
+                    radius_balls[x] = None
+            ones[u] |= 1 << v
+            ones[v] |= 1 << u
             adjacency[u].add(v)
             adjacency[v].add(u)
             links += 1
@@ -176,6 +223,14 @@ def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
         last_link_pair=last_link,
         saturated=saturated,
     )
+
+
+def _members(mask: int) -> Iterator[int]:
+    """Node indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def predicted_degree(n_nodes: float, max_hops: int) -> float:

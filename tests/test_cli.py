@@ -52,6 +52,31 @@ def test_sweep_rejects_empty_and_bad_lists(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "sizes, hops, message",
+    [("8,16,8", "1,2", "--n repeats the value 8"), ("8,16", "2,1,2", "--d repeats the value 2")],
+    ids=["n", "d"],
+)
+def test_sweep_rejects_repeated_values(tmp_path, capsys, sizes, hops, message):
+    argv = ["sweep", "--n", sizes, "--d", hops, "--seeds", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("budget", ["-1", "nan"])
+@pytest.mark.parametrize("source", ["--time-budget", BUDGET_ENV], ids=["flag", "env"])
+def test_sweep_rejects_negative_or_nan_budget(tmp_path, capsys, monkeypatch, source, budget):
+    argv = ["sweep", "--n", "8", "--d", "1", "--seeds", "1", "--out", str(tmp_path / "out")]
+    if source == BUDGET_ENV:
+        monkeypatch.setenv(BUDGET_ENV, budget)
+    else:
+        argv += ["--time-budget", budget]
+    assert main(argv) == 2
+    assert f"{source} must be a number >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scenario_rejects_unknown_name_and_bad_oscl(tmp_path, capsys):
     assert main(["scenario", "usecase9", "--out", str(tmp_path)]) == 2
     assert main(["scenario", "usecase1", "--oscl", "maybe", "--out", str(tmp_path)]) == 2

@@ -8,10 +8,12 @@ from hypothesis import given, strategies as st
 from oscl_sim.cli import main
 from oscl_sim.topology import (
     AT_MOST,
+    COMPARISONS,
     STRICTLY_LESS,
     ExperimentConfig,
     bfs_bounded,
     default_pair_count,
+    hop_bound,
     predicted_degree,
     run_topology_experiment,
 )
@@ -189,6 +191,53 @@ def test_every_drawn_pair_ends_within_budget():
         if v >= u:
             v += 1
         assert bfs_bounded(stats.adjacency, u, v, config.max_hops) is not None
+
+
+def _reference_experiment(config):
+    """The draw loop deciding every pair with bfs_bounded: the kernel's oracle."""
+    n = config.n_nodes
+    rng = random.Random(config.seed)
+    adjacency = [set() for _ in range(n)]
+    bound = hop_bound(config.max_hops, config.comparison)
+    series = []
+    links = 0
+    last_link = -1
+    for i in range(config.pairs):
+        u = rng.randrange(n)
+        v = rng.randrange(n - 1)
+        if v >= u:
+            v += 1
+        if v not in adjacency[u] and bfs_bounded(adjacency, u, v, bound) is None:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+            links += 1
+            last_link = i
+        if (i + 1) % config.stride == 0 or i + 1 == config.pairs:
+            series.append((i + 1, 2.0 * links / n))
+    saturated = config.pairs - 1 - last_link >= config.window
+    return adjacency, series, links, last_link, saturated
+
+
+@given(
+    n=st.integers(2, 40),
+    max_hops=st.integers(1, 7),
+    comparison=st.sampled_from(COMPARISONS),
+    seed=st.integers(0, 2**32 - 1),
+    pair_count=st.integers(1, 400),
+)
+def test_ball_kernel_matches_bfs_reference(n, max_hops, comparison, seed, pair_count):
+    config = ExperimentConfig(
+        n_nodes=n, max_hops=max_hops, seed=seed, pair_count=pair_count, comparison=comparison
+    )
+    stats = run_topology_experiment(config)
+    got = (
+        stats.adjacency,
+        stats.degree_series,
+        stats.links_created,
+        stats.last_link_pair,
+        stats.saturated,
+    )
+    assert got == _reference_experiment(config)
 
 
 def test_unsaturated_run_is_flagged():
