@@ -2,7 +2,8 @@
 
 Every command writes its outputs plus a manifest.json into --out; a
 manifest is enough to re-run the command and get byte-identical CSV
-bodies. Exit codes: 0 success, 1 runtime failure, 2 bad flags.
+bodies. Exit codes: 0 success, 1 runtime failure, 2 bad flags or a bad
+input file (links file, replay manifest).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .overlay import LinkMetrics
-from .scenarios import NSCL_ID, SCENARIO_NAMES, ScenarioConfig, run_scenario
+from .scenarios import NSCL_ID, SCENARIO_NAMES, SCENARIOS, ScenarioConfig, run_scenario
 from .topology import (
     AT_MOST,
     COMPARISONS,
@@ -77,6 +78,14 @@ def _write_manifest(out_dir: str, command: str, config: Dict, outputs: List[str]
 def _ensure_out(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FlagError(f"{path}: cannot read {what}: {exc.strerror}") from None
 
 
 # ===== topology =====
@@ -255,36 +264,51 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ===== scenario =====
 
 
-def _parse_links_file(path: str) -> List[List]:
+def _parse_links_file(path: str, nodes: Sequence[str]) -> List[List]:
     """key=value escape hatch for custom overlay links.
 
     Each non-comment line: `link <u> <v> [delay_ms=X] [loss=X] [capacity=X]`.
     Omitted keys take the LinkMetrics defaults, and every line must
-    make a valid LinkMetrics.
+    make a valid LinkMetrics. Once every line parses, each link must
+    join two distinct ``nodes`` that no earlier line linked.
     """
-    links: List[List] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] != "link" or len(parts) < 3:
-                raise FlagError(f"{path}:{lineno}: expected 'link <u> <v> [k=v ...]'")
-            spec = dataclasses.asdict(LinkMetrics())
-            try:
-                for kv in parts[3:]:
-                    if "=" not in kv:
-                        raise FlagError(f"{path}:{lineno}: expected key=value, got {kv!r}")
-                    key, value = kv.split("=", 1)
-                    if key not in spec:
-                        raise FlagError(f"{path}:{lineno}: unknown key {key!r}")
-                    spec[key] = float(value)
-                metrics = LinkMetrics(**spec)
-            except ValueError as exc:  # not a number, or out of LinkMetrics' range
-                raise FlagError(f"{path}:{lineno}: {exc}") from None
-            links.append([parts[1], parts[2], metrics.delay_ms, metrics.loss, metrics.capacity])
-    return links
+    parsed: List[Tuple[int, List]] = []  # (line number, link)
+    for lineno, raw in enumerate(_read_text(path, "links file").split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] != "link" or len(parts) < 3:
+            raise FlagError(f"{path}:{lineno}: expected 'link <u> <v> [k=v ...]'")
+        spec = dataclasses.asdict(LinkMetrics())
+        try:
+            for kv in parts[3:]:
+                if "=" not in kv:
+                    raise FlagError(f"{path}:{lineno}: expected key=value, got {kv!r}")
+                key, value = kv.split("=", 1)
+                if key not in spec:
+                    raise FlagError(f"{path}:{lineno}: unknown key {key!r}")
+                spec[key] = float(value)
+            metrics = LinkMetrics(**spec)
+        except ValueError as exc:  # not a number, or out of LinkMetrics' range
+            raise FlagError(f"{path}:{lineno}: {exc}") from None
+        link = [parts[1], parts[2], metrics.delay_ms, metrics.loss, metrics.capacity]
+        parsed.append((lineno, link))
+
+    seen: Dict[Tuple[str, str], int] = {}  # (u, v) with u <= v -> line number
+    for lineno, (u, v, *_) in parsed:
+        for node in (u, v):
+            if node not in nodes:
+                raise FlagError(
+                    f"{path}:{lineno}: unknown node {node!r}; the scenario has {', '.join(nodes)}"
+                )
+        if u == v:
+            raise FlagError(f"{path}:{lineno}: self link {u} -- {v}")
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            raise FlagError(f"{path}:{lineno}: repeats the link {u} -- {v} of line {seen[pair]}")
+        seen[pair] = lineno
+    return [link for _, link in parsed]
 
 
 def _run_scenario(config: Dict, out_dir: str) -> int:
@@ -330,7 +354,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         "oscl": args.oscl,
         "appends": args.appends,
         "seed": args.seed,
-        "links": _parse_links_file(args.links) if args.links else None,
+        "links": _parse_links_file(args.links, SCENARIOS[args.name].nodes) if args.links else None,
     }
     return _run_scenario(config, _ensure_out(args.out))
 
@@ -338,20 +362,34 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 # ===== replay =====
 
 
+# command -> (runner, the config keys it reads unconditionally)
+REPLAYABLE = {
+    "topology": (_run_topology, ("n", "d", "seed", "pairs", "comparison")),
+    "sweep": (_run_sweep, ("n", "d", "seeds", "comparison", "budget_secs")),
+    "scenario": (_run_scenario, ("name", "oscl", "appends", "seed")),
+}
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
+    path = args.manifest
+    try:
+        manifest = json.loads(_read_text(path, "manifest"))
+    except json.JSONDecodeError as exc:
+        raise FlagError(f"{path}:{exc.lineno}: not JSON: {exc.msg}") from None
+    if not isinstance(manifest, dict):
+        raise FlagError(f"{path}: manifest must be a JSON object, got {type(manifest).__name__}")
     command = manifest.get("command")
+    if not isinstance(command, str) or command not in REPLAYABLE:
+        raise FlagError(f"{path}: manifest command {command!r} is not replayable")
+    runner, keys = REPLAYABLE[command]
     config = manifest.get("config", {})
-    out_dir = _ensure_out(args.out if args.out else os.path.dirname(os.path.abspath(args.manifest)))
-    runners = {
-        "topology": _run_topology,
-        "sweep": _run_sweep,
-        "scenario": _run_scenario,
-    }
-    if command not in runners:
-        raise FlagError(f"manifest command {command!r} is not replayable")
-    return runners[command](config, out_dir)
+    if not isinstance(config, dict):
+        raise FlagError(f"{path}: manifest config must be a JSON object")
+    missing = [key for key in keys if key not in config]
+    if missing:
+        raise FlagError(f"{path}: manifest config lacks {', '.join(map(repr, missing))}")
+    out_dir = _ensure_out(args.out if args.out else os.path.dirname(os.path.abspath(path)))
+    return runner(config, out_dir)
 
 
 # ===== parser =====

@@ -27,7 +27,12 @@ class EmptyComponent(InvalidName):
 
 @dataclass(frozen=True, order=True)
 class HierarchicalName:
-    """Immutable component path; ordering is lexicographic by component."""
+    """Immutable component path; ordering is lexicographic by component.
+
+    The text form and the hash are computed once, at construction; the
+    hash is the one the dataclass would generate. Neither is a field, so
+    equality, ordering and repr see the components only.
+    """
 
     components: Tuple[str, ...]
 
@@ -39,9 +44,19 @@ class HierarchicalName:
                 raise EmptyComponent(f"empty component in {self.components!r}")
             if "/" in part:
                 raise InvalidName(f"component may not contain '/': {part!r}")
+        object.__setattr__(self, "_text", "/".join(self.components))
+        object.__setattr__(self, "_hash", hash((self.components,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: a copy or an unpickled
+        # name is rebuilt from its components, never handed the old hash
+        return (HierarchicalName, (self.components,))
 
     def __str__(self) -> str:
-        return "/".join(self.components)
+        return self._text
 
     def __len__(self) -> int:
         return len(self.components)

@@ -13,7 +13,7 @@ to the local application neither checks nor spends budget.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .names import HierarchicalName, PrefixTable
@@ -231,7 +231,8 @@ def _forwarding_faces(node: NdnNode, pkt: InterestPacket, in_face: str) -> List[
 
     Best-route follows the highest-preference FIB hop that is not the
     arrival face. Flooding prefers a local producer match, otherwise
-    copies to every overlay face except the arrival one.
+    copies to every overlay face except the arrival one. The result is
+    either the application face alone or overlay faces only.
     """
     match = node.fib.longest_prefix_match(pkt.name)
     if node.strategy == BEST_ROUTE:
@@ -295,13 +296,13 @@ def on_interest(
         remaining=pkt.solicit_count,
         expiry=now + pkt.lifetime_ms,
     )
-    emissions: List[Emission] = []
-    for face in out:
-        if face == APP_FACE:
-            emissions.append(SendInterest(face, pkt))
-        else:
-            emissions.append(SendInterest(face, replace(pkt, hop_limit=pkt.hop_limit - 1)))
-    return emissions
+    if out[0] == APP_FACE:
+        return [SendInterest(APP_FACE, pkt)]
+    # one hop-spent copy serves every overlay face: packets are frozen
+    spent = InterestPacket(
+        pkt.name, pkt.nonce, pkt.hop_limit - 1, pkt.solicit_count, pkt.lifetime_ms
+    )
+    return [SendInterest(face, spent) for face in out]
 
 
 def on_data(node: NdnNode, pkt: DataPacket, in_face: str, now: float) -> List[Emission]:

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .names import HierarchicalName, is_prefix, parse_name
 from .ndn import (
@@ -161,15 +161,11 @@ class OverlayGraph:
     """Undirected overlay topology with per-link metrics."""
 
     def __init__(self) -> None:
-        self._adj: Dict[str, Set[str]] = {}
-        self._metrics: Dict[Tuple[str, str], LinkMetrics] = {}
-
-    @staticmethod
-    def _key(u: str, v: str) -> Tuple[str, str]:
-        return (u, v) if u <= v else (v, u)
+        # node -> {neighbor: metrics}; both directions share one LinkMetrics
+        self._adj: Dict[str, Dict[str, LinkMetrics]] = {}
 
     def add_vertex(self, node_id: str) -> None:
-        self._adj.setdefault(node_id, set())
+        self._adj.setdefault(node_id, {})
 
     def has_vertex(self, node_id: str) -> bool:
         return node_id in self._adj
@@ -182,22 +178,20 @@ class OverlayGraph:
                 raise UnknownNode(x)
         if v in self._adj[u]:
             raise DuplicateLink(f"{u} -- {v}")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        self._metrics[self._key(u, v)] = metrics or LinkMetrics()
+        self._adj[u][v] = self._adj[v][u] = metrics or LinkMetrics()
 
     def has_edge(self, u: str, v: str) -> bool:
         return u in self._adj and v in self._adj[u]
 
     def metrics(self, u: str, v: str) -> LinkMetrics:
         try:
-            return self._metrics[self._key(u, v)]
+            return self._adj[u][v]
         except KeyError:
             raise UnknownLink(f"{u} -- {v}") from None
 
     @property
     def edge_count(self) -> int:
-        return len(self._metrics)
+        return sum(map(len, self._adj.values())) // 2
 
 
 def _notification(
@@ -210,7 +204,7 @@ def _notification(
     return DataPacket(container_name, body, producer_id=producer_id)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Envelope:
     """One in-flight packet copy and the node trail it has visited."""
 
@@ -224,15 +218,19 @@ class Overlay:
     """Event-driven overlay on top of an M2mSystem.
 
     All randomness (nonces, loss draws) comes from one seeded RNG, so a
-    given seed replays the same message sequence.
+    given seed replays the same message sequence. The event queue holds
+    link traversals as plain data, ``(at, seq, u, v, envelope)``: the
+    copy in ``envelope`` arrives at ``v`` from ``u`` at time ``at``, and
+    ``seq`` orders arrivals due at the same time by when they were sent.
     """
 
     def __init__(self, system: M2mSystem, seed: int = 0) -> None:
         self.system = system
         self.graph = OverlayGraph()
         self.rng = random.Random(seed)
-        self._events: List[Tuple[float, int, Callable[[], None]]] = []
+        self._events: List[Tuple[float, int, str, str, _Envelope]] = []
         self._seq = itertools.count()
+        self._nodes: Dict[str, NdnNode] = {}  # node id -> forwarder
         # (consumer, name) -> delivered (packet, trail) answers
         self._inbox: Dict[Tuple[str, str], List[Tuple[DataPacket, List[str]]]] = {}
         # (origin, name, nonce) -> subscription installed at the producer
@@ -244,35 +242,31 @@ class Overlay:
     def add_node(self, scl: SclInstance) -> None:
         self.graph.add_vertex(scl.node_id)
         scl.ndn.strategy = FLOOD
+        self._nodes[scl.node_id] = scl.ndn
 
     def add_link(self, u: str, v: str, metrics: Optional[LinkMetrics] = None) -> None:
         self.graph.add_edge(u, v, metrics)
-        self._node(u).add_face(v)
-        self._node(v).add_face(u)
-
-    def _node(self, node_id: str) -> NdnNode:
-        if not self.graph.has_vertex(node_id):
-            raise UnknownNode(node_id)
-        return self.system.scl(node_id).ndn
+        self._nodes[u].add_face(v)
+        self._nodes[v].add_face(u)
 
     # ----- event loop -----
 
-    def _schedule(self, at: float, fn: Callable[[], None]) -> None:
-        heapq.heappush(self._events, (at, next(self._seq), fn))
-
     def run(self) -> None:
         """Drain the event queue, advancing the shared clock."""
-        while self._events:
-            at, _, fn = heapq.heappop(self._events)
-            if at > self.system.clock_ms:
-                self.system.clock_ms = at
-            fn()
+        events, system = self._events, self.system
+        while events:
+            at, _, u, v, env = heapq.heappop(events)
+            if at > system.clock_ms:
+                system.clock_ms = at
+            self._arrive(u, v, env)
 
     # ----- packet plumbing -----
 
     def _inject(self, origin: str, pkt: Union[InterestPacket, DataPacket], kind: str) -> None:
         """Hand a packet from ``origin``'s application to its forwarder."""
-        node = self._node(origin)
+        node = self._nodes.get(origin)
+        if node is None:
+            raise UnknownNode(origin)
         self.system.counters.record(origin, kind, ROLE_ORIGINATED)
         env = _Envelope(pkt, origin, (origin,), kind)
         if kind == MSG_INTEREST:
@@ -325,15 +319,16 @@ class Overlay:
             self.drops.append((u, "loss", str(pkt.name)))
             return
         new_env = _Envelope(pkt, env.origin, env.trail + (peer,), kind)
-        self._schedule(
-            self.system.clock_ms + metrics.delay_ms, partial(self._arrive, u, peer, new_env)
+        heapq.heappush(
+            self._events,
+            (self.system.clock_ms + metrics.delay_ms, next(self._seq), u, peer, new_env),
         )
 
     def _arrive(self, u: str, v: str, env: _Envelope) -> None:
         self.system.log.append(
             MessageRecord(self.system.clock_ms, u, v, "", env.kind, str(env.packet.name))
         )
-        node = self._node(v)
+        node = self._nodes[v]
         if env.kind == MSG_INTEREST:
             emissions = on_interest(node, env.packet, u, self.system.clock_ms)
         else:

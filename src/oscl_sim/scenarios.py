@@ -60,6 +60,11 @@ class ScenarioSpec:
     chain: Tuple[str, ...] = ()
     discover_by_uri: bool = False
 
+    @property
+    def nodes(self) -> Tuple[str, ...]:
+        """Every SCL of the deployment; all of them join the overlay."""
+        return (NSCL_ID, *self.gateways, SUBSCRIBER_ID)
+
 
 SCENARIOS = {
     # meter behind one gateway; the monitor knows nothing yet

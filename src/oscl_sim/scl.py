@@ -170,7 +170,7 @@ class SclInstance:
 # ===== accounting =====
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageRecord:
     time_ms: float
     src: str

@@ -91,9 +91,35 @@ def test_bad_budget_env_is_flag_error(tmp_path, capsys, monkeypatch):
     assert BUDGET_ENV in capsys.readouterr().err
 
 
-def test_replay_missing_manifest_is_runtime_error(tmp_path, capsys):
-    assert main(["replay", str(tmp_path / "nope" / "manifest.json")]) == 1
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (None, "manifest.json: cannot read manifest: No such file or directory"),
+        ('{"command": "scenario",\n "config": {', "manifest.json:2: not JSON"),
+        ('["scenario"]', "manifest.json: manifest must be a JSON object, got list"),
+        ('{"command": "scenario", "config": {"oscl": "on", "appends": 3, "seed": 0}}',
+         "manifest.json: manifest config lacks 'name'"),
+    ],
+    ids=["missing", "not-json", "not-object", "config-key"],
+)
+def test_replay_bad_manifest_is_flag_error(tmp_path, capsys, body, message):
+    manifest = tmp_path / "manifest.json"
+    if body is not None:
+        manifest.write_text(body)
+    assert main(["replay", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path}/{message}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_links_file_is_flag_error(tmp_path, capsys, kind):
+    links = tmp_path / "links.txt"
+    if kind == "directory":
+        links.mkdir()
+    code = main(["scenario", "usecase1", "--links", str(links), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{links}: cannot read links file: " in capsys.readouterr().err
 
 
 def test_bad_links_file_reports_line(tmp_path, capsys):
@@ -117,6 +143,25 @@ def test_bad_links_value_reports_line(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert f"{links}:2" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("link Dscl1 Gscl9", "unknown node 'Gscl9'"),
+        ("link Gscl1 Gscl1", "self link Gscl1 -- Gscl1"),
+        ("link Gscl1 Dscl1 delay_ms=1", "repeats the link Gscl1 -- Dscl1 of line 1"),
+    ],
+    ids=["unknown-node", "self-link", "repeated-link"],
+)
+def test_bad_links_line_reports_line(tmp_path, capsys, line, message):
+    links = tmp_path / "links.txt"
+    links.write_text(f"link Dscl1 Gscl1\n{line}\n")
+    code = main(
+        ["scenario", "usecase1", "--links", str(links), "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert f"{links}:2: {message}" in capsys.readouterr().err
 
 
 # ===== topology outputs =====

@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -88,6 +93,40 @@ def test_prefix_reflexive_and_proper():
 @given(NAME)
 def test_parse_round_trip_property(name):
     assert parse_name(str(name)) == name
+
+
+def _uncached_text_and_hash(name):
+    return "/".join(name.components), hash((name.components,))
+
+
+@given(st.lists(COMPONENT, min_size=1, max_size=6), st.lists(COMPONENT, max_size=3))
+def test_cached_text_and_hash_match_definitions(parts, extra):
+    direct = HierarchicalName(tuple(parts))
+    parsed = parse_name("/".join(parts))
+    extended = direct.extend(*extra)
+    for name in (direct, parsed, extended):
+        assert (str(name), hash(name)) == _uncached_text_and_hash(name)
+    assert hash(direct) == hash(parsed) and {direct: 1}[parsed] == 1
+
+
+def test_unpickled_name_hashes_in_another_process():
+    """A name's hash is fixed at construction and string hashes differ
+    between processes, so pickling must not carry the old hash along."""
+    script = (
+        "import pickle, sys; from oscl_sim.names import parse_name; "
+        "name = pickle.loads(sys.stdin.buffer.read()); "
+        "assert {parse_name('a/b/c'): 1}[name] == 1"
+    )
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=pickle.dumps(parse_name("a/b/c")),
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 @given(NAME, NAME, NAME)

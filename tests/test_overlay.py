@@ -1,6 +1,9 @@
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oscl_sim.names import parse_name
 from oscl_sim.overlay import (
@@ -385,3 +388,132 @@ def test_overlay_counter_conservation_on_chain_flows():
     create_content_instance(producer, "meter_app", "meter_data", "v2")
     c = system.counters
     assert c.total(role="originated") == c.total(role="received") + c.total(role="dropped")
+
+
+MAX_NODES = 7
+
+
+@st.composite
+def _random_overlay_runs(draw):
+    """A random connected overlay (a random tree plus extra links) with
+    mixed link delays and losses, and a mix of operations on it."""
+    n = draw(st.integers(2, MAX_NODES))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    delay_ms = st.sampled_from((0.0, 0.5, 1.0, 3.0))
+    loss = st.sampled_from((0.0, 0.0, 0.3, 1.0))
+    links = [(u, v, draw(delay_ms), draw(loss)) for u, v in sorted(edges)]
+    node = st.integers(0, n - 1)
+    scope = st.integers(0, 4)
+    op = st.one_of(
+        st.tuples(st.just("discover"), node, st.integers(0, n), scope),  # index n: no owner
+        st.tuples(st.just("fetch"), node, node, scope),
+        st.tuples(st.just("race"), st.lists(node, min_size=1, max_size=3, unique=True), node, scope),
+        st.tuples(st.just("subscribe"), node, node, st.integers(1, 3), st.integers(0, 4)),
+    )
+    return n, links, draw(st.lists(op, min_size=1, max_size=8)), draw(st.integers(0, 2**16))
+
+
+@given(_random_overlay_runs())
+def test_counter_semantics_hold_on_random_overlays(run):
+    """The module docstring's counter semantics, checked after every
+    operation: every dropped count has its entry in ``overlay.drops``,
+    the log's clock never runs backwards, and every Data a node's
+    application received sits in its inbox, or was handed back by the
+    discover/fetch/subscribe call that consumed it.
+
+    A subscription to a node's own container is delivered without any
+    packet, so it is left out: it shows in the inbox but in no counter.
+    """
+    n, links, ops, seed = run
+    system = M2mSystem()
+    nscl = system.add_scl(SclKind.NSCL, "Nscl")
+    overlay = Overlay(system, seed=seed)
+    ids = [f"N{i}" for i in range(n)]
+    for i, node_id in enumerate(ids):
+        scl = system.add_scl(SclKind.GSCL, node_id)
+        register_scl(scl, nscl)
+        create_application(scl, f"app{i}")
+        create_container(scl, f"app{i}", "data")
+        create_content_instance(scl, f"app{i}", "data", "v")
+        overlay.add_node(scl)
+    for u, v, delay_ms, loss in links:
+        overlay.add_link(ids[u], ids[v], LinkMetrics(delay_ms=delay_ms, loss=loss))
+
+    def app(t):
+        return parse_name(f"N{t}/applications/app{t}")
+
+    def container(t):
+        return app(t).extend("containers", "data")
+
+    def instance(t):
+        return container(t).extend("content_instances", "latest")
+
+    names = [f(t) for t in range(n + 1) for f in (app, container, instance)]
+    consumed = Counter()  # Data rows handed back to callers, per node
+
+    def received(node):
+        return system.counters.get(node, "data", "received")
+
+    def inbox(node):
+        return sum(len(overlay.answers(node, name)) for name in names)
+
+    def unaccounted(node):
+        return received(node) - inbox(node) - consumed[node]
+
+    def check(requester=None, answered=None):
+        """``requester`` ran one request whose answers its call consumed;
+        ``answered`` says whether the call returned an overlay answer."""
+        for node in ids:
+            if node != requester:
+                assert unaccounted(node) == 0, node
+        if requester is not None:
+            gained = unaccounted(requester)
+            assert gained >= 0
+            if answered is not None:
+                assert (gained > 0) == answered
+            consumed[requester] += gained
+        dropped = Counter()
+        for node, _, role, count in system.counters.rows():
+            if role == "dropped":
+                dropped[node] += count
+        assert dropped == Counter(node for node, _, _ in overlay.drops)
+        times = [rec.time_ms for rec in system.log]
+        assert times == sorted(times)
+
+    for op in ops:
+        kind = op[0]
+        if kind == "race":
+            _, consumers, t, hops = op
+            for c in consumers:
+                overlay.begin_fetch(ids[c], instance(t), hops)
+            overlay.run()
+            check()
+            continue
+        origin, t = ids[op[1]], op[2]
+        name = {"discover": app, "fetch": instance, "subscribe": container}[kind](t)
+        remote = t != op[1]
+        if remote:  # the call first clears what the origin's inbox holds for the name
+            consumed[origin] += len(overlay.answers(origin, name))
+        if kind == "discover":
+            try:
+                result = overlay.discover(origin, name, op[3], nscl)
+            except NotFound:
+                result = None
+            answered = result is not None and result.method == "distributed" and remote
+            check(origin if remote else None, answered)
+        elif kind == "fetch":
+            result = overlay.fetch_resource(origin, name, op[3])
+            check(origin if remote else None, result is not None and remote)
+        elif remote:
+            _, _, _, expected, appends = op
+            try:
+                overlay.p2p_subscribe(origin, name, expected, scope=4)
+            except NoPath:
+                pass
+            check(origin)
+            for k in range(appends):
+                create_content_instance(system.scl(ids[t]), f"app{t}", "data", f"r{k}")
+                check()
