@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import operator
 import os
 import sys
 import time
@@ -40,22 +42,20 @@ class FlagError(Exception):
     """Invalid flag combination or value; maps to exit code 2."""
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
-    import csv
+    """Write ``rows`` as stored: the csv module writes a float as its
+    repr and an int as its str, so only a bool needs formatting first
+    (see ``_csv_bool``)."""
+    import csv  # on first use: importing the package alone does not load it
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
+
+
+def _csv_bool(value: bool) -> str:
+    return "true" if value else "false"
 
 
 def _write_manifest(out_dir: str, command: str, config: Dict, outputs: List[str], started: float) -> None:
@@ -88,6 +88,21 @@ def _read_text(path: str, what: str) -> str:
         raise FlagError(f"{path}: cannot read {what}: {exc.strerror}") from None
 
 
+# Each command checks its config in one function, whether the config
+# came from the command line or from a manifest being replayed.
+
+
+def _check_int(value, flag: str, low: Optional[int] = None) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise FlagError(f"{flag} must be an integer{bound}, got {value!r}")
+
+
+def _check_choice(value, flag: str, choices: Sequence[str]) -> None:
+    if value not in choices:
+        raise FlagError(f"{flag} must be one of {', '.join(choices)}, got {value!r}")
+
+
 # ===== topology =====
 
 
@@ -109,7 +124,8 @@ def _run_topology(config: Dict, out_dir: str) -> int:
         for idx, degree in stats.degree_series
     ]
     summary_rows = [
-        (exp.n_nodes, exp.max_hops, exp.seed, stats.final_degree, predicted, ratio, stats.saturated)
+        (exp.n_nodes, exp.max_hops, exp.seed, stats.final_degree, predicted, ratio,
+         _csv_bool(stats.saturated))
     ]
     _write_csv(os.path.join(out_dir, "series.csv"), SERIES_HEADER, series_rows)
     _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_HEADER, summary_rows)
@@ -124,13 +140,16 @@ def _run_topology(config: Dict, out_dir: str) -> int:
     return 0
 
 
+def _check_topology(config: Dict) -> None:
+    _check_int(config["n"], "--n", 2)
+    _check_int(config["d"], "--d", 1)
+    _check_int(config["seed"], "--seed")
+    if config["pairs"] is not None:
+        _check_int(config["pairs"], "--pairs", 1)
+    _check_choice(config["comparison"], "--comparison", COMPARISONS)
+
+
 def cmd_topology(args: argparse.Namespace) -> int:
-    if args.n < 2:
-        raise FlagError("--n must be >= 2")
-    if args.d < 1:
-        raise FlagError("--d must be >= 1")
-    if args.pairs is not None and args.pairs < 1:
-        raise FlagError("--pairs must be >= 1")
     config = {
         "n": args.n,
         "d": args.d,
@@ -138,6 +157,7 @@ def cmd_topology(args: argparse.Namespace) -> int:
         "pairs": args.pairs,
         "comparison": args.comparison,
     }
+    _check_topology(config)
     return _run_topology(config, _ensure_out(args.out))
 
 
@@ -185,9 +205,8 @@ def _run_sweep(config: Dict, out_dir: str) -> int:
             ExperimentConfig(n_nodes=n, max_hops=d, seed=seed, comparison=config["comparison"])
         )
         predicted = predicted_degree(n, d)
-        rows.append(
-            (n, d, seed, stats.final_degree, predicted, stats.final_degree / predicted, stats.saturated)
-        )
+        ratio = stats.final_degree / predicted
+        rows.append((n, d, seed, stats.final_degree, predicted, ratio, _csv_bool(stats.saturated)))
         ran.append((n, d, seed))
         draws_done += draws
         if not stats.saturated:
@@ -216,28 +235,47 @@ def _run_sweep(config: Dict, out_dir: str) -> int:
 
 
 def _parse_int_list(text: str, flag: str) -> List[int]:
-    items = [t for t in text.split(",") if t.strip()]
-    if not items:
-        raise FlagError(f"{flag} needs at least one value")
     try:
-        values = [int(t) for t in items]
+        return [int(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise FlagError(f"{flag}: {exc}") from None
+
+
+def _check_int_list(values, flag: str, low: int) -> None:
+    if not isinstance(values, list):
+        raise FlagError(f"{flag} must be a list of integers, got {values!r}")
+    if not values:
+        raise FlagError(f"{flag} needs at least one value")
     for i, value in enumerate(values):
+        _check_int(value, f"{flag} values", low)
         if value in values[:i]:
             raise FlagError(f"{flag} repeats the value {value}")
-    return values
+
+
+def _check_sweep(config: Dict, budget_source: str = "--time-budget") -> None:
+    _check_int_list(config["n"], "--n", 2)
+    _check_int_list(config["d"], "--d", 1)
+    _check_int(config["seeds"], "--seeds", 1)
+    _check_choice(config["comparison"], "--comparison", COMPARISONS)
+    budget = config["budget_secs"]
+    if budget is not None and (
+        isinstance(budget, bool) or not isinstance(budget, (int, float)) or not budget >= 0
+    ):  # `not budget >= 0` also catches NaN
+        raise FlagError(f"{budget_source} must be a number >= 0, got {budget!r}")
+    jobs = config.get("jobs")  # a replayed manifest's record of the jobs that ran
+    if jobs is not None:
+        if not isinstance(jobs, list):
+            raise FlagError(f"jobs must be a list of [n, d, seed], got {jobs!r}")
+        for i, job in enumerate(jobs):
+            if not isinstance(job, list) or len(job) != 3:
+                raise FlagError(f"jobs[{i}] must be [n, d, seed], got {job!r}")
+            for value, what, low in zip(job, ("n", "d", "seed"), (2, 1, 0)):
+                _check_int(value, f"jobs[{i}] {what}", low)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     sizes = _parse_int_list(args.n, "--n")
     hops = _parse_int_list(args.d, "--d")
-    if any(n < 2 for n in sizes):
-        raise FlagError("--n values must be >= 2")
-    if any(d < 1 for d in hops):
-        raise FlagError("--d values must be >= 1")
-    if args.seeds < 1:
-        raise FlagError("--seeds must be >= 1")
     env_budget = os.environ.get(BUDGET_ENV)
     if env_budget is not None:
         try:
@@ -248,8 +286,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         budget = args.time_budget
         source = "--time-budget"
-    if budget is not None and not budget >= 0:  # also catches NaN
-        raise FlagError(f"{source} must be a number >= 0, got {budget!r}")
     config = {
         "n": sizes,
         "d": hops,
@@ -258,21 +294,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "comparison": args.comparison,
         "budget_secs": budget,
     }
+    _check_sweep(config, source)
     return _run_sweep(config, _ensure_out(args.out))
 
 
 # ===== scenario =====
 
 
-def _parse_links_file(path: str, nodes: Sequence[str]) -> List[List]:
+def _parse_links_file(path: str) -> Tuple[List[List], List[int]]:
     """key=value escape hatch for custom overlay links.
 
     Each non-comment line: `link <u> <v> [delay_ms=X] [loss=X] [capacity=X]`.
-    Omitted keys take the LinkMetrics defaults, and every line must
-    make a valid LinkMetrics. Once every line parses, each link must
-    join two distinct ``nodes`` that no earlier line linked.
+    Omitted keys take the LinkMetrics defaults. Returns the links as
+    [u, v, delay_ms, loss, capacity] lists, for ``_check_links``, and
+    the line number of each.
     """
-    parsed: List[Tuple[int, List]] = []  # (line number, link)
+    links: List[List] = []
+    lines: List[int] = []
     for lineno, raw in enumerate(_read_text(path, "links file").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -281,34 +319,67 @@ def _parse_links_file(path: str, nodes: Sequence[str]) -> List[List]:
         if parts[0] != "link" or len(parts) < 3:
             raise FlagError(f"{path}:{lineno}: expected 'link <u> <v> [k=v ...]'")
         spec = dataclasses.asdict(LinkMetrics())
-        try:
-            for kv in parts[3:]:
-                if "=" not in kv:
-                    raise FlagError(f"{path}:{lineno}: expected key=value, got {kv!r}")
-                key, value = kv.split("=", 1)
-                if key not in spec:
-                    raise FlagError(f"{path}:{lineno}: unknown key {key!r}")
+        for kv in parts[3:]:
+            if "=" not in kv:
+                raise FlagError(f"{path}:{lineno}: expected key=value, got {kv!r}")
+            key, value = kv.split("=", 1)
+            if key not in spec:
+                raise FlagError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
                 spec[key] = float(value)
-            metrics = LinkMetrics(**spec)
-        except ValueError as exc:  # not a number, or out of LinkMetrics' range
-            raise FlagError(f"{path}:{lineno}: {exc}") from None
-        link = [parts[1], parts[2], metrics.delay_ms, metrics.loss, metrics.capacity]
-        parsed.append((lineno, link))
+            except ValueError as exc:
+                raise FlagError(f"{path}:{lineno}: {exc}") from None
+        links.append([parts[1], parts[2], *spec.values()])
+        lines.append(lineno)
+    return links, lines
 
-    seen: Dict[Tuple[str, str], int] = {}  # (u, v) with u <= v -> line number
-    for lineno, (u, v, *_) in parsed:
+
+def _check_links(links, nodes: Sequence[str], source: Optional[Tuple[str, List[int]]]) -> None:
+    """Each link must make a valid LinkMetrics and join two distinct
+    ``nodes`` that no earlier link joined. Messages name a link
+    `links[i]`, or `path:line` when ``source`` gives the links file and
+    each link's line in it."""
+    if not isinstance(links, list):
+        raise FlagError(f"links must be a list, got {links!r}")
+    if source is None:
+        where = names = [f"links[{i}]" for i in range(len(links))]
+    else:
+        path, lines = source
+        where = [f"{path}:{lineno}" for lineno in lines]
+        names = [f"line {lineno}" for lineno in lines]
+    seen: Dict[Tuple[str, str], int] = {}  # (u, v) with u <= v -> link index
+    for i, link in enumerate(links):
+        if not (
+            isinstance(link, list)
+            and len(link) == 5
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in link[2:])
+        ):
+            raise FlagError(f"{where[i]}: expected [u, v, delay_ms, loss, capacity], got {link!r}")
+        u, v, *metrics = link
+        try:
+            LinkMetrics(*metrics)
+        except ValueError as exc:
+            raise FlagError(f"{where[i]}: {exc}") from None
         for node in (u, v):
             if node not in nodes:
                 raise FlagError(
-                    f"{path}:{lineno}: unknown node {node!r}; the scenario has {', '.join(nodes)}"
+                    f"{where[i]}: unknown node {node!r}; the scenario has {', '.join(nodes)}"
                 )
         if u == v:
-            raise FlagError(f"{path}:{lineno}: self link {u} -- {v}")
+            raise FlagError(f"{where[i]}: self link {u} -- {v}")
         pair = (min(u, v), max(u, v))
         if pair in seen:
-            raise FlagError(f"{path}:{lineno}: repeats the link {u} -- {v} of line {seen[pair]}")
-        seen[pair] = lineno
-    return [link for _, link in parsed]
+            raise FlagError(f"{where[i]}: repeats the link {u} -- {v} of {names[seen[pair]]}")
+        seen[pair] = i
+
+
+def _check_scenario(config: Dict, links_source: Optional[Tuple[str, List[int]]] = None) -> None:
+    _check_choice(config["name"], "scenario", SCENARIO_NAMES)
+    _check_choice(config["oscl"], "--oscl", ("on", "off"))
+    _check_int(config["appends"], "--appends", 1)
+    _check_int(config["seed"], "--seed")
+    if config.get("links") is not None:
+        _check_links(config["links"], SCENARIOS[config["name"]].nodes, links_source)
 
 
 def _run_scenario(config: Dict, out_dir: str) -> int:
@@ -324,10 +395,7 @@ def _run_scenario(config: Dict, out_dir: str) -> int:
         )
     )
     system = result.system
-    message_rows = [
-        (rec.time_ms, rec.src, rec.dst, rec.relayer, rec.msg_type, rec.name)
-        for rec in system.log
-    ]
+    message_rows = map(operator.attrgetter(*MESSAGES_HEADER), system.log)
     _write_csv(os.path.join(out_dir, "messages.csv"), MESSAGES_HEADER, message_rows)
     _write_csv(os.path.join(out_dir, "counters.csv"), COUNTERS_HEADER, system.counters.rows())
     _write_manifest(out_dir, "scenario", config, ["messages.csv", "counters.csv"], started)
@@ -345,28 +413,26 @@ def _run_scenario(config: Dict, out_dir: str) -> int:
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    if args.name not in SCENARIO_NAMES:
-        raise FlagError(f"scenario must be one of {', '.join(SCENARIO_NAMES)}")
-    if args.appends < 1:
-        raise FlagError("--appends must be >= 1")
+    links, lines = _parse_links_file(args.links) if args.links else (None, None)
     config = {
         "name": args.name,
         "oscl": args.oscl,
         "appends": args.appends,
         "seed": args.seed,
-        "links": _parse_links_file(args.links, SCENARIOS[args.name].nodes) if args.links else None,
+        "links": links,
     }
+    _check_scenario(config, (args.links, lines))
     return _run_scenario(config, _ensure_out(args.out))
 
 
 # ===== replay =====
 
 
-# command -> (runner, the config keys it reads unconditionally)
+# command -> (config check, runner, the config keys both read unconditionally)
 REPLAYABLE = {
-    "topology": (_run_topology, ("n", "d", "seed", "pairs", "comparison")),
-    "sweep": (_run_sweep, ("n", "d", "seeds", "comparison", "budget_secs")),
-    "scenario": (_run_scenario, ("name", "oscl", "appends", "seed")),
+    "topology": (_check_topology, _run_topology, ("n", "d", "seed", "pairs", "comparison")),
+    "sweep": (_check_sweep, _run_sweep, ("n", "d", "seeds", "comparison", "budget_secs")),
+    "scenario": (_check_scenario, _run_scenario, ("name", "oscl", "appends", "seed")),
 }
 
 
@@ -381,13 +447,17 @@ def cmd_replay(args: argparse.Namespace) -> int:
     command = manifest.get("command")
     if not isinstance(command, str) or command not in REPLAYABLE:
         raise FlagError(f"{path}: manifest command {command!r} is not replayable")
-    runner, keys = REPLAYABLE[command]
+    check, runner, keys = REPLAYABLE[command]
     config = manifest.get("config", {})
     if not isinstance(config, dict):
         raise FlagError(f"{path}: manifest config must be a JSON object")
     missing = [key for key in keys if key not in config]
     if missing:
         raise FlagError(f"{path}: manifest config lacks {', '.join(map(repr, missing))}")
+    try:
+        check(config)
+    except FlagError as exc:
+        raise FlagError(f"{path}: {exc}") from None
     out_dir = _ensure_out(args.out if args.out else os.path.dirname(os.path.abspath(path)))
     return runner(config, out_dir)
 
@@ -395,7 +465,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
 # ===== parser =====
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    reads it but never changes it."""
     parser = argparse.ArgumentParser(
         prog="oscl-sim",
         description="Simulate an information-centric overlay for M2M service layers.",

@@ -65,6 +65,9 @@ from .topology import AT_MOST, COMPARISONS, hop_bound
 
 DEFAULT_SUBSCRIBE_SCOPE = 16
 
+# json.dumps(obj, sort_keys=True) without building an encoder per call
+_to_json = json.JSONEncoder(sort_keys=True).encode
+
 
 class OverlayError(Exception):
     pass
@@ -198,9 +201,7 @@ def _notification(
     container_name: HierarchicalName, producer_id: str, payload: str, index: int
 ) -> DataPacket:
     """Data message carrying one new content instance to a subscriber."""
-    body = json.dumps(
-        {"uri": str(container_name), "value": payload, "index": index}, sort_keys=True
-    ).encode()
+    body = _to_json({"uri": str(container_name), "value": payload, "index": index}).encode()
     return DataPacket(container_name, body, producer_id=producer_id)
 
 
@@ -379,7 +380,7 @@ class Overlay:
         if resolved[0] == "instance":
             body["value"] = resolved[1]
             body["index"] = resolved[2]
-        return json.dumps(body, sort_keys=True).encode()
+        return _to_json(body).encode()
 
     def _notify(self, producer_id: str, name: HierarchicalName, payload: str, index: int) -> None:
         """Remote subscription hook: send one Data along the reverse path."""

@@ -322,9 +322,6 @@ def create_content_instance(
     container = _container(scl, app_name, container_name)
     container.instances.append(payload)
     index = len(container.instances) - 1
-    instance_uri = scl.base_name.extend(
-        "applications", app_name, "containers", container_name, "content_instances", str(index)
-    )
     for sub in list(container.subscriptions):
         if not sub.active:
             continue
@@ -332,6 +329,10 @@ def create_content_instance(
             system = _shared_system(scl)
             if system.nscl is None:
                 raise SclError("centralized notification needs a network SCL")
+            instance_uri = scl.base_name.extend(
+                "applications", app_name, "containers", container_name,
+                "content_instances", str(index),
+            )
             system.send_relayed(
                 scl.node_id, sub.subscriber.node_id, system.nscl.node_id, MSG_NOTIFY, str(instance_uri)
             )

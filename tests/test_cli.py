@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from oscl_sim.cli import BUDGET_ENV, main
+from oscl_sim.cli import BUDGET_ENV, build_parser, main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "runs" / "usecases"
 
@@ -109,6 +109,58 @@ def test_replay_bad_manifest_is_flag_error(tmp_path, capsys, body, message):
     assert main(["replay", str(manifest), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"{tmp_path}/{message}" in err
+    assert not (tmp_path / "out").exists()
+
+
+_TOPOLOGY = {"n": 16, "d": 3, "seed": 0, "pairs": None, "comparison": "at-most-d"}
+_SWEEP = {"n": [8], "d": [1], "seeds": 1, "comparison": "at-most-d", "budget_secs": None}
+_SCENARIO = {"name": "usecase1", "oscl": "on", "appends": 3, "seed": 0}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("topology", {**_TOPOLOGY, "n": "abc"}, "--n must be an integer >= 2, got 'abc'"),
+        ("topology", {**_TOPOLOGY, "n": 1}, "--n must be an integer >= 2, got 1"),
+        ("sweep", {**_SWEEP, "jobs": [[1, 1, 0]]}, "jobs[0] n must be an integer >= 2, got 1"),
+        ("sweep", {**_SWEEP, "budget_secs": -1}, "--time-budget must be a number >= 0, got -1"),
+        ("scenario", {**_SCENARIO, "appends": 0}, "--appends must be an integer >= 1, got 0"),
+        (
+            "scenario",
+            {**_SCENARIO, "links": [["Dscl1", "Gscl9", 5.0, 0.0, 100.0]]},
+            "links[0]: unknown node 'Gscl9'",
+        ),
+        (
+            "scenario",
+            {
+                **_SCENARIO,
+                "links": [["Dscl1", "Gscl1", 5.0, 0.0, 100.0], ["Gscl1", "Dscl1", 1.0, 0.0, 100.0]],
+            },
+            "links[1]: repeats the link Gscl1 -- Dscl1 of links[0]",
+        ),
+        (
+            "scenario",
+            {**_SCENARIO, "links": [["Dscl1", "Gscl1", 5.0]]},
+            "links[0]: expected [u, v, delay_ms, loss, capacity], got ['Dscl1', 'Gscl1', 5.0]",
+        ),
+    ],
+    ids=[
+        "topology-n-text",
+        "topology-n-1",
+        "sweep-job",
+        "sweep-budget",
+        "scenario-appends-0",
+        "scenario-unknown-node",
+        "scenario-repeated-link",
+        "scenario-short-link",
+    ],
+)
+def test_replay_checks_config_values(tmp_path, capsys, command, config, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": command, "config": config}))
+    assert main(["replay", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}: {message}" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -252,6 +304,15 @@ def test_sweep_rows_and_spread(tmp_path, capsys):
     assert len(manifest["config"]["jobs"]) == 8
 
 
+def test_sweep_saturated_column_reads_true_false(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    # n=8 saturates within its default draws; n=512 at d=3 does not
+    assert main(["sweep", "--n", "8,512", "--d", "3", "--seeds", "1", "--out", str(out)]) == 0
+    assert "n=512 d=3 seed=0 not saturated" in capsys.readouterr().err
+    rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+    assert [(row[0], row[6]) for row in rows] == [("8", "true"), ("512", "false")]
+
+
 def test_sweep_zero_budget_skips_everything(tmp_path, capsys):
     out = tmp_path / "sweep0"
     code = main(
@@ -367,6 +428,29 @@ def test_scenario_links_file_round_trip(tmp_path, capsys):
     assert main(["replay", str(out / "manifest.json"), "--out", str(again)]) == 0
     capsys.readouterr()
     assert _read(out / "messages.csv") == _read(again / "messages.csv")
+
+
+# ===== repeated in-process calls =====
+
+
+def test_repeated_calls_start_from_the_defaults(tmp_path, capsys):
+    assert build_parser() is build_parser()  # the calls below share one parser
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["scenario", "usecase1", "--appends", "7", "--out", str(first)]) == 0
+    assert main(["scenario", "usecase1", "--out", str(second)]) == 0
+    capsys.readouterr()
+    assert json.loads((first / "manifest.json").read_text())["config"]["appends"] == 7
+    assert json.loads((second / "manifest.json").read_text())["config"]["appends"] == 5
+
+
+def test_flag_error_after_a_successful_call(tmp_path, capsys):
+    assert main(["scenario", "usecase1", "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    assert main(["scenario", "usecase1", "--appends", "x", "--out", str(tmp_path / "x")]) == 2
+    assert "argument --appends: invalid int value: 'x'" in capsys.readouterr().err
+    assert main(["scenario", "usecase1", "--appends", "0", "--out", str(tmp_path / "0")]) == 2
+    assert "--appends must be an integer >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists() and not (tmp_path / "0").exists()
 
 
 # ===== module entry point =====
