@@ -1,8 +1,10 @@
-"""Content-centric forwarding plane: Content Store, PIT, FIB.
+"""Content-centric forwarding plane: Content Store, PIT, nonce set.
 
-Each overlay node runs one forwarder. Handlers are pure with respect to
-the wire: they mutate node state and return emission records; the
-harness decides what a "face" physically is and what a send costs.
+Each overlay node runs one forwarder. It answers names under its own
+prefix and floods every other Interest, like multicast forwarding in
+NFD. Handlers are pure with respect to the wire: they mutate node
+state and return emission records; the harness decides what a "face"
+physically is and what a send costs.
 
 Face identifiers are strings. By convention the face toward a neighbor
 carries that neighbor's node id, and APP_FACE is the node-local
@@ -16,7 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from .names import HierarchicalName, PrefixTable
+from .names import HierarchicalName, is_prefix
 
 APP_FACE = "app"
 
@@ -24,9 +26,6 @@ DEFAULT_PIT_LIFETIME_MS = 4000.0
 DEFAULT_FRESHNESS_MS = 10_000.0
 DEFAULT_CS_CAPACITY = 64
 DEFAULT_NONCE_CAPACITY = 1 << 16
-
-BEST_ROUTE = "best-route"
-FLOOD = "flood"
 
 
 class UnknownFace(ValueError):
@@ -106,18 +105,6 @@ class PitEntry:
     expiry: float
 
 
-@dataclass
-class FibEntry:
-    prefix: HierarchicalName
-    next_hops: List[str]
-
-    def __post_init__(self) -> None:
-        if not self.next_hops:
-            raise ValueError("FIB entry needs at least one next hop")
-        if len(set(self.next_hops)) != len(self.next_hops):
-            raise ValueError("duplicate next hop")
-
-
 class ContentStore:
     """LRU cache of Data packets with freshness-based expiry.
 
@@ -181,13 +168,13 @@ class BoundedNonceSet:
 
 @dataclass
 class NdnNode:
-    """Forwarder state for one overlay node."""
+    """Forwarder state for one overlay node; its application answers
+    every name under ``prefix``."""
 
     node_id: str
-    strategy: str = BEST_ROUTE
+    prefix: HierarchicalName
     cs: ContentStore = field(default_factory=ContentStore)
     pit: Dict[HierarchicalName, PitEntry] = field(default_factory=dict)
-    fib: PrefixTable[FibEntry] = field(default_factory=PrefixTable)
     seen_nonces: BoundedNonceSet = field(default_factory=BoundedNonceSet)
     faces: Set[str] = field(default_factory=lambda: {APP_FACE})
 
@@ -196,18 +183,6 @@ class NdnNode:
 
 
 # ===== operations =====
-
-
-def fib_register(node: NdnNode, prefix: HierarchicalName, face: str) -> None:
-    """Announce ``prefix`` reachable via ``face``; appends as a lower
-    preference when the prefix already has routes."""
-    if face not in node.faces:
-        raise UnknownFace(f"{node.node_id} has no face {face!r}")
-    entry = node.fib.get(prefix)
-    if entry is None:
-        node.fib.set(prefix, FibEntry(prefix, [face]))
-    elif face not in entry.next_hops:
-        entry.next_hops.append(face)
 
 
 def pit_expire(node: NdnNode, now: float) -> List[HierarchicalName]:
@@ -227,26 +202,9 @@ def _expired_gone(node: NdnNode, name: HierarchicalName, now: float) -> Optional
 
 
 def _forwarding_faces(node: NdnNode, pkt: InterestPacket, in_face: str) -> List[str]:
-    """Pick outbound faces under the node's strategy.
-
-    Best-route follows the highest-preference FIB hop that is not the
-    arrival face. Flooding prefers a local producer match, otherwise
-    copies to every overlay face except the arrival one. The result is
-    either the application face alone or overlay faces only.
-    """
-    match = node.fib.longest_prefix_match(pkt.name)
-    if node.strategy == BEST_ROUTE:
-        if match is None:
-            return []
-        candidates = [f for f in match[1].next_hops if f != in_face]
-        if not candidates:
-            return []
-        face = candidates[0]
-        if face == APP_FACE:
-            return [face]
-        return [face] if pkt.hop_limit > 0 else []
-    # flood
-    if match is not None and APP_FACE in match[1].next_hops:
+    """Pick outbound faces: the application face alone for a name under
+    the node's prefix, else every overlay face but the arrival one."""
+    if is_prefix(node.prefix, pkt.name):
         return [APP_FACE]
     if pkt.hop_limit <= 0:
         return []
@@ -262,9 +220,10 @@ def on_interest(
     a looped copy always dies regardless of cache state. A Content
     Store hit answers on the arrival face without touching the PIT; a
     live PIT entry absorbs the Interest (only the first copy of a
-    request is ever forwarded onward); otherwise the strategy picks
-    faces, the hop budget is spent per overlay hop, and a PIT entry
-    records the way back.
+    request is ever forwarded onward); otherwise a name under the
+    node's prefix goes up to the application, any other is flooded with
+    the hop budget spent per overlay hop, and a PIT entry records the
+    way back.
     """
     if in_face not in node.faces:
         raise UnknownFace(f"{node.node_id} has no face {in_face!r}")

@@ -33,11 +33,9 @@ from .ndn import (
     APP_FACE,
     DataPacket,
     Drop,
-    FLOOD,
     InterestPacket,
     NdnNode,
     SendInterest,
-    fib_register,
     on_data,
     on_interest,
 )
@@ -242,7 +240,6 @@ class Overlay:
 
     def add_node(self, scl: SclInstance) -> None:
         self.graph.add_vertex(scl.node_id)
-        scl.ndn.strategy = FLOOD
         self._nodes[scl.node_id] = scl.ndn
 
     def add_link(self, u: str, v: str, metrics: Optional[LinkMetrics] = None) -> None:
@@ -575,10 +572,6 @@ class Overlay:
         if self.graph.has_edge(origin, target):
             return LinkDecision.REUSED_PATH
         self.add_link(origin, target)
-        origin_scl = self.system.scl(origin)
-        target_scl = self.system.scl(target)
-        fib_register(origin_scl.ndn, target_scl.base_name, target)
-        fib_register(target_scl.ndn, origin_scl.base_name, origin)
         self.system.log.append(
             MessageRecord(
                 self.system.clock_ms, origin, target, "", MSG_LINK_UP, str(result.uri)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .names import parse_name
-from .ndn import fib_register
 from .overlay import LinkDecision, LinkMetrics, Overlay, QosMetrics, QosPolicy
 from .scl import (
     DiscoveryResult,
@@ -45,10 +44,8 @@ class ScenarioSpec:
     NSCL_ID, the ``gateways`` and the subscriber SUBSCRIBER_ID register
     with the hub and join the overlay; ``producer`` hosts ``app`` with
     one CONTAINER. ``chain`` is the default overlay, a node path from
-    the subscriber to the producer (empty: no links). Each chain link
-    also gives its near end a FIB route toward the producer, standing
-    for routes that earlier traffic taught the chain; custom links
-    replace both. With the overlay on, discovery asks for the app's
+    the subscriber to the producer (empty: no links); custom links
+    replace it. With the overlay on, discovery asks for the app's
     full URI when ``discover_by_uri`` is set and else for its bare
     name, which only the hub can expand; the baseline asks the hub by
     bare name.
@@ -141,7 +138,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     if config.links is None:
         for u, v in zip(spec.chain, spec.chain[1:]):
             overlay.add_link(u, v)
-            fib_register(system.scl(u).ndn, producer.base_name, v)
     else:
         for u, v, delay_ms, loss, capacity in config.links:
             overlay.add_link(u, v, LinkMetrics(delay_ms, loss, capacity))

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .names import HierarchicalName, parse_name
-from .ndn import APP_FACE, NdnNode, fib_register
+from .ndn import NdnNode
 
 CONTROL_LEG_MS = 1.0  # one infrastructure hop, fixed
 
@@ -155,16 +155,14 @@ class SclInstance:
     base_name: HierarchicalName
     locator: Locator
     tree: ResourceTree = field(default_factory=ResourceTree)
-    ndn: NdnNode = None  # type: ignore[assignment]
+    ndn: NdnNode = field(init=False)
     registered: bool = False
     # NSCL only: base-name label -> locator, insertion order = registration order
     registry: Dict[str, Locator] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.ndn is None:
-            self.ndn = NdnNode(node_id=self.node_id)
-        # a node can always answer for its own subtree
-        fib_register(self.ndn, self.base_name, APP_FACE)
+        # a node always answers for its own subtree
+        self.ndn = NdnNode(self.node_id, self.base_name)
 
 
 # ===== accounting =====

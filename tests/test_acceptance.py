@@ -50,13 +50,14 @@ def report(capsys):
 
 
 @lru_cache(maxsize=None)
-def _final_degree(n: int, d: int, seed: int) -> float:
+def _run(n: int, d: int, seed: int) -> tuple[float, bool]:
+    """(final degree, saturated) of one experiment run."""
     stats = run_topology_experiment(ExperimentConfig(n_nodes=n, max_hops=d, seed=seed))
-    return stats.final_degree
+    return stats.final_degree, stats.saturated
 
 
 def _mean_degree(n: int, d: int) -> float:
-    return sum(_final_degree(n, d, s) for s in SEEDS) / len(SEEDS)
+    return sum(_run(n, d, s)[0] for s in SEEDS) / len(SEEDS)
 
 
 @pytest.mark.slow
@@ -68,8 +69,12 @@ def test_degree_scaling_law(report):
         ratios = [deg / predicted_degree(n, d) for n, deg in zip(SIZES, degrees)]
         spread = max(ratios) / min(ratios)
         monotone = all(b >= a for a, b in zip(degrees, degrees[1:]))
+        saturated = sum(_run(n, d, s)[1] for n in SIZES for s in SEEDS)
         ok = ok and spread <= 2.0 and monotone
-        details.append(f"d={d} spread={spread:.3f} monotone={monotone}")
+        details.append(
+            f"d={d} spread={spread:.3f} monotone={monotone} "
+            f"saturated={saturated}/{len(SIZES) * len(SEEDS)}"
+        )
     report(1, "degree tracks (2n ln n)^(1/d) across sizes", ok, "; ".join(details))
 
 

@@ -5,28 +5,27 @@ from hypothesis import strategies as st
 from oscl_sim.names import parse_name
 from oscl_sim.ndn import (
     APP_FACE,
-    BEST_ROUTE,
     BoundedNonceSet,
     ContentStore,
     DataPacket,
     Drop,
-    FLOOD,
     InterestPacket,
     NdnNode,
     SendData,
     SendInterest,
     UnknownFace,
-    fib_register,
     on_data,
     on_interest,
     pit_expire,
 )
 
 NAME = parse_name("Gscl1/applications/meter_app")
+PRODUCER = parse_name("Gscl1")  # the prefix NAME lives under
+ELSEWHERE = parse_name("Gscl9")  # a prefix that does not cover NAME
 
 
-def _node(node_id="n1", strategy=BEST_ROUTE, faces=(), cs_capacity=64):
-    node = NdnNode(node_id=node_id, strategy=strategy, cs=ContentStore(cs_capacity))
+def _node(node_id="n1", prefix=ELSEWHERE, faces=(), cs_capacity=64):
+    node = NdnNode(node_id, prefix, cs=ContentStore(cs_capacity))
     for face in faces:
         node.add_face(face)
     return node
@@ -192,7 +191,6 @@ def test_interest_no_route_drop():
 
 def test_interest_forwarded_decrements_hop_limit():
     node = _node(faces=["a", "b"])
-    fib_register(node, parse_name("Gscl1"), "b")
     out = on_interest(node, _interest(hop_limit=4), "a", 0.0)
     assert out == [SendInterest("b", _interest(hop_limit=3))]
     assert node.pit[NAME].downstream == {("a", 7)}
@@ -200,20 +198,17 @@ def test_interest_forwarded_decrements_hop_limit():
 
 def test_interest_hop_budget_blocks_overlay_but_not_local_delivery():
     node = _node(faces=["a", "b"])
-    fib_register(node, parse_name("Gscl1"), "b")
     assert on_interest(node, _interest(nonce=1, hop_limit=0), "a", 0.0) == [Drop("no-route")]
     # local producer delivery is free of hop budget
-    local = _node("n2", faces=["a"])
-    fib_register(local, parse_name("Gscl1"), APP_FACE)
+    local = _node("n2", prefix=PRODUCER, faces=["a"])
     out = on_interest(local, _interest(nonce=2, hop_limit=0), "a", 0.0)
     assert out == [SendInterest(APP_FACE, _interest(nonce=2, hop_limit=0))]
 
 
 def test_interest_aggregated_into_live_entry():
     node = _node(faces=["a", "b", "up"])
-    fib_register(node, parse_name("Gscl1"), "up")
     first = on_interest(node, _interest(nonce=1), "a", 0.0)
-    assert len(first) == 1
+    assert len(first) == 2  # flooded to b and up
     second = on_interest(node, _interest(nonce=2, solicit=5), "b", 1.0)
     assert second == []  # suppressed: only the first copy went upstream
     entry = node.pit[NAME]
@@ -222,22 +217,8 @@ def test_interest_aggregated_into_live_entry():
     assert entry.expiry == 1.0 + _interest().lifetime_ms
 
 
-def test_interest_best_route_skips_arrival_face():
-    node = _node(faces=["a", "b"])
-    fib_register(node, parse_name("Gscl1"), "a")
-    fib_register(node, parse_name("Gscl1"), "b")
-    out = on_interest(node, _interest(), "a", 0.0)
-    assert out == [SendInterest("b", _interest(hop_limit=3))]
-
-
-def test_interest_best_route_dead_ends_when_only_route_is_arrival_face():
-    node = _node(faces=["a"])
-    fib_register(node, parse_name("Gscl1"), "a")
-    assert on_interest(node, _interest(), "a", 0.0) == [Drop("no-route")]
-
-
 def test_interest_flood_copies_everywhere_but_arrival():
-    node = _node(strategy=FLOOD, faces=["a", "b", "c"])
+    node = _node(faces=["a", "b", "c"])
     out = on_interest(node, _interest(hop_limit=2), "a", 0.0)
     assert out == [
         SendInterest("b", _interest(hop_limit=1)),
@@ -246,15 +227,13 @@ def test_interest_flood_copies_everywhere_but_arrival():
 
 
 def test_interest_flood_prefers_local_producer():
-    node = _node(strategy=FLOOD, faces=["a", "b"])
-    fib_register(node, parse_name("Gscl1"), APP_FACE)
+    node = _node(prefix=PRODUCER, faces=["a", "b"])
     out = on_interest(node, _interest(hop_limit=2), "a", 0.0)
     assert out == [SendInterest(APP_FACE, _interest(hop_limit=2))]
 
 
 def test_interest_pit_expiry_allows_refresh():
     node = _node(faces=["a", "up"])
-    fib_register(node, parse_name("Gscl1"), "up")
     on_interest(node, _interest(nonce=1), "a", 0.0)
     lifetime = _interest().lifetime_ms
     out = on_interest(node, _interest(nonce=2), "a", lifetime + 1.0)
@@ -262,12 +241,42 @@ def test_interest_pit_expiry_allows_refresh():
     assert node.pit[NAME].downstream == {("a", 2)}
 
 
+_labels = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3)
+
+
+@st.composite
+def _forwarding_cases(draw):
+    faces = draw(st.sets(st.sampled_from(["f0", "f1", "f2", "f3"]), min_size=1))
+    return (
+        draw(_labels),
+        draw(_labels),
+        faces,
+        draw(st.sampled_from(sorted(faces))),
+        draw(st.integers(0, 3)),
+    )
+
+
+@given(_forwarding_cases())
+def test_forwarding_rule_answers_own_prefix_and_floods_the_rest(case):
+    prefix_labels, name_labels, faces, in_face, hop_limit = case
+    node = _node(prefix=parse_name("/".join(prefix_labels)), faces=sorted(faces))
+    pkt = _interest(name=parse_name("/".join(name_labels)), hop_limit=hop_limit)
+    out = on_interest(node, pkt, in_face, 0.0)
+    others = sorted(faces - {in_face})
+    if name_labels[: len(prefix_labels)] == prefix_labels:
+        assert out == [SendInterest(APP_FACE, pkt)]
+    elif hop_limit > 0 and others:
+        spent = _interest(name=pkt.name, hop_limit=hop_limit - 1)
+        assert out == [SendInterest(face, spent) for face in others]
+    else:
+        assert out == [Drop("no-route")]
+
+
 # ===== on_data =====
 
 
 def test_data_fans_out_and_consumes_entry():
     node = _node(faces=["f1", "f2", "up"])
-    fib_register(node, parse_name("Gscl1"), "up")
     on_interest(node, _interest(nonce=1), "f1", 0.0)
     on_interest(node, _interest(nonce=2), "f2", 0.0)
     packet = _data()
@@ -286,7 +295,6 @@ def test_data_unsolicited_dropped_and_not_cached():
 
 def test_data_not_reflected_to_arrival_face():
     node = _node(faces=["up"])
-    fib_register(node, parse_name("Gscl1"), "up")
     on_interest(node, _interest(), APP_FACE, 0.0)
     # entry's only other downstream is the arrival face itself
     node.pit[NAME].downstream = {("up", 9)}
@@ -295,7 +303,6 @@ def test_data_not_reflected_to_arrival_face():
 
 def test_data_after_entry_expiry_is_unsolicited():
     node = _node(faces=["a", "up"])
-    fib_register(node, parse_name("Gscl1"), "up")
     on_interest(node, _interest(), "a", 0.0)
     lifetime = _interest().lifetime_ms
     assert on_data(node, _data(), "up", lifetime + 1.0) == [Drop("unsolicited")]
@@ -304,7 +311,6 @@ def test_data_after_entry_expiry_is_unsolicited():
 @pytest.mark.parametrize("solicit", [1, 2, 5, 10])
 def test_data_solicit_budget_consumed_one_per_message(solicit):
     node = _node(faces=["a", "up"])
-    fib_register(node, parse_name("Gscl1"), "up")
     on_interest(node, _interest(solicit=solicit), "a", 0.0)
     for i in range(solicit):
         assert NAME in node.pit
@@ -319,30 +325,13 @@ def test_data_solicit_budget_consumed_one_per_message(solicit):
 
 def test_pit_expire_removes_only_dead_entries():
     node = _node(faces=["a", "up"])
-    fib_register(node, parse_name("Gscl1"), "up")
     on_interest(node, _interest(nonce=1), "a", 0.0)
     other = parse_name("Gscl2/x")
-    fib_register(node, parse_name("Gscl2"), "up")
     on_interest(node, _interest(name=other, nonce=2), "a", 100.0)
     lifetime = _interest().lifetime_ms
     dead = pit_expire(node, lifetime + 1.0)
     assert dead == [NAME]
     assert other in node.pit and NAME not in node.pit
-
-
-def test_fib_register_appends_preference_order():
-    node = _node(faces=["a", "b"])
-    prefix = parse_name("Gscl1")
-    fib_register(node, prefix, "a")
-    fib_register(node, prefix, "b")
-    fib_register(node, prefix, "a")  # duplicate is a no-op
-    assert node.fib.get(prefix).next_hops == ["a", "b"]
-
-
-def test_fib_register_unknown_face():
-    node = _node()
-    with pytest.raises(UnknownFace):
-        fib_register(node, parse_name("Gscl1"), "ghost")
 
 
 @given(st.integers(1, 10), st.integers(0, 64))
