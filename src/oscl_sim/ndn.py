@@ -6,17 +6,20 @@ NFD. Handlers are pure with respect to the wire: they mutate node
 state and return emission records; the harness decides what a "face"
 physically is and what a send costs.
 
-Face identifiers are strings. By convention the face toward a neighbor
-carries that neighbor's node id, and APP_FACE is the node-local
-application. Hop limits meter overlay hops only, so handing a packet up
-to the local application neither checks nor spends budget.
+A node's faces are its links: ``NdnNode.faces`` maps each face id to
+whatever the harness attaches to that link (the overlay attaches the
+link's metrics), and nothing else records who is linked to whom. The
+face toward a neighbor carries that neighbor's node id, and APP_FACE,
+which carries nothing, is the node-local application. Hop limits meter
+overlay hops only, so handing a packet up to the local application
+neither checks nor spends budget.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from .names import HierarchicalName, is_prefix
 
@@ -41,15 +44,12 @@ class InterestPacket:
     nonce: int
     hop_limit: int
     solicit_count: int = 1
-    lifetime_ms: float = DEFAULT_PIT_LIFETIME_MS
 
     def __post_init__(self) -> None:
         if self.hop_limit < 0:
             raise ValueError("hop_limit must be >= 0")
         if self.solicit_count < 1:
             raise ValueError("solicit_count must be >= 1")
-        if self.lifetime_ms <= 0:
-            raise ValueError("lifetime_ms must be positive")
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,6 @@ class DataPacket:
     name: HierarchicalName
     payload: bytes
     freshness_ms: float = DEFAULT_FRESHNESS_MS
-    producer_id: str = ""
 
     def __post_init__(self) -> None:
         if self.freshness_ms <= 0:
@@ -92,14 +91,14 @@ Emission = Union[SendInterest, SendData, Drop]
 
 @dataclass
 class PitEntry:
-    """Pending Interest: where answers must flow back to.
+    """Pending Interest, filed under its name: where answers must flow
+    back to.
 
     ``remaining`` is how many further Data messages this entry will
     accept before it is consumed; a solicited stream keeps the entry
     alive across several Data arrivals.
     """
 
-    name: HierarchicalName
     downstream: Set[Tuple[str, int]]  # (face, nonce) pairs
     remaining: int
     expiry: float
@@ -176,10 +175,8 @@ class NdnNode:
     cs: ContentStore = field(default_factory=ContentStore)
     pit: Dict[HierarchicalName, PitEntry] = field(default_factory=dict)
     seen_nonces: BoundedNonceSet = field(default_factory=BoundedNonceSet)
-    faces: Set[str] = field(default_factory=lambda: {APP_FACE})
-
-    def add_face(self, face: str) -> None:
-        self.faces.add(face)
+    # face id -> the harness's link record; APP_FACE carries None
+    faces: Dict[str, Any] = field(default_factory=lambda: {APP_FACE: None})
 
 
 # ===== operations =====
@@ -242,7 +239,7 @@ def on_interest(
         # aggregate: remember the extra consumer, do not re-forward
         entry.downstream.add((in_face, pkt.nonce))
         entry.remaining = max(entry.remaining, pkt.solicit_count)
-        entry.expiry = max(entry.expiry, now + pkt.lifetime_ms)
+        entry.expiry = max(entry.expiry, now + DEFAULT_PIT_LIFETIME_MS)
         return []
 
     out = _forwarding_faces(node, pkt, in_face)
@@ -250,17 +247,14 @@ def on_interest(
         return [Drop("no-route")]
 
     node.pit[pkt.name] = PitEntry(
-        name=pkt.name,
         downstream={(in_face, pkt.nonce)},
         remaining=pkt.solicit_count,
-        expiry=now + pkt.lifetime_ms,
+        expiry=now + DEFAULT_PIT_LIFETIME_MS,
     )
     if out[0] == APP_FACE:
         return [SendInterest(APP_FACE, pkt)]
     # one hop-spent copy serves every overlay face: packets are frozen
-    spent = InterestPacket(
-        pkt.name, pkt.nonce, pkt.hop_limit - 1, pkt.solicit_count, pkt.lifetime_ms
-    )
+    spent = InterestPacket(pkt.name, pkt.nonce, pkt.hop_limit - 1, pkt.solicit_count)
     return [SendInterest(face, spent) for face in out]
 
 

@@ -1,7 +1,8 @@
 """Overlay layer: content-centric traffic between SCLs.
 
-The Overlay owns a graph of SCL nodes, an event queue, and the glue
-between forwarders and resource trees. Interests travel over overlay
+The Overlay owns the SCL nodes' forwarders, an event queue, and the
+glue between forwarders and resource trees. An overlay link is a pair
+of forwarder faces that share one LinkMetrics. Interests travel over
 links with per-link delay and loss; Data retraces pending-Interest
 state back to consumers. Discovery first tries the overlay within a
 hop budget and only falls back to the registry on the network SCL,
@@ -79,10 +80,6 @@ class DuplicateLink(OverlayError):
     pass
 
 
-class UnknownLink(OverlayError):
-    pass
-
-
 class BrokenPath(OverlayError):
     """QoS probe asked for a path with a missing link."""
 
@@ -126,14 +123,18 @@ class QosMetrics:
             raise ValueError("loss_ratio out of range")
 
 
+# QoS a measured path must meet to keep serving traffic
+MAX_LOSS = 0.05
+MAX_DELAY_MS = 200.0
+MIN_THROUGHPUT = 1.0
+
+
 @dataclass(frozen=True)
 class QosPolicy:
-    """Acceptability thresholds for serving traffic over an existing path."""
+    """Acceptability thresholds for serving traffic over an existing path:
+    the hop bound here, the measured-QoS bounds in the module constants."""
 
     max_path_hops: int = 3
-    max_loss: float = 0.05
-    max_delay_ms: float = 200.0
-    min_throughput: float = 1.0
     comparison: str = AT_MOST
 
     def __post_init__(self) -> None:
@@ -146,11 +147,11 @@ class QosPolicy:
         return hops <= hop_bound(self.max_path_hops, self.comparison)
 
     def metrics_acceptable(self, metrics: QosMetrics) -> bool:
-        if metrics.loss_ratio > self.max_loss:
+        if metrics.loss_ratio > MAX_LOSS:
             return False
-        if metrics.mean_delay_ms is None or metrics.mean_delay_ms > self.max_delay_ms:
+        if metrics.mean_delay_ms is None or metrics.mean_delay_ms > MAX_DELAY_MS:
             return False
-        return metrics.throughput >= self.min_throughput
+        return metrics.throughput >= MIN_THROUGHPUT
 
 
 class LinkDecision(Enum):
@@ -158,57 +159,18 @@ class LinkDecision(Enum):
     NEW_LINK = "new-link"
 
 
-class OverlayGraph:
-    """Undirected overlay topology with per-link metrics."""
-
-    def __init__(self) -> None:
-        # node -> {neighbor: metrics}; both directions share one LinkMetrics
-        self._adj: Dict[str, Dict[str, LinkMetrics]] = {}
-
-    def add_vertex(self, node_id: str) -> None:
-        self._adj.setdefault(node_id, {})
-
-    def has_vertex(self, node_id: str) -> bool:
-        return node_id in self._adj
-
-    def add_edge(self, u: str, v: str, metrics: Optional[LinkMetrics] = None) -> None:
-        if u == v:
-            raise ValueError("self links are not allowed")
-        for x in (u, v):
-            if x not in self._adj:
-                raise UnknownNode(x)
-        if v in self._adj[u]:
-            raise DuplicateLink(f"{u} -- {v}")
-        self._adj[u][v] = self._adj[v][u] = metrics or LinkMetrics()
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return u in self._adj and v in self._adj[u]
-
-    def metrics(self, u: str, v: str) -> LinkMetrics:
-        try:
-            return self._adj[u][v]
-        except KeyError:
-            raise UnknownLink(f"{u} -- {v}") from None
-
-    @property
-    def edge_count(self) -> int:
-        return sum(map(len, self._adj.values())) // 2
-
-
-def _notification(
-    container_name: HierarchicalName, producer_id: str, payload: str, index: int
-) -> DataPacket:
+def _notification(container_name: HierarchicalName, payload: str, index: int) -> DataPacket:
     """Data message carrying one new content instance to a subscriber."""
     body = _to_json({"uri": str(container_name), "value": payload, "index": index}).encode()
-    return DataPacket(container_name, body, producer_id=producer_id)
+    return DataPacket(container_name, body)
 
 
 @dataclass(slots=True)
 class _Envelope:
-    """One in-flight packet copy and the node trail it has visited."""
+    """One in-flight packet copy and the node trail it has visited,
+    origin first."""
 
     packet: Union[InterestPacket, DataPacket]
-    origin: str
     trail: Tuple[str, ...]
     kind: str  # MSG_INTEREST | MSG_DATA
 
@@ -225,11 +187,11 @@ class Overlay:
 
     def __init__(self, system: M2mSystem, seed: int = 0) -> None:
         self.system = system
-        self.graph = OverlayGraph()
         self.rng = random.Random(seed)
         self._events: List[Tuple[float, int, str, str, _Envelope]] = []
         self._seq = itertools.count()
-        self._nodes: Dict[str, NdnNode] = {}  # node id -> forwarder
+        # node id -> forwarder; its faces are the node's links
+        self._nodes: Dict[str, NdnNode] = {}
         # (consumer, name) -> delivered (packet, trail) answers
         self._inbox: Dict[Tuple[str, str], List[Tuple[DataPacket, List[str]]]] = {}
         # (origin, name, nonce) -> subscription installed at the producer
@@ -239,13 +201,28 @@ class Overlay:
     # ----- construction -----
 
     def add_node(self, scl: SclInstance) -> None:
-        self.graph.add_vertex(scl.node_id)
+        if scl.node_id == APP_FACE:
+            # a neighbor's face toward it would be the application face
+            raise ValueError(f"node id {APP_FACE!r} is reserved")
         self._nodes[scl.node_id] = scl.ndn
 
     def add_link(self, u: str, v: str, metrics: Optional[LinkMetrics] = None) -> None:
-        self.graph.add_edge(u, v, metrics)
-        self._nodes[u].add_face(v)
-        self._nodes[v].add_face(u)
+        """Link two nodes: each gets a face toward the other, and both
+        faces carry the same LinkMetrics."""
+        if u == v:
+            raise ValueError("self links are not allowed")
+        for x in (u, v):
+            if x not in self._nodes:
+                raise UnknownNode(x)
+        u_faces, v_faces = self._nodes[u].faces, self._nodes[v].faces
+        if v in u_faces:
+            raise DuplicateLink(f"{u} -- {v}")
+        u_faces[v] = v_faces[u] = metrics or LinkMetrics()
+
+    @property
+    def edge_count(self) -> int:
+        # every forwarder has one face per link plus APP_FACE
+        return sum(len(node.faces) - 1 for node in self._nodes.values()) // 2
 
     # ----- event loop -----
 
@@ -266,7 +243,7 @@ class Overlay:
         if node is None:
             raise UnknownNode(origin)
         self.system.counters.record(origin, kind, ROLE_ORIGINATED)
-        env = _Envelope(pkt, origin, (origin,), kind)
+        env = _Envelope(pkt, (origin,), kind)
         if kind == MSG_INTEREST:
             emissions = on_interest(node, pkt, APP_FACE, self.system.clock_ms)
         else:
@@ -289,34 +266,33 @@ class Overlay:
                     counters.record(at_node, MSG_INTEREST, ROLE_RECEIVED)
                     self._app_interest(at_node, em.packet, env)
                 else:
-                    self._forward(at_node, em.face, em.packet, env, MSG_INTEREST)
+                    self._forward(at_node, em.face, em.packet, env)
             else:
                 if env.kind == MSG_INTEREST:
                     # Content Store answered: the Interest stops here and
                     # a fresh Data journey starts at this node
                     counters.record(at_node, MSG_INTEREST, ROLE_RECEIVED)
                     counters.record(at_node, MSG_DATA, ROLE_ORIGINATED)
-                    data_env = _Envelope(em.packet, at_node, (at_node,), MSG_DATA)
+                    data_env = _Envelope(em.packet, (at_node,), MSG_DATA)
                 else:
                     data_env = env
                 if em.face == APP_FACE:
                     counters.record(at_node, MSG_DATA, ROLE_RECEIVED)
                     self._app_data(at_node, em.packet, data_env)
                 else:
-                    self._forward(at_node, em.face, em.packet, data_env, MSG_DATA)
+                    self._forward(at_node, em.face, em.packet, data_env)
 
-    def _forward(
-        self, u: str, face: str, pkt, env: _Envelope, kind: str
-    ) -> None:
+    def _forward(self, u: str, face: str, pkt, env: _Envelope) -> None:
         peer = face  # face ids double as neighbor ids
-        metrics = self.graph.metrics(u, peer)
-        if u != env.origin:
+        metrics = self._nodes[u].faces[face]
+        kind = env.kind
+        if u != env.trail[0]:
             self.system.counters.record(u, kind, ROLE_RELAYED)
         if metrics.loss > 0.0 and self.rng.random() < metrics.loss:
             self.system.counters.record(u, kind, ROLE_DROPPED)
             self.drops.append((u, "loss", str(pkt.name)))
             return
-        new_env = _Envelope(pkt, env.origin, env.trail + (peer,), kind)
+        new_env = _Envelope(pkt, env.trail + (peer,), kind)
         heapq.heappush(
             self._events,
             (self.system.clock_ms + metrics.delay_ms, next(self._seq), u, peer, new_env),
@@ -350,20 +326,19 @@ class Overlay:
             return
         if resolved[0] == "container":
             container: Container = resolved[1]
-            subscriber = self.system.scl(env.origin)
+            origin = env.trail[0]
             sub = Subscription(
-                subscriber=subscriber.locator,
-                target=pkt.name,
+                subscriber=self.system.scl(origin).locator,
                 mode="p2p",
                 delivery_path=tuple(reversed(env.trail)),  # producer first
                 remaining=pkt.solicit_count,
                 deliver=partial(self._notify, node_id, pkt.name),
             )
             container.subscriptions.append(sub)
-            self._subs[(env.origin, str(pkt.name), pkt.nonce)] = sub
+            self._subs[(origin, str(pkt.name), pkt.nonce)] = sub
             return
         payload = self._answer_payload(scl, pkt.name, resolved)
-        self._inject(node_id, DataPacket(pkt.name, payload, producer_id=node_id), MSG_DATA)
+        self._inject(node_id, DataPacket(pkt.name, payload), MSG_DATA)
 
     def _answer_payload(self, scl: SclInstance, name: HierarchicalName, resolved) -> bytes:
         body = {
@@ -381,12 +356,12 @@ class Overlay:
 
     def _notify(self, producer_id: str, name: HierarchicalName, payload: str, index: int) -> None:
         """Remote subscription hook: send one Data along the reverse path."""
-        self._inject(producer_id, _notification(name, producer_id, payload, index), MSG_DATA)
+        self._inject(producer_id, _notification(name, payload, index), MSG_DATA)
         self.run()
 
     def _notify_local(self, origin: str, name: HierarchicalName, payload: str, index: int) -> None:
         """Hook of a subscription to the origin's own container."""
-        packet = _notification(name, origin, payload, index)
+        packet = _notification(name, payload, index)
         self._inbox.setdefault((origin, str(name)), []).append((packet, [origin]))
 
     def _app_data(self, node_id: str, pkt: DataPacket, env: _Envelope) -> None:
@@ -417,7 +392,7 @@ class Overlay:
         if scope < 0:
             raise ValueError("scope must be >= 0")
         origin_scl = self.system.scl(origin)
-        if not self.graph.has_vertex(origin):
+        if origin not in self._nodes:
             raise UnknownNode(origin)
         if is_prefix(origin_scl.base_name, target_name):
             resolve_resource(origin_scl, target_name)  # NotFound propagates
@@ -469,11 +444,8 @@ class Overlay:
         """
         origin_scl = self.system.scl(origin)
         if is_prefix(origin_scl.base_name, name):
-            kind, *rest = resolve_resource(origin_scl, name)
-            body = {"uri": str(name)}
-            if kind == "instance":
-                body["value"], body["index"] = rest
-            return body, [origin]
+            payload = self._answer_payload(origin_scl, name, resolve_resource(origin_scl, name))
+            return json.loads(payload), [origin]
         _, answers = self._request(origin, name, solicit=1, scope=scope)
         if not answers:
             return None
@@ -512,17 +484,19 @@ class Overlay:
             raise ValueError("probe_count must be >= 1")
         if not path:
             raise BrokenPath("empty path")
-        edges = list(zip(path, path[1:]))
-        for u, v in edges:
-            if not self.graph.has_edge(u, v):
+        links: List[LinkMetrics] = []
+        for u, v in zip(path, path[1:]):
+            node = self._nodes.get(u)
+            link = None if node is None else node.faces.get(v)  # APP_FACE: None
+            if link is None:
                 raise BrokenPath(f"{u} -- {v}")
+            links.append(link)
         delivered = 0
         total_delay = 0.0
         for _ in range(probe_count):
             delay = 0.0
             ok = True
-            for u, v in edges:
-                m = self.graph.metrics(u, v)
+            for m in links:
                 if m.loss > 0.0 and self.rng.random() < m.loss:
                     ok = False
                     break
@@ -542,7 +516,7 @@ class Overlay:
             )
         loss_ratio = (probe_count - delivered) / probe_count
         mean_delay = (total_delay / delivered) if delivered else None
-        throughput = min((self.graph.metrics(u, v).capacity for u, v in edges), default=math.inf)
+        throughput = min((m.capacity for m in links), default=math.inf)
         return QosMetrics(loss_ratio, mean_delay, throughput, probe_count)
 
     def ensure_link(
@@ -569,9 +543,10 @@ class Overlay:
             trigger = True
         if not trigger:
             return LinkDecision.REUSED_PATH
-        if self.graph.has_edge(origin, target):
+        try:
+            self.add_link(origin, target)
+        except DuplicateLink:
             return LinkDecision.REUSED_PATH
-        self.add_link(origin, target)
         self.system.log.append(
             MessageRecord(
                 self.system.clock_ms, origin, target, "", MSG_LINK_UP, str(result.uri)
@@ -603,7 +578,6 @@ class Overlay:
             container: Container = resolved[1]
             sub = Subscription(
                 subscriber=origin_scl.locator,
-                target=target_uri,
                 mode="p2p",
                 delivery_path=(origin,),
                 remaining=expected_notifications,

@@ -88,7 +88,6 @@ class ScenarioConfig:
     oscl_enabled: bool = True
     appends: int = 5
     seed: int = 0
-    probe_count: int = 8
     policy: QosPolicy = field(default_factory=QosPolicy)
     links: Optional[Tuple[LinkSpec, ...]] = None  # None = the spec's chain
 
@@ -97,8 +96,6 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.appends < 1:
             raise ValueError("appends must be >= 1")
-        if self.probe_count < 1:
-            raise ValueError("probe_count must be >= 1")
 
 
 @dataclass
@@ -155,16 +152,16 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     if config.oscl_enabled:
         query = app_uri if spec.discover_by_uri else bare_app
-        edges_before = overlay.graph.edge_count
+        edges_before = overlay.edge_count
         result.discovery = overlay.discover(
             dscl.node_id, query, scope=config.policy.max_path_hops, nscl=nscl
         )
         if result.discovery.path_hops not in (None, 0):
-            result.qos = overlay.qos_monitor(result.discovery.path, config.probe_count)
+            result.qos = overlay.qos_monitor(result.discovery.path)
         result.link_decision = overlay.ensure_link(
             dscl.node_id, result.discovery, config.policy, result.qos
         )
-        result.new_links = overlay.graph.edge_count - edges_before
+        result.new_links = overlay.edge_count - edges_before
         result.subscription = overlay.p2p_subscribe(
             dscl.node_id, container_uri, expected_notifications=config.appends
         )

@@ -113,11 +113,9 @@ class Subscription:
     """Standing request for future content instances of one container."""
 
     subscriber: Locator
-    target: HierarchicalName
     mode: str  # "centralized" | "p2p"
-    delivery_path: Optional[Tuple[str, ...]] = None  # p2p only, producer last
+    delivery_path: Optional[Tuple[str, ...]] = None  # p2p only, producer first
     remaining: Optional[int] = None  # None = unbounded
-    active: bool = True
     deliver: Optional[Callable[[str, int], None]] = None  # p2p hook
 
     def __post_init__(self) -> None:
@@ -125,6 +123,10 @@ class Subscription:
             raise ValueError(f"unknown mode {self.mode!r}")
         if (self.delivery_path is not None) != (self.mode == "p2p"):
             raise ValueError("delivery_path must be present exactly for p2p")
+
+    @property
+    def active(self) -> bool:
+        return self.remaining != 0
 
 
 # ===== resource tree =====
@@ -184,9 +186,9 @@ class MessageCounters:
     def __init__(self) -> None:
         self._counts: Dict[Tuple[str, str, str], int] = {}
 
-    def record(self, node_id: str, msg_type: str, role: str, count: int = 1) -> None:
+    def record(self, node_id: str, msg_type: str, role: str) -> None:
         key = (node_id, msg_type, role)
-        self._counts[key] = self._counts.get(key, 0) + count
+        self._counts[key] = self._counts.get(key, 0) + 1
 
     def get(self, node_id: str, msg_type: str, role: str) -> int:
         return self._counts.get((node_id, msg_type, role), 0)
@@ -221,13 +223,12 @@ class M2mSystem:
         node_id: str,
         host: str = "10.0.0.1",
         port: int = 4000,
-        base_name: Optional[HierarchicalName] = None,
     ) -> SclInstance:
         if node_id in self.scls:
             raise DuplicateResource(f"node id {node_id!r} taken")
         if kind is SclKind.NSCL and self.nscl is not None:
             raise SclError("system already has a network SCL")
-        base = base_name if base_name is not None else parse_name(node_id)
+        base = parse_name(node_id)
         label = base.components[0]
         if label in self._base_names:
             raise DuplicateResource(f"base name {label!r} taken")
@@ -339,8 +340,6 @@ def create_content_instance(
             sub.deliver(payload, index)
         if sub.remaining is not None:
             sub.remaining -= 1
-            if sub.remaining <= 0:
-                sub.active = False
     return index
 
 
@@ -469,7 +468,7 @@ def subscribe_centralized(
     if resolved[0] != "container":
         raise NotFound(f"{target} is not a container")
     container: Container = resolved[1]
-    sub = Subscription(subscriber=origin.locator, target=uri, mode="centralized")
+    sub = Subscription(subscriber=origin.locator, mode="centralized")
     container.subscriptions.append(sub)
     system.send_relayed(origin.node_id, owner.node_id, nscl.node_id, MSG_SUBSCRIBE, str(uri))
     return sub

@@ -229,7 +229,7 @@ def test_fallback_then_direct_link(report):
     ok = (
         first.method == "centralized"
         and decision is LinkDecision.NEW_LINK
-        and overlay.graph.edge_count == 1
+        and overlay.edge_count == 1
         and second.method == "distributed"
         and second.path == (consumer.node_id, producer.node_id)
     )
@@ -237,7 +237,7 @@ def test_fallback_then_direct_link(report):
         7,
         "hub fallback provisions the edge that direct discovery then uses",
         ok,
-        f"first={first.method}, edges={overlay.graph.edge_count}, second={second.method}",
+        f"first={first.method}, edges={overlay.edge_count}, second={second.method}",
     )
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from oscl_sim.names import parse_name
 from oscl_sim.ndn import (
     APP_FACE,
+    DEFAULT_PIT_LIFETIME_MS,
     BoundedNonceSet,
     ContentStore,
     DataPacket,
@@ -27,7 +28,7 @@ ELSEWHERE = parse_name("Gscl9")  # a prefix that does not cover NAME
 def _node(node_id="n1", prefix=ELSEWHERE, faces=(), cs_capacity=64):
     node = NdnNode(node_id, prefix, cs=ContentStore(cs_capacity))
     for face in faces:
-        node.add_face(face)
+        node.faces[face] = None
     return node
 
 
@@ -214,7 +215,7 @@ def test_interest_aggregated_into_live_entry():
     entry = node.pit[NAME]
     assert entry.downstream == {("a", 1), ("b", 2)}
     assert entry.remaining == 5  # solicit budget grows to the max seen
-    assert entry.expiry == 1.0 + _interest().lifetime_ms
+    assert entry.expiry == 1.0 + DEFAULT_PIT_LIFETIME_MS
 
 
 def test_interest_flood_copies_everywhere_but_arrival():
@@ -235,7 +236,7 @@ def test_interest_flood_prefers_local_producer():
 def test_interest_pit_expiry_allows_refresh():
     node = _node(faces=["a", "up"])
     on_interest(node, _interest(nonce=1), "a", 0.0)
-    lifetime = _interest().lifetime_ms
+    lifetime = DEFAULT_PIT_LIFETIME_MS
     out = on_interest(node, _interest(nonce=2), "a", lifetime + 1.0)
     assert out == [SendInterest("up", _interest(nonce=2, hop_limit=3))]
     assert node.pit[NAME].downstream == {("a", 2)}
@@ -304,7 +305,7 @@ def test_data_not_reflected_to_arrival_face():
 def test_data_after_entry_expiry_is_unsolicited():
     node = _node(faces=["a", "up"])
     on_interest(node, _interest(), "a", 0.0)
-    lifetime = _interest().lifetime_ms
+    lifetime = DEFAULT_PIT_LIFETIME_MS
     assert on_data(node, _data(), "up", lifetime + 1.0) == [Drop("unsolicited")]
 
 
@@ -328,7 +329,7 @@ def test_pit_expire_removes_only_dead_entries():
     on_interest(node, _interest(nonce=1), "a", 0.0)
     other = parse_name("Gscl2/x")
     on_interest(node, _interest(name=other, nonce=2), "a", 100.0)
-    lifetime = _interest().lifetime_ms
+    lifetime = DEFAULT_PIT_LIFETIME_MS
     dead = pit_expire(node, lifetime + 1.0)
     assert dead == [NAME]
     assert other in node.pit and NAME not in node.pit

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oscl_sim.names import parse_name
+from oscl_sim.ndn import APP_FACE
 from oscl_sim.overlay import (
     BrokenPath,
     DuplicateLink,
@@ -13,7 +14,6 @@ from oscl_sim.overlay import (
     LinkMetrics,
     NoPath,
     Overlay,
-    OverlayGraph,
     QosMetrics,
     QosPolicy,
     UnknownNode,
@@ -61,20 +61,36 @@ def _chain(n_relays=2, seed=0, instances=1, consumer_cs=64):
     return system, overlay, consumer.node_id, [r.node_id for r in relays], producer
 
 
-# ===== graph =====
+# ===== links =====
+
+
+def _unlinked(*ids):
+    """Overlay over fresh gateway SCLs with the given ids and no links."""
+    system = M2mSystem()
+    overlay = Overlay(system, seed=0)
+    for node_id in ids:
+        overlay.add_node(system.add_scl(SclKind.GSCL, node_id))
+    return system, overlay
 
 
 def test_graph_rejects_self_and_duplicate_links():
-    g = OverlayGraph()
-    g.add_vertex("a")
-    g.add_vertex("b")
-    g.add_edge("a", "b")
+    _, overlay = _unlinked("a", "b")
+    overlay.add_link("a", "b")
     with pytest.raises(DuplicateLink):
-        g.add_edge("b", "a")
+        overlay.add_link("b", "a")
     with pytest.raises(ValueError):
-        g.add_edge("a", "a")
+        overlay.add_link("a", "a")
     with pytest.raises(UnknownNode):
-        g.add_edge("a", "ghost")
+        overlay.add_link("a", "ghost")
+    assert overlay.edge_count == 1
+
+
+def test_add_node_rejects_the_application_face_id():
+    # a neighbor would file its face toward this node as its own
+    # application face, so the node would be linked but unreachable
+    system, overlay = _unlinked("A")
+    with pytest.raises(ValueError):
+        overlay.add_node(system.add_scl(SclKind.GSCL, APP_FACE))
 
 
 # ===== distributed discovery =====
@@ -148,6 +164,16 @@ def test_intermediate_cache_serves_other_consumers():
     assert trail == [relays[0], consumer]  # nearest relay's cache answered
     assert system.counters.get(producer.node_id, "interest", "received") == 1
     assert system.counters.get(producer.node_id, "data", "originated") == 1
+
+
+@pytest.mark.parametrize("uri", [APP_URI, INSTANCE_URI])
+def test_local_fetch_body_matches_remote_answer(uri):
+    _, overlay, consumer, _, producer = _chain(n_relays=1)
+    local, trail = overlay.fetch_resource(producer.node_id, parse_name(uri), scope=3)
+    assert trail == [producer.node_id]
+    remote, _ = overlay.fetch_resource(consumer, parse_name(uri), scope=3)
+    assert local == remote
+    assert local["locator"]["node_id"] == producer.node_id
 
 
 def test_fetch_missing_resource_returns_none():
@@ -252,6 +278,12 @@ def test_qos_broken_path_and_bad_args():
     _, overlay, consumer, _, producer = _chain(n_relays=1)
     with pytest.raises(BrokenPath):
         overlay.qos_monitor([consumer, producer.node_id], probe_count=1)
+    with pytest.raises(BrokenPath):
+        overlay.qos_monitor([consumer, "Ghost"], probe_count=1)
+    with pytest.raises(BrokenPath):
+        overlay.qos_monitor(["Ghost", consumer], probe_count=1)
+    with pytest.raises(BrokenPath):  # every forwarder has an application face
+        overlay.qos_monitor([consumer, APP_FACE], probe_count=1)
     with pytest.raises(ValueError):
         overlay.qos_monitor([consumer], probe_count=0)
 
@@ -282,7 +314,7 @@ def test_ensure_link_after_fallback_enables_distributed_discovery():
     assert first.method == "centralized"
     decision = overlay.ensure_link(consumer.node_id, first, QosPolicy())
     assert decision is LinkDecision.NEW_LINK
-    assert overlay.graph.edge_count == 1
+    assert overlay.edge_count == 1
     # link_up is logged but not billed
     assert sum(1 for r in system.log if r.msg_type == "link_up") == 1
     assert system.counters.total(msg_type="link_up") == 0
@@ -291,7 +323,7 @@ def test_ensure_link_after_fallback_enables_distributed_discovery():
     assert second.method == "distributed"
     assert second.path == (consumer.node_id, producer.node_id)
     assert overlay.ensure_link(consumer.node_id, second, QosPolicy()) is LinkDecision.REUSED_PATH
-    assert overlay.graph.edge_count == 1
+    assert overlay.edge_count == 1
 
 
 def test_ensure_link_accepts_path_within_policy():
