@@ -83,6 +83,7 @@ class Drop:
     reason: str  # "loop" | "no-route" | "unsolicited"
 
 
+Packet = Union[InterestPacket, DataPacket]
 Emission = Union[SendInterest, SendData, Drop]
 
 

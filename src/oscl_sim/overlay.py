@@ -1,7 +1,7 @@
 """Overlay layer: content-centric traffic between SCLs.
 
 The Overlay owns the SCL nodes' forwarders, an event queue, and the
-glue between forwarders and resource trees. An overlay link is a pair
+glue between forwarders and the SCLs' resources. An overlay link is a pair
 of forwarder faces that share one LinkMetrics. Interests travel over
 links with per-link delay and loss; Data retraces pending-Interest
 state back to consumers. Discovery first tries the overlay within a
@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .names import HierarchicalName, is_prefix, parse_name
 from .ndn import (
@@ -36,12 +36,12 @@ from .ndn import (
     Drop,
     InterestPacket,
     NdnNode,
+    Packet,
     SendInterest,
     on_data,
     on_interest,
 )
 from .scl import (
-    Container,
     DiscoveryResult,
     Locator,
     M2mSystem,
@@ -165,14 +165,8 @@ def _notification(container_name: HierarchicalName, payload: str, index: int) ->
     return DataPacket(container_name, body)
 
 
-@dataclass(slots=True)
-class _Envelope:
-    """One in-flight packet copy and the node trail it has visited,
-    origin first."""
-
-    packet: Union[InterestPacket, DataPacket]
-    trail: Tuple[str, ...]
-    kind: str  # MSG_INTEREST | MSG_DATA
+def _kind(pkt: Packet) -> str:
+    return MSG_INTEREST if type(pkt) is InterestPacket else MSG_DATA
 
 
 class Overlay:
@@ -180,22 +174,26 @@ class Overlay:
 
     All randomness (nonces, loss draws) comes from one seeded RNG, so a
     given seed replays the same message sequence. The event queue holds
-    link traversals as plain data, ``(at, seq, u, v, envelope)``: the
-    copy in ``envelope`` arrives at ``v`` from ``u`` at time ``at``, and
+    link traversals as plain data, ``(at, seq, u, v, packet, trail)``:
+    a copy of ``packet`` arrives at ``v`` from ``u`` at time ``at``,
+    ``trail`` lists the nodes the copy has visited, origin first, and
     ``seq`` orders arrivals due at the same time by when they were sent.
+    The overlay moves packets; the application endpoints decide what an
+    Interest means (see ``_app_interest``).
     """
 
     def __init__(self, system: M2mSystem, seed: int = 0) -> None:
         self.system = system
         self.rng = random.Random(seed)
-        self._events: List[Tuple[float, int, str, str, _Envelope]] = []
+        self._events: List[Tuple[float, int, str, str, Packet, Tuple[str, ...]]] = []
         self._seq = itertools.count()
         # node id -> forwarder; its faces are the node's links
         self._nodes: Dict[str, NdnNode] = {}
         # (consumer, name) -> delivered (packet, trail) answers
         self._inbox: Dict[Tuple[str, str], List[Tuple[DataPacket, List[str]]]] = {}
-        # (origin, name, nonce) -> subscription installed at the producer
-        self._subs: Dict[Tuple[str, str, int], Subscription] = {}
+        # (origin, name, nonce) of a subscribe Interest in flight -> the
+        # subscription the producer installed, None until it arrives
+        self._subs: Dict[Tuple[str, str, int], Optional[Subscription]] = {}
         self.drops: List[Tuple[str, str, str]] = []  # (node, reason, name)
 
     # ----- construction -----
@@ -230,115 +228,108 @@ class Overlay:
         """Drain the event queue, advancing the shared clock."""
         events, system = self._events, self.system
         while events:
-            at, _, u, v, env = heapq.heappop(events)
+            at, _, u, v, pkt, trail = heapq.heappop(events)
             if at > system.clock_ms:
                 system.clock_ms = at
-            self._arrive(u, v, env)
+            self._arrive(u, v, pkt, trail)
 
     # ----- packet plumbing -----
 
-    def _inject(self, origin: str, pkt: Union[InterestPacket, DataPacket], kind: str) -> None:
+    def _inject(self, origin: str, pkt: Packet) -> None:
         """Hand a packet from ``origin``'s application to its forwarder."""
         node = self._nodes.get(origin)
         if node is None:
             raise UnknownNode(origin)
+        kind = _kind(pkt)
         self.system.counters.record(origin, kind, ROLE_ORIGINATED)
-        env = _Envelope(pkt, (origin,), kind)
         if kind == MSG_INTEREST:
             emissions = on_interest(node, pkt, APP_FACE, self.system.clock_ms)
         else:
             emissions = on_data(node, pkt, APP_FACE, self.system.clock_ms)
-        self._handle(origin, env, emissions)
+        self._handle(origin, pkt, (origin,), emissions)
 
-    def _handle(self, at_node: str, env: _Envelope, emissions) -> None:
+    def _handle(self, at_node: str, pkt: Packet, trail: Tuple[str, ...], emissions) -> None:
         counters = self.system.counters
+        kind = _kind(pkt)
         if not emissions:
             # aggregated into a pending entry or fanned out to nobody
-            counters.record(at_node, env.kind, ROLE_DROPPED)
-            self.drops.append((at_node, "aggregated", str(env.packet.name)))
+            counters.record(at_node, kind, ROLE_DROPPED)
+            self.drops.append((at_node, "aggregated", str(pkt.name)))
             return
         for em in emissions:
             if isinstance(em, Drop):
-                counters.record(at_node, env.kind, ROLE_DROPPED)
-                self.drops.append((at_node, em.reason, str(env.packet.name)))
+                counters.record(at_node, kind, ROLE_DROPPED)
+                self.drops.append((at_node, em.reason, str(pkt.name)))
             elif isinstance(em, SendInterest):
                 if em.face == APP_FACE:
                     counters.record(at_node, MSG_INTEREST, ROLE_RECEIVED)
-                    self._app_interest(at_node, em.packet, env)
+                    self._app_interest(at_node, em.packet, trail)
                 else:
-                    self._forward(at_node, em.face, em.packet, env)
+                    self._forward(at_node, em.face, em.packet, trail)
             else:
-                if env.kind == MSG_INTEREST:
+                data_trail = trail
+                if kind == MSG_INTEREST:
                     # Content Store answered: the Interest stops here and
                     # a fresh Data journey starts at this node
                     counters.record(at_node, MSG_INTEREST, ROLE_RECEIVED)
                     counters.record(at_node, MSG_DATA, ROLE_ORIGINATED)
-                    data_env = _Envelope(em.packet, (at_node,), MSG_DATA)
-                else:
-                    data_env = env
+                    data_trail = (at_node,)
                 if em.face == APP_FACE:
                     counters.record(at_node, MSG_DATA, ROLE_RECEIVED)
-                    self._app_data(at_node, em.packet, data_env)
+                    self._app_data(at_node, em.packet, data_trail)
                 else:
-                    self._forward(at_node, em.face, em.packet, data_env)
+                    self._forward(at_node, em.face, em.packet, data_trail)
 
-    def _forward(self, u: str, face: str, pkt, env: _Envelope) -> None:
+    def _forward(self, u: str, face: str, pkt: Packet, trail: Tuple[str, ...]) -> None:
         peer = face  # face ids double as neighbor ids
         metrics = self._nodes[u].faces[face]
-        kind = env.kind
-        if u != env.trail[0]:
+        kind = _kind(pkt)
+        if u != trail[0]:
             self.system.counters.record(u, kind, ROLE_RELAYED)
         if metrics.loss > 0.0 and self.rng.random() < metrics.loss:
             self.system.counters.record(u, kind, ROLE_DROPPED)
             self.drops.append((u, "loss", str(pkt.name)))
             return
-        new_env = _Envelope(pkt, env.trail + (peer,), kind)
-        heapq.heappush(
-            self._events,
-            (self.system.clock_ms + metrics.delay_ms, next(self._seq), u, peer, new_env),
-        )
+        at = self.system.clock_ms + metrics.delay_ms
+        heapq.heappush(self._events, (at, next(self._seq), u, peer, pkt, trail + (peer,)))
 
-    def _arrive(self, u: str, v: str, env: _Envelope) -> None:
-        self.system.log.append(
-            MessageRecord(self.system.clock_ms, u, v, "", env.kind, str(env.packet.name))
-        )
+    def _arrive(self, u: str, v: str, pkt: Packet, trail: Tuple[str, ...]) -> None:
+        kind = _kind(pkt)
+        self.system.log.append(MessageRecord(self.system.clock_ms, u, v, "", kind, str(pkt.name)))
         node = self._nodes[v]
-        if env.kind == MSG_INTEREST:
-            emissions = on_interest(node, env.packet, u, self.system.clock_ms)
+        if kind == MSG_INTEREST:
+            emissions = on_interest(node, pkt, u, self.system.clock_ms)
         else:
-            emissions = on_data(node, env.packet, u, self.system.clock_ms)
-        self._handle(v, env, emissions)
+            emissions = on_data(node, pkt, u, self.system.clock_ms)
+        self._handle(v, pkt, trail, emissions)
 
     # ----- application endpoints -----
 
-    def _app_interest(self, node_id: str, pkt: InterestPacket, env: _Envelope) -> None:
+    def _app_interest(self, node_id: str, pkt: InterestPacket, trail: Tuple[str, ...]) -> None:
         """Producer-side handling of a delivered Interest.
 
-        A container name installs a standing subscription for the next
-        solicit_count instances. Any other resolvable name is answered
-        immediately. Names this SCL cannot resolve are silently left to
-        die in pending tables; the consumer's fallback handles it.
+        A subscribe Interest, one whose (origin, name, nonce) key
+        p2p_subscribe filed in ``_subs``, installs a standing
+        subscription to its container for the next solicit_count
+        instances. Any other resolvable name, a container's included, is
+        answered immediately. Names this SCL cannot resolve are silently
+        left to die in pending tables; the consumer's fallback handles it.
         """
         scl = self.system.scl(node_id)
         try:
             resolved = resolve_resource(scl, pkt.name)
         except NotFound:
             return
-        if resolved[0] == "container":
-            container: Container = resolved[1]
-            origin = env.trail[0]
+        key = (trail[0], str(pkt.name), pkt.nonce)
+        if resolved[0] == "container" and key in self._subs:
             sub = Subscription(
-                subscriber=self.system.scl(origin).locator,
-                mode="p2p",
-                delivery_path=tuple(reversed(env.trail)),  # producer first
-                remaining=pkt.solicit_count,
-                deliver=partial(self._notify, node_id, pkt.name),
+                partial(self._notify, node_id, pkt.name), pkt.solicit_count, tuple(reversed(trail))
             )
-            container.subscriptions.append(sub)
-            self._subs[(origin, str(pkt.name), pkt.nonce)] = sub
+            resolved[1].subscriptions.append(sub)
+            self._subs[key] = sub
             return
         payload = self._answer_payload(scl, pkt.name, resolved)
-        self._inject(node_id, DataPacket(pkt.name, payload), MSG_DATA)
+        self._inject(node_id, DataPacket(pkt.name, payload))
 
     def _answer_payload(self, scl: SclInstance, name: HierarchicalName, resolved) -> bytes:
         body = {
@@ -356,7 +347,7 @@ class Overlay:
 
     def _notify(self, producer_id: str, name: HierarchicalName, payload: str, index: int) -> None:
         """Remote subscription hook: send one Data along the reverse path."""
-        self._inject(producer_id, _notification(name, payload, index), MSG_DATA)
+        self._inject(producer_id, _notification(name, payload, index))
         self.run()
 
     def _notify_local(self, origin: str, name: HierarchicalName, payload: str, index: int) -> None:
@@ -364,17 +355,23 @@ class Overlay:
         packet = _notification(name, payload, index)
         self._inbox.setdefault((origin, str(name)), []).append((packet, [origin]))
 
-    def _app_data(self, node_id: str, pkt: DataPacket, env: _Envelope) -> None:
+    def _app_data(self, node_id: str, pkt: DataPacket, trail: Tuple[str, ...]) -> None:
         key = (node_id, str(pkt.name))
-        self._inbox.setdefault(key, []).append((pkt, list(env.trail)))
+        self._inbox.setdefault(key, []).append((pkt, list(trail)))
 
     def _request(
-        self, origin: str, name: HierarchicalName, solicit: int, scope: int
+        self, origin: str, name: HierarchicalName, solicit: int, scope: int, subscribe: bool
     ) -> Tuple[int, List[Tuple[DataPacket, List[str]]]]:
-        """Inject one Interest and run to quiescence; returns (nonce, answers)."""
+        """Inject one Interest and run to quiescence; returns (nonce, answers).
+
+        A subscribe request files its key in ``_subs`` before the queue
+        runs, which is before the Interest can reach any other node.
+        """
         key = (origin, str(name))
         self._inbox.pop(key, None)
         nonce = self.begin_fetch(origin, name, scope, solicit)
+        if subscribe:
+            self._subs[(origin, str(name), nonce)] = None
         self.run()
         return nonce, self._inbox.pop(key, [])
 
@@ -402,7 +399,7 @@ class Overlay:
                 method="distributed",
                 path=(origin,),
             )
-        _, answers = self._request(origin, target_name, solicit=1, scope=scope)
+        _, answers = self._request(origin, target_name, solicit=1, scope=scope, subscribe=False)
         if not answers:
             return None
         pkt, trail = answers[0]
@@ -446,7 +443,7 @@ class Overlay:
         if is_prefix(origin_scl.base_name, name):
             payload = self._answer_payload(origin_scl, name, resolve_resource(origin_scl, name))
             return json.loads(payload), [origin]
-        _, answers = self._request(origin, name, solicit=1, scope=scope)
+        _, answers = self._request(origin, name, solicit=1, scope=scope, subscribe=False)
         if not answers:
             return None
         pkt, trail = answers[0]
@@ -461,8 +458,7 @@ class Overlay:
         called; pair with answers() to read what each one got.
         """
         nonce = self.rng.getrandbits(62)
-        pkt = InterestPacket(name, nonce, hop_limit=scope, solicit_count=solicit)
-        self._inject(origin, pkt, MSG_INTEREST)
+        self._inject(origin, InterestPacket(name, nonce, hop_limit=scope, solicit_count=solicit))
         return nonce
 
     def answers(self, origin: str, name: HierarchicalName) -> List[Tuple[dict, List[str]]]:
@@ -564,9 +560,15 @@ class Overlay:
         """Subscribe to a container over the overlay, bypassing the hub.
 
         The Interest's solicit count pre-authorizes that many future
-        Data messages along the reverse path; refreshing means simply
-        subscribing again. Raises NoPath when the Interest dies before
-        reaching the producer.
+        Data messages along the reverse path. Raises NoPath when the
+        Interest dies before reaching the producer.
+
+        Subscribing again does not refresh a subscription: once one
+        notification (or a fetched answer) has arrived, the consumer's
+        own Content Store answers the next subscribe Interest under the
+        container's name, so the call raises NoPath and empties the
+        consumer's inbox for that container. A relay's store, or another consumer's live
+        subscription behind the same relay, swallows it likewise.
         """
         if expected_notifications < 1:
             raise ValueError("expected_notifications must be >= 1")
@@ -575,18 +577,13 @@ class Overlay:
             resolved = resolve_resource(origin_scl, target_uri)
             if resolved[0] != "container":
                 raise NotFound(f"{target_uri} is not a container")
-            container: Container = resolved[1]
             sub = Subscription(
-                subscriber=origin_scl.locator,
-                mode="p2p",
-                delivery_path=(origin,),
-                remaining=expected_notifications,
-                deliver=partial(self._notify_local, origin, target_uri),
+                partial(self._notify_local, origin, target_uri), expected_notifications, (origin,)
             )
-            container.subscriptions.append(sub)
+            resolved[1].subscriptions.append(sub)
             return sub
         nonce, _ = self._request(
-            origin, target_uri, solicit=expected_notifications, scope=scope
+            origin, target_uri, solicit=expected_notifications, scope=scope, subscribe=True
         )
         sub = self._subs.pop((origin, str(target_uri), nonce), None)
         if sub is None:

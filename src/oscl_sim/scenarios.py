@@ -111,7 +111,11 @@ class ScenarioResult:
     qos: Optional[QosMetrics] = None
     link_decision: Optional[LinkDecision] = None
     subscription: Optional[Subscription] = None
-    new_links: int = 0
+
+    @property
+    def new_links(self) -> int:
+        """Overlay links the run added; ensure_link adds at most one."""
+        return int(self.link_decision is LinkDecision.NEW_LINK)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -152,7 +156,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     if config.oscl_enabled:
         query = app_uri if spec.discover_by_uri else bare_app
-        edges_before = overlay.edge_count
         result.discovery = overlay.discover(
             dscl.node_id, query, scope=config.policy.max_path_hops, nscl=nscl
         )
@@ -161,7 +164,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         result.link_decision = overlay.ensure_link(
             dscl.node_id, result.discovery, config.policy, result.qos
         )
-        result.new_links = overlay.edge_count - edges_before
         result.subscription = overlay.p2p_subscribe(
             dscl.node_id, container_uri, expected_notifications=config.appends
         )

@@ -1,19 +1,24 @@
 """Service capability layers and the centralized resource model.
 
 An M2mSystem holds one network SCL plus any number of gateway and
-device SCLs. Every SCL owns a resource tree rooted at its base name
-(applications -> containers -> content instances) and an embedded
-forwarder for the overlay side.
+device SCLs. Every SCL keeps its resources under its base name as
+plain dicts, application name -> container name -> Container, and
+embeds a forwarder for the overlay side.
 
 Control-plane traffic here is synchronous and infrastructure-routed:
 every message between two SCLs transits the network SCL, which is what
-the overlay later lets endpoints avoid.
+the overlay later lets endpoints avoid. A subscription is only a
+delivery hook and a countdown, so the same append serves both: the
+hook that subscribe_centralized installs relays a notify message
+through the network SCL, and the overlay's hook sends Data peer to
+peer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .names import HierarchicalName, parse_name
@@ -110,44 +115,26 @@ class DiscoveryResult:
 
 @dataclass
 class Subscription:
-    """Standing request for future content instances of one container."""
+    """Standing request for future content instances of one container:
+    ``deliver(payload, index)`` carries each one to the subscriber, by
+    whatever route, and spends one unit of ``remaining``."""
 
-    subscriber: Locator
-    mode: str  # "centralized" | "p2p"
-    delivery_path: Optional[Tuple[str, ...]] = None  # p2p only, producer first
+    deliver: Callable[[str, int], None]
     remaining: Optional[int] = None  # None = unbounded
-    deliver: Optional[Callable[[str, int], None]] = None  # p2p hook
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("centralized", "p2p"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if (self.delivery_path is not None) != (self.mode == "p2p"):
-            raise ValueError("delivery_path must be present exactly for p2p")
+    delivery_path: Optional[Tuple[str, ...]] = None  # overlay only, producer first
 
     @property
     def active(self) -> bool:
         return self.remaining != 0
 
 
-# ===== resource tree =====
+# ===== resources =====
 
 
 @dataclass
 class Container:
-    name: str
     instances: List[str] = field(default_factory=list)
     subscriptions: List[Subscription] = field(default_factory=list)
-
-
-@dataclass
-class Application:
-    name: str
-    containers: Dict[str, Container] = field(default_factory=dict)
-
-
-@dataclass
-class ResourceTree:
-    applications: Dict[str, Application] = field(default_factory=dict)
 
 
 @dataclass
@@ -156,8 +143,10 @@ class SclInstance:
     kind: SclKind
     base_name: HierarchicalName
     locator: Locator
-    tree: ResourceTree = field(default_factory=ResourceTree)
+    system: M2mSystem = field(repr=False, compare=False)
     ndn: NdnNode = field(init=False)
+    # application name -> container name -> container
+    applications: Dict[str, Dict[str, Container]] = field(default_factory=dict)
     registered: bool = False
     # NSCL only: base-name label -> locator, insertion order = registration order
     registry: Dict[str, Locator] = field(default_factory=dict)
@@ -232,8 +221,7 @@ class M2mSystem:
         label = base.components[0]
         if label in self._base_names:
             raise DuplicateResource(f"base name {label!r} taken")
-        scl = SclInstance(node_id=node_id, kind=kind, base_name=base, locator=Locator(node_id, host, port))
-        scl._system = self  # type: ignore[attr-defined]
+        scl = SclInstance(node_id, kind, base, Locator(node_id, host, port), self)
         self.scls[node_id] = scl
         self._base_names[label] = node_id
         if kind is SclKind.NSCL:
@@ -281,42 +269,39 @@ def register_scl(scl: SclInstance, nscl: SclInstance) -> None:
 
 
 def _shared_system(*scls: SclInstance) -> M2mSystem:
-    system = getattr(scls[0], "_system", None)
-    if system is None:
-        raise SclError("SCL not attached to a system")
+    system = scls[0].system
     for other in scls[1:]:
-        if getattr(other, "_system", None) is not system:
+        if other.system is not system:
             raise SclError("SCLs live in different systems")
     return system
 
 
 def create_application(scl: SclInstance, app_name: str) -> HierarchicalName:
     """Local registration of an application resource; no wire traffic."""
-    if app_name in scl.tree.applications:
+    if app_name in scl.applications:
         raise DuplicateResource(app_name)
-    scl.tree.applications[app_name] = Application(app_name)
+    scl.applications[app_name] = {}
     return scl.base_name.extend("applications", app_name)
 
 
 def create_container(scl: SclInstance, app_name: str, container_name: str) -> HierarchicalName:
-    app = scl.tree.applications.get(app_name)
-    if app is None:
+    containers = scl.applications.get(app_name)
+    if containers is None:
         raise NotFound(f"application {app_name!r}")
-    if container_name in app.containers:
+    if container_name in containers:
         raise DuplicateResource(container_name)
-    app.containers[container_name] = Container(container_name)
+    containers[container_name] = Container()
     return scl.base_name.extend("applications", app_name, "containers", container_name)
 
 
 def create_content_instance(
     scl: SclInstance, app_name: str, container_name: str, payload: str
 ) -> int:
-    """Append one instance and fan out notifications to live subscribers.
+    """Append one instance and hand it to every live subscription.
 
-    Centralized subscribers are notified through the network SCL;
-    peer-to-peer subscribers through their overlay delivery hook. Each
-    notification spends one unit of a bounded subscription, which goes
-    inactive when none remain. Returns the new instance index.
+    Each live subscription's own hook carries the instance to its
+    subscriber, which spends one unit of a bounded subscription; it
+    goes inactive when none remain. Returns the new instance index.
     """
     container = _container(scl, app_name, container_name)
     container.instances.append(payload)
@@ -324,40 +309,28 @@ def create_content_instance(
     for sub in list(container.subscriptions):
         if not sub.active:
             continue
-        if sub.mode == "centralized":
-            system = _shared_system(scl)
-            if system.nscl is None:
-                raise SclError("centralized notification needs a network SCL")
-            instance_uri = scl.base_name.extend(
-                "applications", app_name, "containers", container_name,
-                "content_instances", str(index),
-            )
-            system.send_relayed(
-                scl.node_id, sub.subscriber.node_id, system.nscl.node_id, MSG_NOTIFY, str(instance_uri)
-            )
-        else:
-            assert sub.deliver is not None
-            sub.deliver(payload, index)
+        sub.deliver(payload, index)
         if sub.remaining is not None:
             sub.remaining -= 1
     return index
 
 
 def _container(scl: SclInstance, app_name: str, container_name: str) -> Container:
-    app = scl.tree.applications.get(app_name)
-    if app is None:
+    containers = scl.applications.get(app_name)
+    if containers is None:
         raise NotFound(f"application {app_name!r}")
-    container = app.containers.get(container_name)
+    container = containers.get(container_name)
     if container is None:
         raise NotFound(f"container {container_name!r}")
     return container
 
 
 def resolve_resource(scl: SclInstance, name: HierarchicalName):
-    """Walk ``name`` through the SCL's tree.
+    """Walk ``name`` through the SCL's resources.
 
-    Returns ("scl", scl) for the bare base name, ("application", app),
-    ("container", container), or ("instance", payload, index).
+    Returns ("scl", scl) for the bare base name, ("application",
+    containers) with the application's container dict, ("container",
+    container), or ("instance", payload, index).
     Raises NotFound when any step is missing, EmptyContainer when a
     virtual instance is asked of an empty container.
     """
@@ -370,14 +343,14 @@ def resolve_resource(scl: SclInstance, name: HierarchicalName):
         return ("scl", scl)
     if rest[0] != "applications" or len(rest) < 2:
         raise NotFound(str(name))
-    app = scl.tree.applications.get(rest[1])
-    if app is None:
+    containers = scl.applications.get(rest[1])
+    if containers is None:
         raise NotFound(str(name))
     if len(rest) == 2:
-        return ("application", app)
+        return ("application", containers)
     if rest[2] != "containers" or len(rest) < 4:
         raise NotFound(str(name))
-    container = app.containers.get(rest[3])
+    container = containers.get(rest[3])
     if container is None:
         raise NotFound(str(name))
     if len(rest) == 4:
@@ -399,14 +372,6 @@ def resolve_resource(scl: SclInstance, name: HierarchicalName):
     return ("instance", container.instances[index], index)
 
 
-def read_resource(scl: SclInstance, name: HierarchicalName) -> str:
-    """Local read of a content instance (supports latest/oldest)."""
-    kind, *rest = resolve_resource(scl, name)
-    if kind != "instance":
-        raise NotFound(f"{name} is not a content instance")
-    return rest[0]
-
-
 def _resolve_query(
     nscl: SclInstance, query: HierarchicalName
 ) -> Tuple[SclInstance, HierarchicalName]:
@@ -416,7 +381,7 @@ def _resolve_query(
     name) and bare application names, which are expanded against each
     registered SCL in registration order.
     """
-    system = _shared_system(nscl)
+    system = nscl.system
     head = query.components[0]
     if head in nscl.registry:
         owner = system.scl(nscl.registry[head].node_id)
@@ -425,7 +390,7 @@ def _resolve_query(
     if len(query.components) == 1:
         for label in nscl.registry:
             owner = system.scl(nscl.registry[label].node_id)
-            if head in owner.tree.applications:
+            if head in owner.applications:
                 return owner, owner.base_name.extend("applications", head)
     raise NotFound(str(query))
 
@@ -457,7 +422,7 @@ def subscribe_centralized(
     origin: SclInstance, nscl: SclInstance, target: HierarchicalName
 ) -> Subscription:
     """Register interest in a container; notifications will transit the
-    network SCL on every future append."""
+    network SCL on every future append, named by the instance's URI."""
     if nscl.kind is not SclKind.NSCL:
         raise NotAnNscl(nscl.node_id)
     if not origin.registered:
@@ -467,8 +432,17 @@ def subscribe_centralized(
     resolved = resolve_resource(owner, uri)
     if resolved[0] != "container":
         raise NotFound(f"{target} is not a container")
-    container: Container = resolved[1]
-    sub = Subscription(subscriber=origin.locator, mode="centralized")
-    container.subscriptions.append(sub)
+    hook = partial(_relay_notification, system, owner.node_id, origin.node_id, nscl.node_id, uri)
+    sub = Subscription(hook)
+    resolved[1].subscriptions.append(sub)
     system.send_relayed(origin.node_id, owner.node_id, nscl.node_id, MSG_SUBSCRIBE, str(uri))
     return sub
+
+
+def _relay_notification(
+    system: M2mSystem, owner: str, subscriber: str, hub: str,
+    container_uri: HierarchicalName, payload: str, index: int,
+) -> None:
+    """Hook of a hub subscription: one notify message through the hub."""
+    instance_uri = container_uri.extend("content_instances", str(index))
+    system.send_relayed(owner, subscriber, hub, MSG_NOTIFY, str(instance_uri))

@@ -19,6 +19,7 @@ from oscl_sim.overlay import (
     UnknownNode,
 )
 from oscl_sim.scl import (
+    Locator,
     M2mSystem,
     NotFound,
     SclKind,
@@ -360,7 +361,7 @@ def test_p2p_subscribe_delivers_future_instances():
     system, overlay, consumer, relays, producer = _chain(n_relays=2, instances=0)
     container = parse_name(CONTAINER_URI)
     sub = overlay.p2p_subscribe(consumer, container, expected_notifications=3)
-    assert sub.mode == "p2p"
+    assert sub.remaining == 3
     assert sub.delivery_path == (producer.node_id, *reversed(relays), consumer)
     for i in range(3):
         create_content_instance(producer, "meter_app", "meter_data", f"reading-{i}")
@@ -395,6 +396,22 @@ def test_p2p_subscribe_without_route_raises():
     overlay.add_node(consumer)
     with pytest.raises(NoPath):
         overlay.p2p_subscribe(consumer.node_id, parse_name(CONTAINER_URI), 1)
+
+
+@pytest.mark.parametrize("op", ["fetch", "discover"])
+def test_container_interest_is_answered_not_subscribed(op):
+    _, overlay, consumer, _, producer = _chain(n_relays=1, instances=0)
+    container = parse_name(CONTAINER_URI)
+    if op == "fetch":
+        body, _ = overlay.fetch_resource(consumer, container, scope=3)
+        answer = (body["uri"], Locator(**body["locator"]))
+    else:
+        result = overlay.distributed_discover(consumer, container, scope=3)
+        answer = (str(result.uri), result.locator)
+    assert answer == (CONTAINER_URI, producer.locator)
+    assert overlay._subs == {}
+    create_content_instance(producer, "meter_app", "meter_data", "v0")
+    assert overlay.notifications(consumer, container) == []
 
 
 def test_p2p_subscribe_own_container_is_local():

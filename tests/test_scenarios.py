@@ -30,7 +30,7 @@ def test_usecase1_overlay_path():
     assert r.qos is None
     assert r.link_decision is LinkDecision.NEW_LINK
     assert r.new_links == 1
-    assert r.subscription.mode == "p2p"
+    assert r.subscription.delivery_path == ("Gscl1", SUBSCRIBER_ID)
     assert not r.subscription.active  # budget spent
 
     got = r.overlay.notifications(SUBSCRIBER_ID, parse_name(r.container_uri))
@@ -44,7 +44,7 @@ def test_usecase1_baseline_routes_through_hub():
     r = run_scenario(ScenarioConfig("usecase1", oscl_enabled=False, appends=4))
     assert r.discovery.method == "centralized"
     assert r.link_decision is None
-    assert r.subscription.mode == "centralized"
+    assert r.subscription.delivery_path is None
     assert r.overlay.edge_count == 0
     assert _nscl_relayed(r.system, "notify") == 4
     assert r.system.counters.get(SUBSCRIBER_ID, "notify", "received") == 4

@@ -14,7 +14,6 @@ from oscl_sim.scl import (
     create_application,
     create_container,
     create_content_instance,
-    read_resource,
     register_scl,
     resolve_resource,
     subscribe_centralized,
@@ -84,16 +83,16 @@ def test_tree_create_and_read():
     assert create_content_instance(gscl, "meter_app", "meter_data", "v0") == 0
     assert create_content_instance(gscl, "meter_app", "meter_data", "v1") == 1
     base = "Gscl1/applications/meter_app/containers/meter_data/content_instances"
-    assert read_resource(gscl, parse_name(f"{base}/latest")) == "v1"
-    assert read_resource(gscl, parse_name(f"{base}/oldest")) == "v0"
-    assert read_resource(gscl, parse_name(f"{base}/1")) == "v1"
+    assert resolve_resource(gscl, parse_name(f"{base}/latest"))[1] == "v1"
+    assert resolve_resource(gscl, parse_name(f"{base}/oldest"))[1] == "v0"
+    assert resolve_resource(gscl, parse_name(f"{base}/1"))[1] == "v1"
 
 
 def test_tree_latest_of_empty_container():
     _, _, gscl, _ = _populated()
     uri = "Gscl1/applications/meter_app/containers/meter_data/content_instances/latest"
     with pytest.raises(EmptyContainer):
-        read_resource(gscl, parse_name(uri))
+        resolve_resource(gscl, parse_name(uri))[1]
 
 
 def test_tree_missing_resources():
@@ -193,7 +192,7 @@ def test_subscribe_then_appends_notify_through_hub():
     system, nscl, gscl, dscl = _populated()
     uri = parse_name("Gscl1/applications/meter_app/containers/meter_data")
     sub = subscribe_centralized(dscl, nscl, uri)
-    assert sub.mode == "centralized"
+    assert sub.remaining is None
     assert sub.delivery_path is None
     for i in range(3):
         create_content_instance(gscl, "meter_app", "meter_data", f"v{i}")
