@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Compare the working tree against a git revision on one benchmark workload.
+
+    python3 scripts/bench_pairs.py --base HEAD --workload overlay-flood \\
+        --pairs 10 --seconds 6 --seed-start 1
+
+Extracts ``--base`` with ``git archive`` into a temporary directory, and
+the working tree beside it the same way (a ``git stash create`` snapshot
+of the tracked files, so ``git add`` a new file for it to be included),
+then runs ``perfbench/run.py --trace 0`` from each of the two trees, once
+each per pair. Extracting both keeps the two runs' surroundings alike.
+Pair i uses seed ``seed-start + i`` for both trees,
+and which tree runs first alternates from pair to pair, so a drift in
+host speed does not favour either side. Prints, per end-to-end metric,
+the median of each side, the change of the medians in percent, how many
+pairs the working tree won (in the direction BENCHMARK.json gives) and
+the interquartile range of the base runs; then whether both trees
+printed the same output digest on each seed, and whether every run
+reported itself correct with no failed operation. Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+from typing import Dict, List
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> bytes:
+    done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True)
+    if done.returncode != 0:
+        sys.exit(f"git {' '.join(args)} failed: {done.stderr.decode().strip()}")
+    return done.stdout
+
+
+def extract(rev: str, into: Path) -> None:
+    """Write the files of ``rev`` under ``into``, as ``git archive`` lists them."""
+    into.mkdir()
+    data = git("archive", "--format=tar", rev)
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(into, filter="data")
+        else:
+            tar.extractall(into)
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: int) -> Dict:
+    """One untraced benchmark run from ``tree``: its digest and result line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"{' '.join(cmd)} in {tree} exited {done.returncode}:\n{done.stderr}")
+    lines = done.stdout.splitlines()
+    digest = next(line.split(" ", 2)[2] for line in lines if line.startswith("digest "))
+    result = json.loads(lines[-1])
+    result["digest"] = digest
+    return result
+
+
+def quartile_gap(values: List[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=6)
+    parser.add_argument("--seed-start", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.seconds < 1:
+        parser.error("--pairs and --seconds must be >= 1")
+
+    better = {m["name"]: m["better"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    runs: Dict[str, List[Dict]] = {"base": [], "change": []}
+    # a commit of the working tree's tracked files; empty when nothing changed
+    snapshot = git("stash", "create").decode().strip() or "HEAD"
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        # equal name lengths: the same code read peak_rss_mb 0.1 MB apart
+        # from two paths of different lengths
+        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "work"}
+        extract(args.base, trees["base"])
+        extract(snapshot, trees["change"])
+        print(f"{args.workload}: base {args.base} against the working tree "
+              f"({snapshot[:12]}), {args.pairs} pairs of {args.seconds} s runs")
+        for i in range(args.pairs):
+            seed = args.seed_start + i
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                runs[side].append(run_once(trees[side], args.workload, seed, args.seconds))
+            base, change = runs["base"][-1], runs["change"][-1]
+            same = "same digest" if base["digest"] == change["digest"] else "DIGESTS DIFFER"
+            print(f"pair {i + 1} seed {seed} ({order[0]} first): wall_s "
+                  f"{base['metrics']['wall_s']['value']:.4g} -> "
+                  f"{change['metrics']['wall_s']['value']:.4g}, {same}")
+
+    print(f"{'metric':<12} {'base':>10} {'change':>10} {'change%':>8} {'wins':>6} {'base_iqr':>9}")
+    for name, direction in better.items():
+        base = [r["metrics"][name]["value"] for r in runs["base"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        b, c = statistics.median(base), statistics.median(change)
+        pct = 100.0 * (c - b) / b if b else float("nan")
+        wins = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(base, change))
+        print(f"{name:<12} {b:>10.4g} {c:>10.4g} {pct:>+7.1f}% {wins:>3}/{args.pairs} "
+              f"{quartile_gap(base):>9.3g}")
+
+    mismatched = [args.seed_start + i for i, (x, y) in enumerate(zip(runs["base"], runs["change"]))
+                  if x["digest"] != y["digest"]]
+    print("digests: " + (f"differ on seeds {mismatched}" if mismatched
+                         else f"match on all {args.pairs} seeds"))
+    all_ok = True
+    for side, results in runs.items():
+        ok = sum(r["correct"] is True and r["failed"] == 0 for r in results)
+        all_ok = all_ok and ok == len(results)
+        print(f"{side}: {ok}/{len(results)} runs correct with no failed operation")
+    return 0 if all_ok and not mismatched else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -391,7 +391,7 @@ def _run_scenario(config: Dict, out_dir: str) -> int:
             oscl_enabled=config["oscl"] == "on",
             appends=config["appends"],
             seed=config["seed"],
-            links=tuple(tuple(l) for l in links) if links else None,
+            links=None if links is None else tuple(tuple(l) for l in links),
         )
     )
     system = result.system

@@ -29,9 +29,11 @@ class EmptyComponent(InvalidName):
 class HierarchicalName:
     """Immutable component path; ordering is lexicographic by component.
 
-    The text form and the hash are computed once, at construction; the
-    hash is the one the dataclass would generate. Neither is a field, so
-    equality, ordering and repr see the components only.
+    The text form (``text``, which ``str`` returns) and the hash are
+    computed once, at construction; the hash is the one the dataclass
+    would generate. Neither is a field, so equality, ordering and repr
+    see the components only. Two names are equal exactly when their
+    texts are.
     """
 
     components: Tuple[str, ...]
@@ -44,7 +46,7 @@ class HierarchicalName:
                 raise EmptyComponent(f"empty component in {self.components!r}")
             if "/" in part:
                 raise InvalidName(f"component may not contain '/': {part!r}")
-        object.__setattr__(self, "_text", "/".join(self.components))
+        object.__setattr__(self, "text", "/".join(self.components))
         object.__setattr__(self, "_hash", hash((self.components,)))
 
     def __hash__(self) -> int:
@@ -56,7 +58,7 @@ class HierarchicalName:
         return (HierarchicalName, (self.components,))
 
     def __str__(self) -> str:
-        return self._text
+        return self.text
 
     def __len__(self) -> int:
         return len(self.components)

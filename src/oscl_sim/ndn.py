@@ -4,7 +4,9 @@ Each overlay node runs one forwarder. It answers names under its own
 prefix and floods every other Interest, like multicast forwarding in
 NFD. Handlers are pure with respect to the wire: they mutate node
 state and return emission records; the harness decides what a "face"
-physically is and what a send costs.
+physically is and what a send costs. A Drop is always a handler's only
+emission, and the handlers return shared Drop constants, so a dropped
+copy costs no record of its own.
 
 A node's faces are its links: ``NdnNode.faces`` maps each face id to
 whatever the harness attaches to that link (the overlay attaches the
@@ -66,13 +68,13 @@ class DataPacket:
 # ===== emissions: what a handler asks the harness to do =====
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SendInterest:
     face: str
     packet: InterestPacket
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SendData:
     face: str
     packet: DataPacket
@@ -81,6 +83,12 @@ class SendData:
 @dataclass(frozen=True)
 class Drop:
     reason: str  # "loop" | "no-route" | "unsolicited"
+
+
+# a dropped copy needs no object of its own: the handlers share these
+_LOOP = Drop("loop")
+_NO_ROUTE = Drop("no-route")
+_UNSOLICITED = Drop("unsolicited")
 
 
 Packet = Union[InterestPacket, DataPacket]
@@ -143,27 +151,34 @@ class ContentStore:
             self._items.popitem(last=False)  # evict least recent
 
 
-class BoundedNonceSet:
-    """FIFO set of recently seen (name, nonce) pairs for loop pruning."""
+class BoundedNonceSet(OrderedDict):
+    """FIFO set of recently seen (name text, nonce) pairs for loop pruning.
+
+    An OrderedDict with no overridden lookup, so ``in`` and ``len`` run
+    at C level: the loop check on a forwarder's hot path makes no
+    Python-level call. Keys are name texts rather than names, because
+    two names are equal exactly when their texts are and a text hashes
+    without calling back into Python. ``add`` evicts the oldest key once
+    ``capacity`` are held; re-adding a held key does not refresh it.
+    """
+
+    __slots__ = ("capacity",)  # in a slot: an instance dict per forwarder adds up
 
     def __init__(self, capacity: int = DEFAULT_NONCE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        super().__init__()
         self.capacity = capacity
-        self._seen: "OrderedDict[Tuple[HierarchicalName, int], None]" = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._seen)
+    def __repr__(self) -> str:
+        return f"BoundedNonceSet(capacity={self.capacity}, held={len(self)})"
 
-    def __contains__(self, key: Tuple[HierarchicalName, int]) -> bool:
-        return key in self._seen
-
-    def add(self, key: Tuple[HierarchicalName, int]) -> None:
-        if key in self._seen:
+    def add(self, key: Tuple[str, int]) -> None:
+        if key in self:
             return
-        if len(self._seen) >= self.capacity:
-            self._seen.popitem(last=False)
-        self._seen[key] = None
+        if len(self) >= self.capacity:
+            self.popitem(last=False)
+        self[key] = None
 
 
 @dataclass
@@ -215,20 +230,22 @@ def on_interest(
     """Process an arriving Interest.
 
     Order matters: the nonce check runs before any table can answer, so
-    a looped copy always dies regardless of cache state. A Content
-    Store hit answers on the arrival face without touching the PIT; a
-    live PIT entry absorbs the Interest (only the first copy of a
-    request is ever forwarded onward); otherwise a name under the
-    node's prefix goes up to the application, any other is flooded with
-    the hop budget spent per overlay hop, and a PIT entry records the
-    way back.
+    a looped copy always dies regardless of cache state. Most flooded
+    copies die there, so the check is one C-level lookup of (name text,
+    nonce) with no Python-level call, and the copy's answer is the
+    shared loop Drop. A Content Store hit answers on the arrival face
+    without touching the PIT; a live PIT entry absorbs the Interest
+    (only the first copy of a request is ever forwarded onward);
+    otherwise a name under the node's prefix goes up to the
+    application, any other is flooded with the hop budget spent per
+    overlay hop, and a PIT entry records the way back.
     """
     if in_face not in node.faces:
         raise UnknownFace(f"{node.node_id} has no face {in_face!r}")
 
-    key = (pkt.name, pkt.nonce)
+    key = (pkt.name.text, pkt.nonce)
     if key in node.seen_nonces:
-        return [Drop("loop")]
+        return [_LOOP]
     node.seen_nonces.add(key)
 
     cached = node.cs.lookup(pkt.name, now)
@@ -245,7 +262,7 @@ def on_interest(
 
     out = _forwarding_faces(node, pkt, in_face)
     if not out:
-        return [Drop("no-route")]
+        return [_NO_ROUTE]
 
     node.pit[pkt.name] = PitEntry(
         downstream={(in_face, pkt.nonce)},
@@ -272,7 +289,7 @@ def on_data(node: NdnNode, pkt: DataPacket, in_face: str, now: float) -> List[Em
 
     entry = _expired_gone(node, pkt.name, now)
     if entry is None:
-        return [Drop("unsolicited")]
+        return [_UNSOLICITED]
 
     faces = sorted({face for face, _ in entry.downstream if face != in_face})
     emissions: List[Emission] = [SendData(face, pkt) for face in faces]

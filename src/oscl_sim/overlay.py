@@ -15,6 +15,10 @@ local application consumes it, and "dropped" where a copy terminates
 without consumer (loop pruning, no route, loss, or aggregation into an
 existing pending entry). Probe and link_up records appear in the
 message log but never in the counters.
+
+Most link traversals of a flood end in a drop, chiefly at the loop
+check, so a dropped copy costs only its log record, one counter, one
+drop tuple and the forwarder's shared Drop.
 """
 
 from __future__ import annotations
@@ -165,10 +169,6 @@ def _notification(container_name: HierarchicalName, payload: str, index: int) ->
     return DataPacket(container_name, body)
 
 
-def _kind(pkt: Packet) -> str:
-    return MSG_INTEREST if type(pkt) is InterestPacket else MSG_DATA
-
-
 class Overlay:
     """Event-driven overlay on top of an M2mSystem.
 
@@ -225,13 +225,25 @@ class Overlay:
     # ----- event loop -----
 
     def run(self) -> None:
-        """Drain the event queue, advancing the shared clock."""
-        events, system = self._events, self.system
+        """Drain the event queue, advancing the shared clock.
+
+        One pass per link traversal: log the arriving copy, hand it to
+        the receiving forwarder, and let ``_handle`` act on what the
+        forwarder emits. The packet's kind is read once, from its type.
+        """
+        events, system, nodes = self._events, self.system, self._nodes
+        log_append, pop, handle = system.log.append, heapq.heappop, self._handle
         while events:
-            at, _, u, v, pkt, trail = heapq.heappop(events)
+            at, _, u, v, pkt, trail = pop(events)
             if at > system.clock_ms:
                 system.clock_ms = at
-            self._arrive(u, v, pkt, trail)
+            now = system.clock_ms
+            if type(pkt) is InterestPacket:
+                kind, handler = MSG_INTEREST, on_interest
+            else:
+                kind, handler = MSG_DATA, on_data
+            log_append(MessageRecord(now, u, v, "", kind, pkt.name.text))
+            handle(v, kind, pkt, trail, handler(nodes[v], pkt, u, now))
 
     # ----- packet plumbing -----
 
@@ -240,68 +252,64 @@ class Overlay:
         node = self._nodes.get(origin)
         if node is None:
             raise UnknownNode(origin)
-        kind = _kind(pkt)
+        if type(pkt) is InterestPacket:
+            kind, handler = MSG_INTEREST, on_interest
+        else:
+            kind, handler = MSG_DATA, on_data
         self.system.counters.record(origin, kind, ROLE_ORIGINATED)
-        if kind == MSG_INTEREST:
-            emissions = on_interest(node, pkt, APP_FACE, self.system.clock_ms)
-        else:
-            emissions = on_data(node, pkt, APP_FACE, self.system.clock_ms)
-        self._handle(origin, pkt, (origin,), emissions)
+        emissions = handler(node, pkt, APP_FACE, self.system.clock_ms)
+        self._handle(origin, kind, pkt, (origin,), emissions)
 
-    def _handle(self, at_node: str, pkt: Packet, trail: Tuple[str, ...], emissions) -> None:
-        counters = self.system.counters
-        kind = _kind(pkt)
-        if not emissions:
-            # aggregated into a pending entry or fanned out to nobody
-            counters.record(at_node, kind, ROLE_DROPPED)
-            self.drops.append((at_node, "aggregated", str(pkt.name)))
+    def _handle(
+        self, at_node: str, kind: str, pkt: Packet, trail: Tuple[str, ...], emissions
+    ) -> None:
+        """Act on the emissions of ``at_node``'s forwarder for ``pkt``.
+
+        No emission means the copy was absorbed into a pending entry; a
+        Drop ends the copy. Anything sent to APP_FACE goes up to the
+        node's application. Anything else is forwarded over the link
+        behind its face, in one place: a relay count unless the copy
+        starts its journey here, a loss draw, and the push of its
+        arrival. A Data answer to an Interest is a Content Store hit,
+        which ends the Interest and starts a Data journey at this node.
+        """
+        record = self.system.counters.record
+        if not emissions or type(emissions[0]) is Drop:  # a Drop comes alone
+            record(at_node, kind, ROLE_DROPPED)
+            reason = emissions[0].reason if emissions else "aggregated"
+            self.drops.append((at_node, reason, pkt.name.text))
             return
+        faces = self._nodes[at_node].faces
         for em in emissions:
-            if isinstance(em, Drop):
-                counters.record(at_node, kind, ROLE_DROPPED)
-                self.drops.append((at_node, em.reason, str(pkt.name)))
-            elif isinstance(em, SendInterest):
-                if em.face == APP_FACE:
-                    counters.record(at_node, MSG_INTEREST, ROLE_RECEIVED)
-                    self._app_interest(at_node, em.packet, trail)
-                else:
-                    self._forward(at_node, em.face, em.packet, trail)
+            cls = type(em)
+            face, out, out_trail = em.face, em.packet, trail
+            if cls is SendInterest:
+                out_kind = MSG_INTEREST
             else:
-                data_trail = trail
-                if kind == MSG_INTEREST:
-                    # Content Store answered: the Interest stops here and
-                    # a fresh Data journey starts at this node
-                    counters.record(at_node, MSG_INTEREST, ROLE_RECEIVED)
-                    counters.record(at_node, MSG_DATA, ROLE_ORIGINATED)
-                    data_trail = (at_node,)
-                if em.face == APP_FACE:
-                    counters.record(at_node, MSG_DATA, ROLE_RECEIVED)
-                    self._app_data(at_node, em.packet, data_trail)
+                out_kind = MSG_DATA
+                if kind == MSG_INTEREST:  # Content Store hit
+                    record(at_node, MSG_INTEREST, ROLE_RECEIVED)
+                    record(at_node, MSG_DATA, ROLE_ORIGINATED)
+                    out_trail = (at_node,)
+            if face == APP_FACE:
+                record(at_node, out_kind, ROLE_RECEIVED)
+                if cls is SendInterest:
+                    self._app_interest(at_node, out, out_trail)
                 else:
-                    self._forward(at_node, em.face, em.packet, data_trail)
-
-    def _forward(self, u: str, face: str, pkt: Packet, trail: Tuple[str, ...]) -> None:
-        peer = face  # face ids double as neighbor ids
-        metrics = self._nodes[u].faces[face]
-        kind = _kind(pkt)
-        if u != trail[0]:
-            self.system.counters.record(u, kind, ROLE_RELAYED)
-        if metrics.loss > 0.0 and self.rng.random() < metrics.loss:
-            self.system.counters.record(u, kind, ROLE_DROPPED)
-            self.drops.append((u, "loss", str(pkt.name)))
-            return
-        at = self.system.clock_ms + metrics.delay_ms
-        heapq.heappush(self._events, (at, next(self._seq), u, peer, pkt, trail + (peer,)))
-
-    def _arrive(self, u: str, v: str, pkt: Packet, trail: Tuple[str, ...]) -> None:
-        kind = _kind(pkt)
-        self.system.log.append(MessageRecord(self.system.clock_ms, u, v, "", kind, str(pkt.name)))
-        node = self._nodes[v]
-        if kind == MSG_INTEREST:
-            emissions = on_interest(node, pkt, u, self.system.clock_ms)
-        else:
-            emissions = on_data(node, pkt, u, self.system.clock_ms)
-        self._handle(v, pkt, trail, emissions)
+                    self._app_data(at_node, out, out_trail)
+                continue
+            link = faces[face]  # face ids double as neighbor ids
+            if at_node != out_trail[0]:
+                record(at_node, out_kind, ROLE_RELAYED)
+            if link.loss > 0.0 and self.rng.random() < link.loss:
+                record(at_node, out_kind, ROLE_DROPPED)
+                self.drops.append((at_node, "loss", out.name.text))
+                continue
+            heapq.heappush(
+                self._events,
+                (self.system.clock_ms + link.delay_ms, next(self._seq), at_node, face, out,
+                 out_trail + (face,)),
+            )
 
     # ----- application endpoints -----
 

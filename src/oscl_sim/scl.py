@@ -159,14 +159,36 @@ class SclInstance:
 # ===== accounting =====
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MessageRecord:
+    """One line of the message log, in ``messages.csv`` column order.
+
+    Frozen like any dataclass, but built by filling its slots through
+    their descriptors, which skips the generated ``__init__``'s
+    ``object.__setattr__`` per field; every link traversal builds one.
+    """
+
     time_ms: float
     src: str
     dst: str
     relayer: str  # "" when direct
     msg_type: str
     name: str
+
+    def __init__(
+        self, time_ms: float, src: str, dst: str, relayer: str, msg_type: str, name: str
+    ) -> None:
+        _set_time_ms(self, time_ms)
+        _set_src(self, src)
+        _set_dst(self, dst)
+        _set_relayer(self, relayer)
+        _set_msg_type(self, msg_type)
+        _set_name(self, name)
+
+
+_set_time_ms, _set_src, _set_dst, _set_relayer, _set_msg_type, _set_name = (
+    getattr(MessageRecord, f).__set__ for f in MessageRecord.__slots__
+)
 
 
 class MessageCounters:

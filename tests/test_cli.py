@@ -430,6 +430,23 @@ def test_scenario_links_file_round_trip(tmp_path, capsys):
     assert _read(out / "messages.csv") == _read(again / "messages.csv")
 
 
+def test_empty_links_file_means_no_links(tmp_path, capsys):
+    # a links file with no link lines is an empty overlay, not the default chain
+    links = tmp_path / "links.txt"
+    links.write_text("# no links\n")
+    out = tmp_path / "bare"
+    assert main(["scenario", "usecase2", "--links", str(links), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "discovery=centralized" in stdout
+    assert "new_links=1" in stdout
+    assert json.loads((out / "manifest.json").read_text())["config"]["links"] == []
+    again = tmp_path / "bare-again"
+    assert main(["replay", str(out / "manifest.json"), "--out", str(again)]) == 0
+    capsys.readouterr()
+    for name in ("messages.csv", "counters.csv"):
+        assert _read(out / name) == _read(again / name)
+
+
 # ===== repeated in-process calls =====
 
 

@@ -157,6 +157,19 @@ def test_nonce_set_duplicate_add_keeps_position():
     assert a not in seen
 
 
+def test_nonce_set_fifo_through_the_handler():
+    node = _node(faces=["peer"])
+    node.seen_nonces = BoundedNonceSet(2)
+    for nonce in (1, 2, 3):
+        on_interest(node, _interest(name=parse_name(f"Gscl2/x{nonce}"), nonce=nonce), "peer", 0.0)
+    # the first key was evicted: its repeat passes the loop check and, with
+    # no other face to flood to, dies for want of a route instead
+    repeat_first = on_interest(node, _interest(name=parse_name("Gscl2/x1"), nonce=1), "peer", 1.0)
+    assert repeat_first == [Drop("no-route")]
+    repeat_third = on_interest(node, _interest(name=parse_name("Gscl2/x3"), nonce=3), "peer", 1.0)
+    assert repeat_third == [Drop("loop")]
+
+
 # ===== on_interest =====
 
 

@@ -1,11 +1,15 @@
+import dataclasses
+
 import pytest
 
+from oscl_sim.cli import MESSAGES_HEADER
 from oscl_sim.names import parse_name
 from oscl_sim.scl import (
     AlreadyRegistered,
     DuplicateResource,
     EmptyContainer,
     M2mSystem,
+    MessageRecord,
     NotAnNscl,
     NotFound,
     NotRegistered,
@@ -220,6 +224,18 @@ def test_append_without_subscribers_is_silent():
 
 
 # ===== accounting =====
+
+
+def test_message_records_are_immutable_values():
+    values = (3.0, "Gscl1", "Dscl1", "", "interest", "Gscl1/applications/app")
+    record = MessageRecord(*values)
+    assert [f.name for f in dataclasses.fields(MessageRecord)] == MESSAGES_HEADER
+    for name in MESSAGES_HEADER:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, "changed")
+    assert record == MessageRecord(*values)
+    assert record != values
+    assert tuple(getattr(record, name) for name in MESSAGES_HEADER) == values
 
 
 def test_clock_is_monotone_and_relay_costs_two_legs():
