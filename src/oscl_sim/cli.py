@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import operator
 import os
 import sys
 import time
@@ -395,8 +394,7 @@ def _run_scenario(config: Dict, out_dir: str) -> int:
         )
     )
     system = result.system
-    message_rows = map(operator.attrgetter(*MESSAGES_HEADER), system.log)
-    _write_csv(os.path.join(out_dir, "messages.csv"), MESSAGES_HEADER, message_rows)
+    _write_csv(os.path.join(out_dir, "messages.csv"), MESSAGES_HEADER, system.log.rows())
     _write_csv(os.path.join(out_dir, "counters.csv"), COUNTERS_HEADER, system.counters.rows())
     _write_manifest(out_dir, "scenario", config, ["messages.csv", "counters.csv"], started)
 

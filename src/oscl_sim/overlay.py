@@ -13,11 +13,11 @@ Counter semantics: a packet is "originated" once where it is injected,
 "relayed" at every node that forwards it onward, "received" where a
 local application consumes it, and "dropped" where a copy terminates
 without consumer (loop pruning, no route, loss, or aggregation into an
-existing pending entry). Probe and link_up records appear in the
+existing pending entry). Probe and link_up rows appear in the
 message log but never in the counters.
 
 Most link traversals of a flood end in a drop, chiefly at the loop
-check, so a dropped copy costs only its log record, one counter, one
+check, so a dropped copy costs only its log row, one counter, one
 drop tuple and the forwarder's shared Drop.
 """
 
@@ -49,7 +49,6 @@ from .scl import (
     DiscoveryResult,
     Locator,
     M2mSystem,
-    MessageRecord,
     MSG_DATA,
     MSG_INTEREST,
     MSG_LINK_UP,
@@ -232,7 +231,7 @@ class Overlay:
         forwarder emits. The packet's kind is read once, from its type.
         """
         events, system, nodes = self._events, self.system, self._nodes
-        log_append, pop, handle = system.log.append, heapq.heappop, self._handle
+        log_extend, pop, handle = system.log.extend, heapq.heappop, self._handle
         while events:
             at, _, u, v, pkt, trail = pop(events)
             if at > system.clock_ms:
@@ -242,7 +241,7 @@ class Overlay:
                 kind, handler = MSG_INTEREST, on_interest
             else:
                 kind, handler = MSG_DATA, on_data
-            log_append(MessageRecord(now, u, v, "", kind, pkt.name.text))
+            log_extend((now, u, v, "", kind, pkt.name.text))
             handle(v, kind, pkt, trail, handler(nodes[v], pkt, u, now))
 
     # ----- packet plumbing -----
@@ -508,15 +507,9 @@ class Overlay:
             if ok:
                 delivered += 1
                 total_delay += delay
-            self.system.log.append(
-                MessageRecord(
-                    self.system.clock_ms,
-                    path[0],
-                    path[-1],
-                    "",
-                    MSG_PROBE,
-                    "delivered" if ok else "lost",
-                )
+            self.system.log.extend(
+                (self.system.clock_ms, path[0], path[-1], "", MSG_PROBE,
+                 "delivered" if ok else "lost")
             )
         loss_ratio = (probe_count - delivered) / probe_count
         mean_delay = (total_delay / delivered) if delivered else None
@@ -551,10 +544,8 @@ class Overlay:
             self.add_link(origin, target)
         except DuplicateLink:
             return LinkDecision.REUSED_PATH
-        self.system.log.append(
-            MessageRecord(
-                self.system.clock_ms, origin, target, "", MSG_LINK_UP, str(result.uri)
-            )
+        self.system.log.extend(
+            (self.system.clock_ms, origin, target, "", MSG_LINK_UP, str(result.uri))
         )
         return LinkDecision.NEW_LINK
 

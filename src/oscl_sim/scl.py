@@ -12,6 +12,11 @@ delivery hook and a countdown, so the same append serves both: the
 hook that subscribe_centralized installs relays a notify message
 through the network SCL, and the overlay's hook sends Data peer to
 peer.
+
+Every message, here and on the overlay, adds one row to the system's
+MessageLog. The log keeps its rows as flat fields, which the garbage
+collector never walks, and builds a MessageRecord only when a row is
+read.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .names import HierarchicalName, parse_name
 from .ndn import NdnNode
@@ -159,14 +164,9 @@ class SclInstance:
 # ===== accounting =====
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class MessageRecord:
-    """One line of the message log, in ``messages.csv`` column order.
-
-    Frozen like any dataclass, but built by filling its slots through
-    their descriptors, which skips the generated ``__init__``'s
-    ``object.__setattr__`` per field; every link traversal builds one.
-    """
+    """One line of the message log, in ``messages.csv`` column order."""
 
     time_ms: float
     src: str
@@ -175,20 +175,47 @@ class MessageRecord:
     msg_type: str
     name: str
 
-    def __init__(
-        self, time_ms: float, src: str, dst: str, relayer: str, msg_type: str, name: str
-    ) -> None:
-        _set_time_ms(self, time_ms)
-        _set_src(self, src)
-        _set_dst(self, dst)
-        _set_relayer(self, relayer)
-        _set_msg_type(self, msg_type)
-        _set_name(self, name)
+
+_STRIDE = len(MessageRecord.__slots__)  # fields per log row
 
 
-_set_time_ms, _set_src, _set_dst, _set_relayer, _set_msg_type, _set_name = (
-    getattr(MessageRecord, f).__set__ for f in MessageRecord.__slots__
-)
+class MessageLog:
+    """The message log, one row per message, in sending order.
+
+    Rows are stored flat: one list holds every row's six fields in
+    ``MessageRecord`` order, so a row is six list slots and, its fields
+    being floats and strings, nothing the cyclic garbage collector
+    visits; a log of one row per link traversal would otherwise make
+    every full collection walk it. A writer adds a row with
+    ``extend((time_ms, src, dst, relayer, msg_type, name))``. Reading
+    by iteration, int index or slice builds ``MessageRecord``s;
+    ``rows()`` gives plain tuples in the same order.
+    """
+
+    __slots__ = ("_fields", "extend")
+
+    def __init__(self) -> None:
+        self._fields: list = []
+        self.extend = self._fields.extend
+
+    def __len__(self) -> int:
+        return len(self._fields) // _STRIDE
+
+    def __iter__(self) -> Iterator[MessageRecord]:
+        return map(MessageRecord, *[iter(self._fields)] * _STRIDE)
+
+    def __getitem__(self, key):
+        """A record for an int index, a list of records for a slice,
+        with a list's rules for negative and out-of-range keys."""
+        rows = range(len(self))[key]
+        fields = self._fields
+        if isinstance(rows, int):
+            return MessageRecord(*fields[rows * _STRIDE : (rows + 1) * _STRIDE])
+        return [MessageRecord(*fields[i * _STRIDE : (i + 1) * _STRIDE]) for i in rows]
+
+    def rows(self) -> Iterator[Tuple]:
+        """Each row as a plain tuple, in ``MessageRecord`` field order."""
+        return zip(*[iter(self._fields)] * _STRIDE)
 
 
 class MessageCounters:
@@ -224,7 +251,7 @@ class M2mSystem:
         self.clock_ms = 0.0
         self.scls: Dict[str, SclInstance] = {}
         self.nscl: Optional[SclInstance] = None
-        self.log: List[MessageRecord] = []
+        self.log: MessageLog = MessageLog()
         self.counters = MessageCounters()
         self._base_names: Dict[str, str] = {}  # base label -> node id
 
@@ -261,14 +288,14 @@ class M2mSystem:
 
     def send_direct(self, src: str, dst: str, msg_type: str, name: str) -> None:
         self.clock_ms += CONTROL_LEG_MS
-        self.log.append(MessageRecord(self.clock_ms, src, dst, "", msg_type, name))
+        self.log.extend((self.clock_ms, src, dst, "", msg_type, name))
         self.counters.record(src, msg_type, ROLE_ORIGINATED)
         self.counters.record(dst, msg_type, ROLE_RECEIVED)
 
     def send_relayed(self, src: str, dst: str, relayer: str, msg_type: str, name: str) -> None:
         """Two infrastructure legs through ``relayer`` (normally the NSCL)."""
         self.clock_ms += 2 * CONTROL_LEG_MS
-        self.log.append(MessageRecord(self.clock_ms, src, dst, relayer, msg_type, name))
+        self.log.extend((self.clock_ms, src, dst, relayer, msg_type, name))
         self.counters.record(src, msg_type, ROLE_ORIGINATED)
         self.counters.record(relayer, msg_type, ROLE_RELAYED)
         self.counters.record(dst, msg_type, ROLE_RECEIVED)
@@ -352,7 +379,9 @@ def resolve_resource(scl: SclInstance, name: HierarchicalName):
 
     Returns ("scl", scl) for the bare base name, ("application",
     containers) with the application's container dict, ("container",
-    container), or ("instance", payload, index).
+    container), or ("instance", payload, index). An instance is named
+    "latest", "oldest" or by its index in canonical ASCII decimal ("0",
+    "1", "10", ...); any other spelling is NotFound.
     Raises NotFound when any step is missing, EmptyContainer when a
     virtual instance is asked of an empty container.
     """
@@ -385,11 +414,15 @@ def resolve_resource(scl: SclInstance, name: HierarchicalName):
             raise EmptyContainer(str(name))
         index = len(container.instances) - 1 if selector == LATEST else 0
     else:
-        try:
-            index = int(selector)
-        except ValueError:
-            raise NotFound(str(name)) from None
-        if not (0 <= index < len(container.instances)):
+        # one name per instance: not "010", "+10", "1_0" or " 10",
+        # which int() would all read as 10
+        canonical = selector.isascii() and selector.isdigit() and (
+            selector == "0" or selector[0] != "0"
+        )
+        if not canonical:
+            raise NotFound(str(name))
+        index = int(selector)
+        if index >= len(container.instances):
             raise NotFound(str(name))
     return ("instance", container.instances[index], index)
 

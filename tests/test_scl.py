@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oscl_sim.cli import MESSAGES_HEADER
 from oscl_sim.names import parse_name
@@ -9,6 +11,7 @@ from oscl_sim.scl import (
     DuplicateResource,
     EmptyContainer,
     M2mSystem,
+    MessageLog,
     MessageRecord,
     NotAnNscl,
     NotFound,
@@ -110,6 +113,22 @@ def test_tree_missing_resources():
     ):
         with pytest.raises(NotFound):
             resolve_resource(gscl, parse_name(uri))
+
+
+@pytest.mark.parametrize(
+    "selector", ["010", "00", "-0", "+10", "1_0", " 10", "10 ", "\u0661\u0660", "\uff11\uff10"]
+)
+def test_an_instance_has_one_name(selector):
+    """Only the canonical decimal names an instance; int() would read
+    each of these selectors as 10 or 0."""
+    _, _, gscl, _ = _populated()
+    for i in range(11):
+        create_content_instance(gscl, "meter_app", "meter_data", f"v{i}")
+    base = "Gscl1/applications/meter_app/containers/meter_data/content_instances"
+    assert resolve_resource(gscl, parse_name(f"{base}/10")) == ("instance", "v10", 10)
+    assert resolve_resource(gscl, parse_name(f"{base}/0")) == ("instance", "v0", 0)
+    with pytest.raises(NotFound):
+        resolve_resource(gscl, parse_name(f"{base}/{selector}"))
 
 
 def test_tree_duplicates_rejected():
@@ -236,6 +255,40 @@ def test_message_records_are_immutable_values():
     assert record == MessageRecord(*values)
     assert record != values
     assert tuple(getattr(record, name) for name in MESSAGES_HEADER) == values
+
+
+_LOG_ROWS = st.lists(
+    st.tuples(
+        st.floats(allow_nan=False),
+        st.text(max_size=3),
+        st.text(max_size=3),
+        st.sampled_from(["", "Nscl"]),
+        st.sampled_from(["interest", "data", "notify"]),
+        st.text(max_size=5),
+    ),
+    max_size=12,
+)
+_BOUND = st.none() | st.integers(-15, 15)
+
+
+@given(_LOG_ROWS, _BOUND, _BOUND)
+def test_message_log_reads_like_a_list_of_records(rows, start, stop):
+    log = MessageLog()
+    for row in rows:
+        log.extend(row)
+    records = [MessageRecord(*row) for row in rows]
+    assert len(log) == len(records)
+    assert list(log) == records
+    for i in range(-len(records) - 2, len(records) + 2):
+        if -len(records) <= i < len(records):
+            assert log[i] == records[i]
+        else:
+            with pytest.raises(IndexError):
+                log[i]
+    assert log[start:stop] == records[start:stop]
+    assert list(log.rows()) == [
+        tuple(getattr(r, name) for name in MESSAGES_HEADER) for r in records
+    ]
 
 
 def test_clock_is_monotone_and_relay_costs_two_legs():
