@@ -75,7 +75,10 @@ def _write_manifest(out_dir: str, command: str, config: Dict, outputs: List[str]
 
 
 def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise FlagError(f"{path}: cannot use as output directory: {exc.strerror}") from None
     return path
 
 

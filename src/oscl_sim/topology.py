@@ -10,9 +10,10 @@ This module works on bare adjacency sets rather than Overlay objects:
 the experiment needs millions of pair draws, and bookkeeping on full
 forwarder state would drown the measurement. The experiment decides
 each draw with a meet-in-the-middle test over cached hop balls kept as
-integer bitmasks; a link clears the cached balls it can change (see
-run_topology_experiment). bfs_bounded is the reference search that
-the tests check that kernel against.
+integer bitmasks; a link grows the cached balls it can change in place,
+so a ball is built at most once per run (see run_topology_experiment).
+bfs_bounded is the reference search that the tests check that kernel
+against.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 AT_MOST = "at-most-d"  # link when no path of <= h hops (default)
 STRICTLY_LESS = "strictly-less-d"  # link when no path of < h hops
@@ -151,24 +152,27 @@ def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
     u meets the closed ball of radius h - h//2 around v. Balls are
     bitmasks over node indices. Radius 0 and 1 are kept exact; larger
     radii are grown from radius r-1 by adding the radius-1 balls of the
-    new shell, and cached until a link makes them stale.
+    new shell on first use, and then kept exact for the rest of the run.
 
-    A link (u, v) can change the r-ball only of nodes within r-1 hops
-    of u or v, so those entries are cleared. The stale sets of every
-    radius are gathered before any entry is cleared: clearing radius r
-    first would make the radius r+1 gather rebuild ball(u, r) from the
-    old graph and put it back in the cache, where the link leaves it
-    stale.
+    A shortest path uses a new link (u, v) at most once, so for a node x
+    at old distance j < r from u, the new r-ball of x is its old r-ball
+    plus the old (r-1-j)-ball of v, and likewise with u and v swapped.
+    The old balls of u and v are gathered first, then every cached ball
+    of the nodes on the shells of u and v grows in place; a ball not yet
+    built stays unbuilt. Pairs are drawn with the rejection loop that
+    ``rng.randrange`` runs, inlined, so the stream is the same.
     """
     n = config.n_nodes
     rng = random.Random(config.seed)
+    getrandbits = rng.getrandbits
+    u_bits, v_bits = n.bit_length(), (n - 1).bit_length()
     adjacency: List[Set[int]] = [set() for _ in range(n)]
     # no simple path is longer than n-1 hops, so a larger bound decides alike
     bound = min(hop_bound(config.max_hops, config.comparison), n - 1)
     near, far = bound // 2, bound - bound // 2
 
-    # balls[r][x]: closed r-ball of x as a bitmask; None once stale. A link
-    # that stales radius r also stales every larger radius, so the cached
+    # balls[r][x]: closed r-ball of x as a bitmask; None until first built.
+    # A ball is built only on top of the radius below it, so the cached
     # radii of a node are always 0..m for some m.
     balls: List[List[Optional[int]]] = [[1 << x for x in range(n)] for _ in range(2)]
     balls += [[None] * n for _ in range(2, far + 1)]
@@ -181,38 +185,61 @@ def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
             top -= 1
         grown = balls[top][x]
         for k in range(top + 1, r + 1):
-            for y in _members(grown & ~balls[k - 2][x]):
-                grown |= ones[y]
+            shell = grown & ~balls[k - 2][x]
+            while shell:
+                low = shell & -shell
+                grown |= ones[low.bit_length() - 1]
+                shell ^= low
             balls[k][x] = grown
         return grown
 
     series: List[Tuple[int, float]] = []
-    stride = config.stride
     pairs = config.pairs
     links = 0
     last_link = -1
 
-    for i in range(pairs):
-        u = rng.randrange(n)
-        v = rng.randrange(n - 1)
-        if v >= u:
-            v += 1
-        # a ball holds its centre, so it is never 0 and `or` only rebuilds stale ones
-        if v not in adjacency[u] and not (
-            (near_balls[u] or ball(u, near)) & (far_balls[v] or ball(v, far))
-        ):
-            stale = [ball(u, r - 1) | ball(v, r - 1) for r in range(2, far + 1)]
-            for radius_balls, hit in zip(balls[2:], stale):
-                for x in _members(hit):
-                    radius_balls[x] = None
-            ones[u] |= 1 << v
-            ones[v] |= 1 << u
+    for block in range(0, pairs, config.stride):
+        block_end = min(block + config.stride, pairs)
+        for i in range(block, block_end):
+            u = getrandbits(u_bits)
+            while u >= n:
+                u = getrandbits(u_bits)
+            v = getrandbits(v_bits)
+            while v >= n - 1:
+                v = getrandbits(v_bits)
+            if v >= u:
+                v += 1
+            # a ball holds its centre, so it is never 0 and `or` only builds missing ones
+            if v in adjacency[u] or (
+                (near_balls[u] or ball(u, near)) & (far_balls[v] or ball(v, far))
+            ):
+                continue
+            # old j-balls of both ends, j < far, taken before any ball grows;
+            # the j = 0 step puts v in the 1-ball of u, so `ones` needs no
+            # update of its own (with far 0, no ball above radius 0 is read)
+            u_reach = [ball(u, j) for j in range(far)]
+            v_reach = [ball(v, j) for j in range(far)]
+            for reach, other in ((u_reach, v_reach), (v_reach, u_reach)):
+                inside = 0
+                for j, within in enumerate(reach):
+                    # x at distance j: its r-ball gains the other end's (r-1-j)-ball
+                    gains = list(zip(balls[j + 1 : far + 1], other))
+                    shell = within ^ inside
+                    inside = within
+                    while shell:
+                        low = shell & -shell
+                        x = low.bit_length() - 1
+                        shell ^= low
+                        for radius_balls, gain in gains:
+                            grown = radius_balls[x]
+                            if grown is None:
+                                break
+                            radius_balls[x] = grown | gain
             adjacency[u].add(v)
             adjacency[v].add(u)
             links += 1
             last_link = i
-        if (i + 1) % stride == 0 or i + 1 == pairs:
-            series.append((i + 1, 2.0 * links / n))
+        series.append((block_end, 2.0 * links / n))
 
     saturated = (pairs - 1 - last_link) >= config.window
     return TopologyStats(
@@ -223,14 +250,6 @@ def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
         last_link_pair=last_link,
         saturated=saturated,
     )
-
-
-def _members(mask: int) -> Iterator[int]:
-    """Node indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def predicted_degree(n_nodes: float, max_hops: int) -> float:

@@ -164,6 +164,25 @@ def test_replay_checks_config_values(tmp_path, capsys, command, config, message)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["topology", "sweep", "scenario", "replay"])
+@pytest.mark.parametrize("kind", ["file", "under-file"])
+def test_unusable_out_is_flag_error(tmp_path, capsys, command, kind):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker if kind == "file" else blocker / "x"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "topology", "config": _TOPOLOGY}))
+    argv = {
+        "topology": ["topology", "--n", "4", "--d", "2"],
+        "sweep": ["sweep", "--n", "4", "--d", "2", "--seeds", "1"],
+        "scenario": ["scenario", "usecase1"],
+        "replay": ["replay", str(manifest)],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"error: {out}: cannot use as output directory: " in capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 def test_unreadable_links_file_is_flag_error(tmp_path, capsys, kind):
     links = tmp_path / "links.txt"

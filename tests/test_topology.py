@@ -3,7 +3,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oscl_sim.cli import main
 from oscl_sim.topology import (
@@ -218,17 +218,7 @@ def _reference_experiment(config):
     return adjacency, series, links, last_link, saturated
 
 
-@given(
-    n=st.integers(2, 40),
-    max_hops=st.integers(1, 7),
-    comparison=st.sampled_from(COMPARISONS),
-    seed=st.integers(0, 2**32 - 1),
-    pair_count=st.integers(1, 400),
-)
-def test_ball_kernel_matches_bfs_reference(n, max_hops, comparison, seed, pair_count):
-    config = ExperimentConfig(
-        n_nodes=n, max_hops=max_hops, seed=seed, pair_count=pair_count, comparison=comparison
-    )
+def _assert_kernel_matches_reference(config):
     stats = run_topology_experiment(config)
     got = (
         stats.adjacency,
@@ -238,6 +228,48 @@ def test_ball_kernel_matches_bfs_reference(n, max_hops, comparison, seed, pair_c
         stats.saturated,
     )
     assert got == _reference_experiment(config)
+
+
+@given(
+    n=st.integers(2, 40),
+    max_hops=st.integers(1, 7),
+    comparison=st.sampled_from(COMPARISONS),
+    seed=st.integers(0, 2**32 - 1),
+    pair_count=st.integers(1, 400),
+)
+def test_ball_kernel_matches_bfs_reference(n, max_hops, comparison, seed, pair_count):
+    _assert_kernel_matches_reference(
+        ExperimentConfig(
+            n_nodes=n, max_hops=max_hops, seed=seed, pair_count=pair_count, comparison=comparison
+        )
+    )
+
+
+# balls of more than one machine word, and shells at larger degree
+@settings(max_examples=40)
+@given(
+    n=st.integers(41, 160),
+    max_hops=st.integers(2, 6),
+    comparison=st.sampled_from(COMPARISONS),
+    seed=st.integers(0, 2**32 - 1),
+    pair_count=st.integers(1, 3000),
+)
+def test_ball_kernel_matches_bfs_reference_on_larger_graphs(
+    n, max_hops, comparison, seed, pair_count
+):
+    _assert_kernel_matches_reference(
+        ExperimentConfig(
+            n_nodes=n, max_hops=max_hops, seed=seed, pair_count=pair_count, comparison=comparison
+        )
+    )
+
+
+# computed with the rng.randrange draw loop; a drift in the pair stream
+# or the kernel changes them
+@pytest.mark.parametrize("max_hops, links, last_link", [(3, 3430, 158336), (5, 1394, 159189)])
+def test_kernel_pinned_at_512_nodes(max_hops, links, last_link):
+    stats = run_topology_experiment(ExperimentConfig(n_nodes=512, max_hops=max_hops, seed=0))
+    assert (stats.links_created, stats.last_link_pair) == (links, last_link)
 
 
 def test_unsaturated_run_is_flagged():
