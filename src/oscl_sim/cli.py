@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -33,8 +34,6 @@ SERIES_HEADER = ["N", "D", "seed", "pair_index", "avg_degree"]
 SUMMARY_HEADER = ["N", "D", "seed", "final_degree", "predicted", "ratio", "saturated"]
 MESSAGES_HEADER = ["time_ms", "src", "dst", "relayer", "msg_type", "name"]
 COUNTERS_HEADER = ["node", "msg_type", "role", "count"]
-
-BUDGET_ENV = "OSCL_SIM_BUDGET_SECS"
 
 
 class FlagError(Exception):
@@ -254,49 +253,46 @@ def _check_int_list(values, flag: str, low: int) -> None:
             raise FlagError(f"{flag} repeats the value {value}")
 
 
-def _check_sweep(config: Dict, budget_source: str = "--time-budget") -> None:
+def _check_sweep(config: Dict) -> None:
     _check_int_list(config["n"], "--n", 2)
     _check_int_list(config["d"], "--d", 1)
     _check_int(config["seeds"], "--seeds", 1)
     _check_choice(config["comparison"], "--comparison", COMPARISONS)
-    budget = config["budget_secs"]
+    budget = config["budget_secs"]  # None: no budget
     if budget is not None and (
-        isinstance(budget, bool) or not isinstance(budget, (int, float)) or not budget >= 0
-    ):  # `not budget >= 0` also catches NaN
-        raise FlagError(f"{budget_source} must be a number >= 0, got {budget!r}")
+        isinstance(budget, bool)
+        or not isinstance(budget, (int, float))
+        or not 0 <= budget < math.inf  # NaN and infinity fail too
+    ):
+        raise FlagError(f"--time-budget must be a finite number >= 0, got {budget!r}")
     jobs = config.get("jobs")  # a replayed manifest's record of the jobs that ran
     if jobs is not None:
         if not isinstance(jobs, list):
             raise FlagError(f"jobs must be a list of [n, d, seed], got {jobs!r}")
+        named = set(_sweep_jobs(config))
         for i, job in enumerate(jobs):
             if not isinstance(job, list) or len(job) != 3:
                 raise FlagError(f"jobs[{i}] must be [n, d, seed], got {job!r}")
             for value, what, low in zip(job, ("n", "d", "seed"), (2, 1, 0)):
                 _check_int(value, f"jobs[{i}] {what}", low)
+            if tuple(job) not in named:
+                raise FlagError(f"jobs[{i}] {job!r} is not a job of --n, --d and --seeds")
+            if job in jobs[:i]:
+                raise FlagError(f"jobs[{i}] repeats the job {job!r}")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     sizes = _parse_int_list(args.n, "--n")
     hops = _parse_int_list(args.d, "--d")
-    env_budget = os.environ.get(BUDGET_ENV)
-    if env_budget is not None:
-        try:
-            budget: Optional[float] = float(env_budget)
-        except ValueError:
-            raise FlagError(f"{BUDGET_ENV} must be a number, got {env_budget!r}") from None
-        source = BUDGET_ENV
-    else:
-        budget = args.time_budget
-        source = "--time-budget"
     config = {
         "n": sizes,
         "d": hops,
         "seeds": args.seeds,
         "seed": None,
         "comparison": args.comparison,
-        "budget_secs": budget,
+        "budget_secs": args.time_budget,
     }
-    _check_sweep(config, source)
+    _check_sweep(config)
     return _run_sweep(config, _ensure_out(args.out))
 
 
@@ -494,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--time-budget",
         type=float,
         default=None,
-        help=f"seconds; skip jobs projected past it ({BUDGET_ENV} overrides)",
+        help="seconds; skip jobs projected past it",
     )
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -58,11 +58,6 @@ class InterestPacket:
 class DataPacket:
     name: HierarchicalName
     payload: bytes
-    freshness_ms: float = DEFAULT_FRESHNESS_MS
-
-    def __post_init__(self) -> None:
-        if self.freshness_ms <= 0:
-            raise ValueError("freshness_ms must be positive")
 
 
 # ===== emissions: what a handler asks the harness to do =====
@@ -116,9 +111,9 @@ class PitEntry:
 class ContentStore:
     """LRU cache of Data packets with freshness-based expiry.
 
-    Stale entries are purged lazily when a lookup or insert touches
-    them, so the store never serves an expired item but also never
-    needs a timer.
+    An entry goes stale DEFAULT_FRESHNESS_MS after its insertion. Stale
+    entries are purged lazily when a lookup or insert touches them, so
+    the store never serves an expired item but also never needs a timer.
     """
 
     def __init__(self, capacity: int = DEFAULT_CS_CAPACITY) -> None:
@@ -135,7 +130,7 @@ class ContentStore:
         if hit is None:
             return None
         packet, inserted_at = hit
-        if inserted_at + packet.freshness_ms <= now:
+        if inserted_at + DEFAULT_FRESHNESS_MS <= now:
             del self._items[name]
             return None
         self._items.move_to_end(name)  # refresh recency

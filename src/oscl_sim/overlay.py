@@ -63,7 +63,6 @@ from .scl import (
     centralized_discover,
     resolve_resource,
 )
-from .topology import AT_MOST, COMPARISONS, hop_bound
 
 DEFAULT_SUBSCRIBE_SCOPE = 16
 
@@ -98,12 +97,13 @@ class LinkMetrics:
     capacity: float = 100.0
 
     def __post_init__(self) -> None:
-        if not self.delay_ms >= 0:  # written so that NaN fails too
-            raise ValueError("delay_ms must be >= 0")
+        # chained comparisons with math.inf: NaN and infinity fail too
+        if not 0 <= self.delay_ms < math.inf:
+            raise ValueError("delay_ms must be finite and >= 0")
         if not (0.0 <= self.loss <= 1.0):
             raise ValueError("loss must be in [0, 1]")
-        if not self.capacity > 0:
-            raise ValueError("capacity must be positive")
+        if not 0 < self.capacity < math.inf:
+            raise ValueError("capacity must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -126,35 +126,20 @@ class QosMetrics:
             raise ValueError("loss_ratio out of range")
 
 
-# QoS a measured path must meet to keep serving traffic
+# the link-admission policy: an overlay path keeps serving traffic while
+# it is at most MAX_PATH_HOPS long and its measured QoS meets these bounds
+MAX_PATH_HOPS = 3
 MAX_LOSS = 0.05
 MAX_DELAY_MS = 200.0
 MIN_THROUGHPUT = 1.0
 
 
-@dataclass(frozen=True)
-class QosPolicy:
-    """Acceptability thresholds for serving traffic over an existing path:
-    the hop bound here, the measured-QoS bounds in the module constants."""
-
-    max_path_hops: int = 3
-    comparison: str = AT_MOST
-
-    def __post_init__(self) -> None:
-        if self.max_path_hops < 1:
-            raise ValueError("max_path_hops must be >= 1")
-        if self.comparison not in COMPARISONS:
-            raise ValueError(f"comparison must be one of {COMPARISONS}")
-
-    def path_acceptable(self, hops: int) -> bool:
-        return hops <= hop_bound(self.max_path_hops, self.comparison)
-
-    def metrics_acceptable(self, metrics: QosMetrics) -> bool:
-        if metrics.loss_ratio > MAX_LOSS:
-            return False
-        if metrics.mean_delay_ms is None or metrics.mean_delay_ms > MAX_DELAY_MS:
-            return False
-        return metrics.throughput >= MIN_THROUGHPUT
+def _metrics_acceptable(metrics: QosMetrics) -> bool:
+    if metrics.loss_ratio > MAX_LOSS:
+        return False
+    if metrics.mean_delay_ms is None or metrics.mean_delay_ms > MAX_DELAY_MS:
+        return False
+    return metrics.throughput >= MIN_THROUGHPUT
 
 
 class LinkDecision(Enum):
@@ -329,9 +314,7 @@ class Overlay:
             return
         key = (trail[0], str(pkt.name), pkt.nonce)
         if resolved[0] == "container" and key in self._subs:
-            sub = Subscription(
-                partial(self._notify, node_id, pkt.name), pkt.solicit_count, tuple(reversed(trail))
-            )
+            sub = Subscription(partial(self._notify, node_id, pkt.name), pkt.solicit_count)
             resolved[1].subscriptions.append(sub)
             self._subs[key] = sub
             return
@@ -517,26 +500,22 @@ class Overlay:
         return QosMetrics(loss_ratio, mean_delay, throughput, probe_count)
 
     def ensure_link(
-        self,
-        origin: str,
-        result: DiscoveryResult,
-        policy: QosPolicy,
-        metrics: Optional[QosMetrics] = None,
+        self, origin: str, result: DiscoveryResult, metrics: Optional[QosMetrics] = None
     ) -> LinkDecision:
         """Create a direct link to the discovered peer when needed.
 
         Triggers on any of: the discovery had to fall back to the
-        registry, the overlay path is longer than the policy allows, or
-        measured QoS violates the policy. An existing direct link is
-        always good enough.
+        registry, the overlay path is longer than MAX_PATH_HOPS, or the
+        measured QoS misses the MAX_LOSS, MAX_DELAY_MS or MIN_THROUGHPUT
+        bound. An existing direct link is always good enough.
         """
         target = result.locator.node_id
         if target == origin:
             return LinkDecision.REUSED_PATH
         trigger = result.method == "centralized"
-        if result.path_hops is not None and not policy.path_acceptable(result.path_hops):
+        if result.path_hops is not None and result.path_hops > MAX_PATH_HOPS:
             trigger = True
-        if metrics is not None and not policy.metrics_acceptable(metrics):
+        if metrics is not None and not _metrics_acceptable(metrics):
             trigger = True
         if not trigger:
             return LinkDecision.REUSED_PATH
@@ -576,9 +555,8 @@ class Overlay:
             resolved = resolve_resource(origin_scl, target_uri)
             if resolved[0] != "container":
                 raise NotFound(f"{target_uri} is not a container")
-            sub = Subscription(
-                partial(self._notify_local, origin, target_uri), expected_notifications, (origin,)
-            )
+            hook = partial(self._notify_local, origin, target_uri)
+            sub = Subscription(hook, expected_notifications)
             resolved[1].subscriptions.append(sub)
             return sub
         nonce, _ = self._request(
@@ -590,6 +568,6 @@ class Overlay:
         return sub
 
     def notifications(self, consumer: str, container_uri: HierarchicalName) -> List[dict]:
-        """Decoded subscription payloads delivered to ``consumer`` so far."""
-        rows = self._inbox.get((consumer, str(container_uri)), [])
-        return [json.loads(pkt.payload) for pkt, _ in rows]
+        """Decoded subscription payloads delivered to ``consumer`` so far;
+        ``answers`` gives each one's path too."""
+        return [payload for payload, _ in self.answers(consumer, container_uri)]

@@ -6,18 +6,20 @@ a meter application behind a single gateway; the baseline (overlay
 off) routes every notification through the network SCL, while the
 overlay variant discovers the producer, brings up one direct link and
 subscribes peer to peer. In the second, the meter sits three gateway
-domains away and the pre-seeded overlay chain already satisfies the
-hop policy, so discovery succeeds without the hub and no new link is
-needed.
+domains away and the pre-seeded overlay chain is no longer than the
+overlay's MAX_PATH_HOPS, so discovery succeeds without the hub and no
+new link is needed. The link-admission policy lives in the overlay
+module alone: discovery searches MAX_PATH_HOPS deep, and ensure_link
+decides on the link.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .names import parse_name
-from .overlay import LinkDecision, LinkMetrics, Overlay, QosMetrics, QosPolicy
+from .overlay import MAX_PATH_HOPS, LinkDecision, LinkMetrics, Overlay, QosMetrics
 from .scl import (
     DiscoveryResult,
     M2mSystem,
@@ -88,7 +90,6 @@ class ScenarioConfig:
     oscl_enabled: bool = True
     appends: int = 5
     seed: int = 0
-    policy: QosPolicy = field(default_factory=QosPolicy)
     links: Optional[Tuple[LinkSpec, ...]] = None  # None = the spec's chain
 
     def __post_init__(self) -> None:
@@ -103,9 +104,7 @@ class ScenarioResult:
     config: ScenarioConfig
     system: M2mSystem
     overlay: Overlay
-    producer: SclInstance
     subscriber: SclInstance
-    app_uri: str
     container_uri: str
     discovery: Optional[DiscoveryResult] = None
     qos: Optional[QosMetrics] = None
@@ -147,23 +146,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         config=config,
         system=system,
         overlay=overlay,
-        producer=producer,
         subscriber=dscl,
-        app_uri=str(app_uri),
         container_uri=str(container_uri),
     )
     bare_app = parse_name(spec.app)
 
     if config.oscl_enabled:
         query = app_uri if spec.discover_by_uri else bare_app
-        result.discovery = overlay.discover(
-            dscl.node_id, query, scope=config.policy.max_path_hops, nscl=nscl
-        )
+        result.discovery = overlay.discover(dscl.node_id, query, scope=MAX_PATH_HOPS, nscl=nscl)
         if result.discovery.path_hops not in (None, 0):
             result.qos = overlay.qos_monitor(result.discovery.path)
-        result.link_decision = overlay.ensure_link(
-            dscl.node_id, result.discovery, config.policy, result.qos
-        )
+        result.link_decision = overlay.ensure_link(dscl.node_id, result.discovery, result.qos)
         result.subscription = overlay.p2p_subscribe(
             dscl.node_id, container_uri, expected_notifications=config.appends
         )

@@ -31,6 +31,10 @@ from .ndn import NdnNode
 
 CONTROL_LEG_MS = 1.0  # one infrastructure hop, fixed
 
+# the address in every SCL's Locator; the simulation opens no socket
+SCL_HOST = "10.0.0.1"
+SCL_PORT = 4000
+
 LATEST = "latest"
 OLDEST = "oldest"
 
@@ -122,11 +126,12 @@ class DiscoveryResult:
 class Subscription:
     """Standing request for future content instances of one container:
     ``deliver(payload, index)`` carries each one to the subscriber, by
-    whatever route, and spends one unit of ``remaining``."""
+    whatever route, and spends one unit of ``remaining``. The route is
+    the hook's business: an overlay notification records its own path
+    as it travels."""
 
     deliver: Callable[[str, int], None]
     remaining: Optional[int] = None  # None = unbounded
-    delivery_path: Optional[Tuple[str, ...]] = None  # overlay only, producer first
 
     @property
     def active(self) -> bool:
@@ -255,13 +260,7 @@ class M2mSystem:
         self.counters = MessageCounters()
         self._base_names: Dict[str, str] = {}  # base label -> node id
 
-    def add_scl(
-        self,
-        kind: SclKind,
-        node_id: str,
-        host: str = "10.0.0.1",
-        port: int = 4000,
-    ) -> SclInstance:
+    def add_scl(self, kind: SclKind, node_id: str) -> SclInstance:
         if node_id in self.scls:
             raise DuplicateResource(f"node id {node_id!r} taken")
         if kind is SclKind.NSCL and self.nscl is not None:
@@ -270,7 +269,7 @@ class M2mSystem:
         label = base.components[0]
         if label in self._base_names:
             raise DuplicateResource(f"base name {label!r} taken")
-        scl = SclInstance(node_id, kind, base, Locator(node_id, host, port), self)
+        scl = SclInstance(node_id, kind, base, Locator(node_id, SCL_HOST, SCL_PORT), self)
         self.scls[node_id] = scl
         self._base_names[label] = node_id
         if kind is SclKind.NSCL:

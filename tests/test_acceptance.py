@@ -14,7 +14,7 @@ import pytest
 
 from oscl_sim.cli import main
 from oscl_sim.names import parse_name
-from oscl_sim.overlay import LinkDecision, Overlay, QosPolicy
+from oscl_sim.overlay import LinkDecision, Overlay
 from oscl_sim.scenarios import NSCL_ID, SUBSCRIBER_ID, ScenarioConfig, run_scenario
 from oscl_sim.scl import (
     M2mSystem,
@@ -224,7 +224,7 @@ def test_fallback_then_direct_link(report):
 
     target = parse_name("Gscl1/applications/meter_app")
     first = overlay.discover(consumer.node_id, target, scope=3, nscl=nscl)
-    decision = overlay.ensure_link(consumer.node_id, first, QosPolicy())
+    decision = overlay.ensure_link(consumer.node_id, first)
     second = overlay.discover(consumer.node_id, target, scope=3, nscl=nscl)
     ok = (
         first.method == "centralized"

@@ -1,11 +1,14 @@
+import ast
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from oscl_sim.cli import BUDGET_ENV, build_parser, main
+import oscl_sim
+from oscl_sim.cli import build_parser, main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "runs" / "usecases"
 
@@ -64,16 +67,12 @@ def test_sweep_rejects_repeated_values(tmp_path, capsys, sizes, hops, message):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("budget", ["-1", "nan"])
-@pytest.mark.parametrize("source", ["--time-budget", BUDGET_ENV], ids=["flag", "env"])
-def test_sweep_rejects_negative_or_nan_budget(tmp_path, capsys, monkeypatch, source, budget):
+# leaving the flag out means no budget, so no value stands for "unbounded"
+@pytest.mark.parametrize("budget", ["-1", "nan", "inf"], ids=["flag--1", "flag-nan", "flag-inf"])
+def test_sweep_rejects_negative_or_nan_budget(tmp_path, capsys, budget):
     argv = ["sweep", "--n", "8", "--d", "1", "--seeds", "1", "--out", str(tmp_path / "out")]
-    if source == BUDGET_ENV:
-        monkeypatch.setenv(BUDGET_ENV, budget)
-    else:
-        argv += ["--time-budget", budget]
-    assert main(argv) == 2
-    assert f"{source} must be a number >= 0" in capsys.readouterr().err
+    assert main(argv + ["--time-budget", budget]) == 2
+    assert "--time-budget must be a finite number >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -82,13 +81,6 @@ def test_scenario_rejects_unknown_name_and_bad_oscl(tmp_path, capsys):
     assert main(["scenario", "usecase1", "--oscl", "maybe", "--out", str(tmp_path)]) == 2
     assert main(["scenario", "usecase1", "--appends", "0", "--out", str(tmp_path)]) == 2
     capsys.readouterr()
-
-
-def test_bad_budget_env_is_flag_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV, "soon")
-    code = main(["sweep", "--n", "8", "--d", "1", "--seeds", "1", "--out", str(tmp_path)])
-    assert code == 2
-    assert BUDGET_ENV in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -123,7 +115,22 @@ _SCENARIO = {"name": "usecase1", "oscl": "on", "appends": 3, "seed": 0}
         ("topology", {**_TOPOLOGY, "n": "abc"}, "--n must be an integer >= 2, got 'abc'"),
         ("topology", {**_TOPOLOGY, "n": 1}, "--n must be an integer >= 2, got 1"),
         ("sweep", {**_SWEEP, "jobs": [[1, 1, 0]]}, "jobs[0] n must be an integer >= 2, got 1"),
-        ("sweep", {**_SWEEP, "budget_secs": -1}, "--time-budget must be a number >= 0, got -1"),
+        (
+            "sweep",
+            {**_SWEEP, "budget_secs": -1},
+            "--time-budget must be a finite number >= 0, got -1",
+        ),
+        (
+            "sweep",
+            {**_SWEEP, "budget_secs": math.inf},  # json.dumps writes Infinity
+            "--time-budget must be a finite number >= 0, got inf",
+        ),
+        (
+            "sweep",
+            {**_SWEEP, "jobs": [[8, 1, 0], [64, 7, 5]]},
+            "jobs[1] [64, 7, 5] is not a job of --n, --d and --seeds",
+        ),
+        ("sweep", {**_SWEEP, "jobs": [[8, 1, 0], [8, 1, 0]]}, "jobs[1] repeats the job [8, 1, 0]"),
         ("scenario", {**_SCENARIO, "appends": 0}, "--appends must be an integer >= 1, got 0"),
         (
             "scenario",
@@ -149,6 +156,9 @@ _SCENARIO = {"name": "usecase1", "oscl": "on", "appends": 3, "seed": 0}
         "topology-n-1",
         "sweep-job",
         "sweep-budget",
+        "sweep-budget-infinity",
+        "sweep-foreign-job",
+        "sweep-repeated-job",
         "scenario-appends-0",
         "scenario-unknown-node",
         "scenario-repeated-link",
@@ -203,7 +213,9 @@ def test_bad_links_file_reports_line(tmp_path, capsys):
     assert f"{links}:3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["delay_ms=abc", "delay_ms=nan", "loss=2", "capacity=0"])
+@pytest.mark.parametrize(
+    "bad", ["delay_ms=abc", "delay_ms=nan", "delay_ms=inf", "loss=2", "capacity=0", "capacity=inf"]
+)
 def test_bad_links_value_reports_line(tmp_path, capsys, bad):
     links = tmp_path / "links.txt"
     links.write_text(f"link Dscl1 Gscl1\nlink Gscl1 Nscl {bad}\n")
@@ -347,20 +359,6 @@ def test_sweep_zero_budget_skips_everything(tmp_path, capsys):
     assert len(lines) == 1  # header only
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["jobs"] == []
-
-
-def test_budget_env_overrides_flag(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV, "0")
-    out = tmp_path / "sweep-env"
-    code = main(
-        [
-            "sweep", "--n", "8", "--d", "1", "--seeds", "1",
-            "--time-budget", "1000000", "--out", str(out),
-        ]
-    )
-    assert code == 0
-    assert "skipped" in capsys.readouterr().err
-    assert json.loads((out / "manifest.json").read_text())["config"]["jobs"] == []
 
 
 def test_sweep_replay_ignores_budget(tmp_path, capsys):
@@ -513,3 +511,18 @@ def test_module_usage_error_exit_code():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_package_imports_only_the_standard_library():
+    package = Path(oscl_sim.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name} imports {module}"

@@ -73,7 +73,8 @@ def _flood_run():
     producer = system.scl("Gscl30")
     for k in range(5):
         create_content_instance(producer, "app30", "data", f"reading{k}")
-    results.append(("subscribe", sub.delivery_path, sub.remaining, sub.active))
+    path = tuple(overlay.answers("Gscl2", container)[0][1])  # the first notification's trail
+    results.append(("subscribe", path, sub.remaining, sub.active))
     results.append(("notifications", overlay.notifications("Gscl2", container)))
 
     log_rows = [

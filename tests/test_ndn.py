@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from oscl_sim.names import parse_name
 from oscl_sim.ndn import (
     APP_FACE,
+    DEFAULT_FRESHNESS_MS,
     DEFAULT_PIT_LIFETIME_MS,
     BoundedNonceSet,
     ContentStore,
@@ -36,8 +37,8 @@ def _interest(name=NAME, nonce=7, hop_limit=4, solicit=1):
     return InterestPacket(name, nonce, hop_limit, solicit_count=solicit)
 
 
-def _data(name=NAME, payload=b"x", freshness=1000.0):
-    return DataPacket(name, payload, freshness_ms=freshness)
+def _data(name=NAME, payload=b"x"):
+    return DataPacket(name, payload)
 
 
 # ===== ContentStore =====
@@ -66,7 +67,7 @@ class ReferenceStore:
         if name not in self.items:
             return None
         packet, inserted = self.items[name]
-        if inserted + packet.freshness_ms <= now:
+        if inserted + DEFAULT_FRESHNESS_MS <= now:
             del self.items[name]
             self.recency.remove(name)
             return None
@@ -96,9 +97,9 @@ def test_cs_lookup_refreshes_recency():
 
 def test_cs_freshness_expiry():
     cs = ContentStore(4)
-    cs.insert(_data(freshness=10.0), 0.0)
-    assert cs.lookup(NAME, 5.0) is not None
-    assert cs.lookup(NAME, 10.0) is None  # stale exactly at the boundary
+    cs.insert(_data(), 0.0)
+    assert cs.lookup(NAME, DEFAULT_FRESHNESS_MS - 1.0) is not None
+    assert cs.lookup(NAME, DEFAULT_FRESHNESS_MS) is None  # stale exactly at the boundary
     assert len(cs) == 0  # purged on encounter
 
 
@@ -109,11 +110,12 @@ def test_cs_capacity_zero_stores_nothing():
     assert cs.lookup(NAME, 0.0) is None
 
 
+# time steps that land on, just short of and past the freshness boundary
+_cs_steps = st.sampled_from(
+    (0.0, 1.0, DEFAULT_FRESHNESS_MS / 4, DEFAULT_FRESHNESS_MS - 1.0, DEFAULT_FRESHNESS_MS)
+)
 _cs_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("insert"), st.integers(0, 9), st.floats(1.0, 50.0)),
-        st.tuples(st.just("lookup"), st.integers(0, 9)),
-    ),
+    st.tuples(st.sampled_from(("insert", "lookup")), st.integers(0, 9), _cs_steps),
     max_size=40,
 )
 
@@ -123,14 +125,14 @@ def test_cs_matches_reference_model(capacity, ops):
     cs = ContentStore(capacity)
     ref = ReferenceStore(capacity)
     now = 0.0
-    for op in ops:
-        now += 1.0
-        if op[0] == "insert":
-            packet = _data(parse_name(f"n{op[1]}"), freshness=op[2])
+    for kind, key, step in ops:
+        now += step
+        name = parse_name(f"n{key}")
+        if kind == "insert":
+            packet = _data(name, payload=f"{key}@{now}".encode())
             cs.insert(packet, now)
             ref.insert(packet, now)
         else:
-            name = parse_name(f"n{op[1]}")
             assert cs.lookup(name, now) == ref.lookup(name, now)
         assert len(cs) <= max(capacity, 0)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oscl_sim.names import parse_name
 from oscl_sim.ndn import APP_FACE
 from oscl_sim.overlay import (
+    MAX_PATH_HOPS,
     BrokenPath,
     DuplicateLink,
     LinkDecision,
@@ -17,7 +18,6 @@ from oscl_sim.overlay import (
     NoPath,
     Overlay,
     QosMetrics,
-    QosPolicy,
     UnknownNode,
 )
 from oscl_sim.scl import (
@@ -30,7 +30,6 @@ from oscl_sim.scl import (
     create_content_instance,
     register_scl,
 )
-from oscl_sim.topology import STRICTLY_LESS
 
 APP_URI = "Gscl1/applications/meter_app"
 CONTAINER_URI = "Gscl1/applications/meter_app/containers/meter_data"
@@ -315,7 +314,7 @@ def test_ensure_link_after_fallback_enables_distributed_discovery():
 
     first = overlay.discover(consumer.node_id, parse_name(APP_URI), scope=3)
     assert first.method == "centralized"
-    decision = overlay.ensure_link(consumer.node_id, first, QosPolicy())
+    decision = overlay.ensure_link(consumer.node_id, first)
     assert decision is LinkDecision.NEW_LINK
     assert overlay.edge_count == 1
     # link_up is logged but not billed
@@ -325,35 +324,34 @@ def test_ensure_link_after_fallback_enables_distributed_discovery():
     second = overlay.discover(consumer.node_id, parse_name(APP_URI), scope=3)
     assert second.method == "distributed"
     assert second.path == (consumer.node_id, producer.node_id)
-    assert overlay.ensure_link(consumer.node_id, second, QosPolicy()) is LinkDecision.REUSED_PATH
+    assert overlay.ensure_link(consumer.node_id, second) is LinkDecision.REUSED_PATH
     assert overlay.edge_count == 1
 
 
-def test_ensure_link_accepts_path_within_policy():
-    _, overlay, consumer, _, _ = _chain(n_relays=2)
-    result = overlay.distributed_discover(consumer, parse_name(APP_URI), scope=3)
-    assert overlay.ensure_link(consumer, result, QosPolicy(max_path_hops=3)) is LinkDecision.REUSED_PATH
-    assert overlay.ensure_link(consumer, result, QosPolicy(max_path_hops=2)) is LinkDecision.NEW_LINK
-
-
-def test_ensure_link_strict_comparison_rejects_exact_budget_path():
-    _, overlay, consumer, _, _ = _chain(n_relays=2)
-    result = overlay.distributed_discover(consumer, parse_name(APP_URI), scope=3)
-    policy = QosPolicy(max_path_hops=3, comparison=STRICTLY_LESS)
-    assert overlay.ensure_link(consumer, result, policy) is LinkDecision.NEW_LINK
+@pytest.mark.parametrize(
+    "hops, decision",
+    [(MAX_PATH_HOPS, LinkDecision.REUSED_PATH), (MAX_PATH_HOPS + 1, LinkDecision.NEW_LINK)],
+    ids=["3-hops-reused", "4-hops-new-link"],
+)
+def test_ensure_link_path_hop_boundary(hops, decision):
+    _, overlay, consumer, _, _ = _chain(n_relays=hops - 1)
+    result = overlay.distributed_discover(consumer, parse_name(APP_URI), scope=hops)
+    assert result.path_hops == hops
+    assert overlay.ensure_link(consumer, result) is decision
+    assert overlay.edge_count == hops + (decision is LinkDecision.NEW_LINK)
 
 
 def test_ensure_link_triggered_by_bad_metrics():
     _, overlay, consumer, _, _ = _chain(n_relays=2)
     result = overlay.distributed_discover(consumer, parse_name(APP_URI), scope=3)
     bad = QosMetrics(loss_ratio=0.5, mean_delay_ms=10.0, throughput=100.0, sample_count=8)
-    assert overlay.ensure_link(consumer, result, QosPolicy(), bad) is LinkDecision.NEW_LINK
+    assert overlay.ensure_link(consumer, result, bad) is LinkDecision.NEW_LINK
 
 
 def test_ensure_link_self_result_is_noop():
     _, overlay, _, _, producer = _chain()
     result = overlay.distributed_discover(producer.node_id, parse_name(APP_URI), scope=3)
-    assert overlay.ensure_link(producer.node_id, result, QosPolicy()) is LinkDecision.REUSED_PATH
+    assert overlay.ensure_link(producer.node_id, result) is LinkDecision.REUSED_PATH
 
 
 # ===== p2p subscription =====
@@ -364,9 +362,10 @@ def test_p2p_subscribe_delivers_future_instances():
     container = parse_name(CONTAINER_URI)
     sub = overlay.p2p_subscribe(consumer, container, expected_notifications=3)
     assert sub.remaining == 3
-    assert sub.delivery_path == (producer.node_id, *reversed(relays), consumer)
     for i in range(3):
         create_content_instance(producer, "meter_app", "meter_data", f"reading-{i}")
+    path = [producer.node_id, *reversed(relays), consumer]
+    assert [trail for _, trail in overlay.answers(consumer, container)] == [path] * 3
     got = overlay.notifications(consumer, container)
     assert [(g["value"], g["index"]) for g in got] == [
         ("reading-0", 0),

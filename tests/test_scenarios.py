@@ -1,9 +1,8 @@
 import pytest
 
 from oscl_sim.names import parse_name
-from oscl_sim.overlay import LinkDecision, QosPolicy
+from oscl_sim.overlay import LinkDecision
 from oscl_sim.scenarios import NSCL_ID, SUBSCRIBER_ID, ScenarioConfig, run_scenario
-from oscl_sim.topology import STRICTLY_LESS
 
 ALL_VARIANTS = [
     ("usecase1", True),
@@ -30,11 +29,11 @@ def test_usecase1_overlay_path():
     assert r.qos is None
     assert r.link_decision is LinkDecision.NEW_LINK
     assert r.new_links == 1
-    assert r.subscription.delivery_path == ("Gscl1", SUBSCRIBER_ID)
     assert not r.subscription.active  # budget spent
 
-    got = r.overlay.notifications(SUBSCRIBER_ID, parse_name(r.container_uri))
-    assert [g["value"] for g in got] == [f"reading-{i}" for i in range(4)]
+    got = r.overlay.answers(SUBSCRIBER_ID, parse_name(r.container_uri))
+    assert [g["value"] for g, _ in got] == [f"reading-{i}" for i in range(4)]
+    assert all(trail == ["Gscl1", SUBSCRIBER_ID] for _, trail in got)  # the new direct link
     # notifications ride the direct link, never the hub
     assert _nscl_relayed(r.system, "notify") == 0
     assert r.system.counters.get(SUBSCRIBER_ID, "data", "received") == 4
@@ -44,7 +43,6 @@ def test_usecase1_baseline_routes_through_hub():
     r = run_scenario(ScenarioConfig("usecase1", oscl_enabled=False, appends=4))
     assert r.discovery.method == "centralized"
     assert r.link_decision is None
-    assert r.subscription.delivery_path is None
     assert r.overlay.edge_count == 0
     assert _nscl_relayed(r.system, "notify") == 4
     assert r.system.counters.get(SUBSCRIBER_ID, "notify", "received") == 4
@@ -77,14 +75,6 @@ def test_usecase2_baseline_routes_through_hub():
     assert r.discovery.method == "centralized"
     assert _nscl_relayed(r.system, "notify") == 5
     assert r.system.counters.get(SUBSCRIBER_ID, "notify", "received") == 5
-
-
-def test_usecase2_strict_policy_forces_new_link():
-    policy = QosPolicy(comparison=STRICTLY_LESS)  # 3-hop path no longer acceptable
-    r = run_scenario(ScenarioConfig("usecase2", policy=policy))
-    assert r.link_decision is LinkDecision.NEW_LINK
-    assert r.new_links == 1
-    assert "Gscl1" in r.subscriber.ndn.faces
 
 
 def test_usecase2_interest_walks_the_chain():

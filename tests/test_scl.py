@@ -216,7 +216,6 @@ def test_subscribe_then_appends_notify_through_hub():
     uri = parse_name("Gscl1/applications/meter_app/containers/meter_data")
     sub = subscribe_centralized(dscl, nscl, uri)
     assert sub.remaining is None
-    assert sub.delivery_path is None
     for i in range(3):
         create_content_instance(gscl, "meter_app", "meter_data", f"v{i}")
     c = system.counters
