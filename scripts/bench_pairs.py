@@ -16,7 +16,9 @@ the median of each side, the change of the medians in percent, how many
 pairs the working tree won (in the direction BENCHMARK.json gives) and
 the interquartile range of the base runs; then whether both trees
 printed the same output digest on each seed, and whether every run
-reported itself correct with no failed operation. Stdlib only.
+reported itself correct with no failed operation. The last line is one
+JSON object with the same facts, each side's quartiles included, for
+a BENCH_*.json file. Stdlib only.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -67,11 +71,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> Dict:
     return result
 
 
-def quartile_gap(values: List[float]) -> float:
+def quartiles(values: List[float]) -> List[float]:
+    """[q1, median, q3]; one value stands for all three."""
     if len(values) < 2:
-        return 0.0
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return q3 - q1
+        return [statistics.median(values)] * 3
+    return statistics.quantiles(values, n=4)
 
 
 def main(argv=None) -> int:
@@ -110,24 +114,51 @@ def main(argv=None) -> int:
                   f"{change['metrics']['wall_s']['value']:.4g}, {same}")
 
     print(f"{'metric':<12} {'base':>10} {'change':>10} {'change%':>8} {'wins':>6} {'base_iqr':>9}")
+    metrics = {}
     for name, direction in better.items():
         base = [r["metrics"][name]["value"] for r in runs["base"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
+        bq, cq = quartiles(base), quartiles(change)
         b, c = statistics.median(base), statistics.median(change)
-        pct = 100.0 * (c - b) / b if b else float("nan")
+        pct = 100.0 * (c - b) / b if b else None
         wins = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(base, change))
-        print(f"{name:<12} {b:>10.4g} {c:>10.4g} {pct:>+7.1f}% {wins:>3}/{args.pairs} "
-              f"{quartile_gap(base):>9.3g}")
+        print(f"{name:<12} {b:>10.4g} {c:>10.4g} "
+              f"{'n/a' if pct is None else f'{pct:+.1f}%':>8} {wins:>3}/{args.pairs} "
+              f"{bq[2] - bq[0]:>9.3g}")
+        metrics[name] = {
+            "better": direction,
+            "base": {"median": b, "q1": bq[0], "q3": bq[2]},
+            "change": {"median": c, "q1": cq[0], "q3": cq[2]},
+            "change_pct": pct,
+            "wins": wins,
+        }
 
     mismatched = [args.seed_start + i for i, (x, y) in enumerate(zip(runs["base"], runs["change"]))
                   if x["digest"] != y["digest"]]
     print("digests: " + (f"differ on seeds {mismatched}" if mismatched
                          else f"match on all {args.pairs} seeds"))
     all_ok = True
+    clean = {}
     for side, results in runs.items():
         ok = sum(r["correct"] is True and r["failed"] == 0 for r in results)
         all_ok = all_ok and ok == len(results)
+        clean[side] = ok
         print(f"{side}: {ok}/{len(results)} runs correct with no failed operation")
+    print(json.dumps({
+        "workload": args.workload,
+        "base": git("rev-parse", args.base).decode().strip(),
+        "change": git("rev-parse", snapshot).decode().strip(),
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "seeds": [args.seed_start, args.seed_start + args.pairs - 1],
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "metrics": metrics,
+        "digests_match": not mismatched,
+        "mismatched_seeds": mismatched,
+        "runs_clean": clean,
+    }, sort_keys=True))
     return 0 if all_ok and not mismatched else 1
 
 

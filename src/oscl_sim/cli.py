@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from itertools import chain, islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -40,16 +41,49 @@ class FlagError(Exception):
     """Invalid flag combination or value; maps to exit code 2."""
 
 
+# rows formatted and written per block: bounds the text held at once
+# (about 100 KB for messages.csv) while keeping one write per block
+_CSV_BLOCK_ROWS = 1024
+
+
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
-    """Write ``rows`` as stored: the csv module writes a float as its
-    repr and an int as its str, so only a bool needs formatting first
-    (see ``_csv_bool``)."""
+    r"""Write ``header`` and ``rows`` as ``csv.writer(lineterminator="\n")``
+    would: its bytes are the oracle.
+
+    Every row has one field per header column, and each field is a str,
+    int or float, written as stored: csv writes a float as its repr and
+    an int as its str, as ``%s`` does, so only a bool needs formatting
+    first (see ``_csv_bool``). A block of rows is filled into a
+    ``%s,...,%s\n`` template in one step, and that text is csv's when
+    no field needs quoting: the block's comma and newline counts show
+    that no field holds a delimiter or a line break, and it must hold no
+    ``"`` and no ``\r``, which csv 3.11 leaves bare but a newer csv may
+    quote. Any other block, and every one-column table, where a row of
+    one empty field is written ``""``, goes through csv.writer.
+    """
     import csv  # on first use: importing the package alone does not load it
 
+    width = len(header)
+    template = ",".join(["%s"] * width) + "\n"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        pending = chain((header,), rows)
+        while True:
+            block = list(islice(pending, _CSV_BLOCK_ROWS))
+            if not block:
+                break
+            count = len(block)
+            if width > 1:
+                text = (template * count) % tuple(chain.from_iterable(block))
+                if not (
+                    '"' in text
+                    or "\r" in text
+                    or text.count(",") != (width - 1) * count
+                    or text.count("\n") != count
+                ):
+                    fh.write(text)
+                    continue
+            writer.writerows(block)
 
 
 def _csv_bool(value: bool) -> str:
@@ -67,9 +101,10 @@ def _write_manifest(out_dir: str, command: str, config: Dict, outputs: List[str]
     }
     path = os.path.join(out_dir, "manifest.json")
     tmp = path + ".tmp"
+    # one write; allow_nan=False: Infinity and NaN are not JSON
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     os.replace(tmp, path)
 
 
@@ -425,11 +460,15 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 # ===== replay =====
 
 
-# command -> (config check, runner, the config keys both read unconditionally)
+# command -> (config check, runner, the config keys both read
+# unconditionally, the keys they read when present)
 REPLAYABLE = {
-    "topology": (_check_topology, _run_topology, ("n", "d", "seed", "pairs", "comparison")),
-    "sweep": (_check_sweep, _run_sweep, ("n", "d", "seeds", "comparison", "budget_secs")),
-    "scenario": (_check_scenario, _run_scenario, ("name", "oscl", "appends", "seed")),
+    "topology": (_check_topology, _run_topology, ("n", "d", "seed", "pairs", "comparison"), ()),
+    "sweep": (
+        _check_sweep, _run_sweep, ("n", "d", "seeds", "comparison", "budget_secs"),
+        ("seed", "jobs"),
+    ),
+    "scenario": (_check_scenario, _run_scenario, ("name", "oscl", "appends", "seed"), ("links",)),
 }
 
 
@@ -444,13 +483,20 @@ def cmd_replay(args: argparse.Namespace) -> int:
     command = manifest.get("command")
     if not isinstance(command, str) or command not in REPLAYABLE:
         raise FlagError(f"{path}: manifest command {command!r} is not replayable")
-    check, runner, keys = REPLAYABLE[command]
+    check, runner, keys, optional = REPLAYABLE[command]
     config = manifest.get("config", {})
     if not isinstance(config, dict):
         raise FlagError(f"{path}: manifest config must be a JSON object")
     missing = [key for key in keys if key not in config]
     if missing:
         raise FlagError(f"{path}: manifest config lacks {', '.join(map(repr, missing))}")
+    # a key no runner reads would be ignored, and copied into the new manifest
+    unknown = [key for key in config if key not in keys and key not in optional]
+    if unknown:
+        raise FlagError(
+            f"{path}: manifest config has {', '.join(map(repr, unknown))}, "
+            f"which {command} does not read"
+        )
     try:
         check(config)
     except FlagError as exc:

@@ -98,12 +98,15 @@ class PitEntry:
     """Pending Interest, filed under its name: where answers must flow
     back to.
 
+    ``downstream`` holds the faces the Interest arrived on, the first
+    copy's and every aggregated one's; Data goes back out on each of
+    them but the one it arrived on.
     ``remaining`` is how many further Data messages this entry will
     accept before it is consumed; a solicited stream keeps the entry
     alive across several Data arrivals.
     """
 
-    downstream: Set[Tuple[str, int]]  # (face, nonce) pairs
+    downstream: Set[str]
     remaining: int
     expiry: float
 
@@ -250,7 +253,7 @@ def on_interest(
     entry = _expired_gone(node, pkt.name, now)
     if entry is not None:
         # aggregate: remember the extra consumer, do not re-forward
-        entry.downstream.add((in_face, pkt.nonce))
+        entry.downstream.add(in_face)
         entry.remaining = max(entry.remaining, pkt.solicit_count)
         entry.expiry = max(entry.expiry, now + DEFAULT_PIT_LIFETIME_MS)
         return []
@@ -260,7 +263,7 @@ def on_interest(
         return [_NO_ROUTE]
 
     node.pit[pkt.name] = PitEntry(
-        downstream={(in_face, pkt.nonce)},
+        downstream={in_face},
         remaining=pkt.solicit_count,
         expiry=now + DEFAULT_PIT_LIFETIME_MS,
     )
@@ -275,9 +278,9 @@ def on_data(node: NdnNode, pkt: DataPacket, in_face: str, now: float) -> List[Em
     """Process an arriving Data message.
 
     Unsolicited Data (no live PIT entry under the exact name) is
-    dropped and never cached. A match fans the packet out to every
-    distinct downstream face except the arrival one, caches it, and
-    consumes one unit of the entry's solicit budget.
+    dropped and never cached. A match sends the packet out on every
+    downstream face except the arrival one, in sorted face order,
+    caches it, and consumes one unit of the entry's solicit budget.
     """
     if in_face not in node.faces:
         raise UnknownFace(f"{node.node_id} has no face {in_face!r}")
@@ -286,8 +289,9 @@ def on_data(node: NdnNode, pkt: DataPacket, in_face: str, now: float) -> List[Em
     if entry is None:
         return [_UNSOLICITED]
 
-    faces = sorted({face for face, _ in entry.downstream if face != in_face})
-    emissions: List[Emission] = [SendData(face, pkt) for face in faces]
+    emissions: List[Emission] = [
+        SendData(face, pkt) for face in sorted(entry.downstream) if face != in_face
+    ]
     entry.remaining -= 1
     if entry.remaining <= 0:
         del node.pit[pkt.name]

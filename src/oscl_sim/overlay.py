@@ -68,6 +68,8 @@ DEFAULT_SUBSCRIBE_SCOPE = 16
 
 # json.dumps(obj, sort_keys=True) without building an encoder per call
 _to_json = json.JSONEncoder(sort_keys=True).encode
+# a JSON string literal, as _to_json writes one (ASCII, with \u escapes)
+_json_str = json.encoder.encode_basestring_ascii
 
 
 class OverlayError(Exception):
@@ -148,9 +150,17 @@ class LinkDecision(Enum):
 
 
 def _notification(container_name: HierarchicalName, payload: str, index: int) -> DataPacket:
-    """Data message carrying one new content instance to a subscriber."""
-    body = _to_json({"uri": str(container_name), "value": payload, "index": index}).encode()
-    return DataPacket(container_name, body)
+    """Data message carrying one new content instance to a subscriber.
+
+    The body is the bytes ``_to_json`` gives for ``{"uri": ..., "value":
+    payload, "index": index}``, filled into a template: every append
+    makes one, so it skips the general encoder's key sorting and type
+    dispatch.
+    """
+    body = '{"index": %d, "uri": %s, "value": %s}' % (
+        index, _json_str(container_name.text), _json_str(payload)
+    )
+    return DataPacket(container_name, body.encode())
 
 
 class Overlay:

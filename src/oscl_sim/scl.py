@@ -497,6 +497,9 @@ def _relay_notification(
     system: M2mSystem, owner: str, subscriber: str, hub: str,
     container_uri: HierarchicalName, payload: str, index: int,
 ) -> None:
-    """Hook of a hub subscription: one notify message through the hub."""
-    instance_uri = container_uri.extend("content_instances", str(index))
-    system.send_relayed(owner, subscriber, hub, MSG_NOTIFY, str(instance_uri))
+    """Hook of a hub subscription: one notify message through the hub,
+    named by the instance's URI. The name is only logged, so its text is
+    built directly: ``container_uri`` is valid, and so is a decimal index."""
+    system.send_relayed(
+        owner, subscriber, hub, MSG_NOTIFY, f"{container_uri.text}/content_instances/{index}"
+    )

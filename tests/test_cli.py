@@ -1,13 +1,20 @@
 import ast
+import csv
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oscl_sim
+from oscl_sim import cli
 from oscl_sim.cli import build_parser, main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "runs" / "usecases"
@@ -150,6 +157,21 @@ _SCENARIO = {"name": "usecase1", "oscl": "on", "appends": 3, "seed": 0}
             {**_SCENARIO, "links": [["Dscl1", "Gscl1", 5.0]]},
             "links[0]: expected [u, v, delay_ms, loss, capacity], got ['Dscl1', 'Gscl1', 5.0]",
         ),
+        (
+            "topology",
+            {**_TOPOLOGY, "links": None},
+            "manifest config has 'links', which topology does not read",
+        ),
+        (
+            "sweep",
+            {**_SWEEP, "note": math.inf},  # json.dumps writes Infinity
+            "manifest config has 'note', which sweep does not read",
+        ),
+        (
+            "scenario",
+            {**_SCENARIO, "apends": 500, "jobs": []},
+            "manifest config has 'apends', 'jobs', which scenario does not read",
+        ),
     ],
     ids=[
         "topology-n-text",
@@ -163,6 +185,9 @@ _SCENARIO = {"name": "usecase1", "oscl": "on", "appends": 3, "seed": 0}
         "scenario-unknown-node",
         "scenario-repeated-link",
         "scenario-short-link",
+        "topology-unread-key",
+        "sweep-unread-key",
+        "scenario-misspelt-key",
     ],
 )
 def test_replay_checks_config_values(tmp_path, capsys, command, config, message):
@@ -245,6 +270,43 @@ def test_bad_links_line_reports_line(tmp_path, capsys, line, message):
     )
     assert code == 2
     assert f"{links}:2: {message}" in capsys.readouterr().err
+
+
+# ===== output files =====
+
+
+_CSV_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", "a", "\u00e9", " "])) | st.text()
+_CSV_FIELD = st.one_of(_CSV_TEXT, st.just(""), st.integers(), st.floats())
+
+
+@st.composite
+def _csv_tables(draw):
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(_CSV_TEXT, min_size=width, max_size=width))
+    rows = draw(st.lists(st.tuples(*[_CSV_FIELD] * width), max_size=12))
+    return header, rows
+
+
+@given(_csv_tables(), st.integers(1, 4))
+def test_write_csv_bytes_are_the_csv_modules(table, block_rows):
+    """Small blocks put quoted and plain rows in one table, so blocks of
+    both kinds meet at block boundaries."""
+    header, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        expected, path = os.path.join(tmp, "expected.csv"), os.path.join(tmp, "out.csv")
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
+            cli._write_csv(path, header, iter(rows))
+        assert Path(path).read_bytes() == Path(expected).read_bytes()
+
+
+def test_manifest_refuses_non_json_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_manifest(str(tmp_path), "sweep", {"note": math.inf}, [], 0.0)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ===== topology outputs =====

@@ -209,7 +209,7 @@ def test_interest_forwarded_decrements_hop_limit():
     node = _node(faces=["a", "b"])
     out = on_interest(node, _interest(hop_limit=4), "a", 0.0)
     assert out == [SendInterest("b", _interest(hop_limit=3))]
-    assert node.pit[NAME].downstream == {("a", 7)}
+    assert node.pit[NAME].downstream == {"a"}
 
 
 def test_interest_hop_budget_blocks_overlay_but_not_local_delivery():
@@ -228,7 +228,7 @@ def test_interest_aggregated_into_live_entry():
     second = on_interest(node, _interest(nonce=2, solicit=5), "b", 1.0)
     assert second == []  # suppressed: only the first copy went upstream
     entry = node.pit[NAME]
-    assert entry.downstream == {("a", 1), ("b", 2)}
+    assert entry.downstream == {"a", "b"}
     assert entry.remaining == 5  # solicit budget grows to the max seen
     assert entry.expiry == 1.0 + DEFAULT_PIT_LIFETIME_MS
 
@@ -254,7 +254,7 @@ def test_interest_pit_expiry_allows_refresh():
     lifetime = DEFAULT_PIT_LIFETIME_MS
     out = on_interest(node, _interest(nonce=2), "a", lifetime + 1.0)
     assert out == [SendInterest("up", _interest(nonce=2, hop_limit=3))]
-    assert node.pit[NAME].downstream == {("a", 2)}
+    assert node.pit[NAME].downstream == {"a"}
 
 
 _labels = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3)
@@ -313,7 +313,7 @@ def test_data_not_reflected_to_arrival_face():
     node = _node(faces=["up"])
     on_interest(node, _interest(), APP_FACE, 0.0)
     # entry's only other downstream is the arrival face itself
-    node.pit[NAME].downstream = {("up", 9)}
+    node.pit[NAME].downstream = {"up"}
     assert on_data(node, _data(), "up", 1.0) == []
 
 

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import random
 from collections import Counter
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oscl_sim.names import parse_name
+from oscl_sim.names import HierarchicalName, parse_name
 from oscl_sim.ndn import APP_FACE
 from oscl_sim.overlay import (
     MAX_PATH_HOPS,
@@ -19,6 +20,7 @@ from oscl_sim.overlay import (
     Overlay,
     QosMetrics,
     UnknownNode,
+    _notification,
 )
 from oscl_sim.scl import (
     Locator,
@@ -424,6 +426,21 @@ def test_p2p_subscribe_own_container_is_local():
     assert len(system.log) == before  # nothing crossed the wire
     assert overlay.notifications(producer.node_id, container)[0]["value"] == "v0"
     assert not sub.active
+
+
+@given(
+    st.lists(st.text(min_size=1).filter(lambda t: "/" not in t), min_size=1, max_size=4),
+    st.text(),
+    st.integers(min_value=0),
+)
+def test_notification_body_is_the_json_encoders(components, payload, index):
+    name = HierarchicalName(tuple(components))
+    expected = json.JSONEncoder(sort_keys=True).encode(
+        {"uri": str(name), "value": payload, "index": index}
+    )
+    packet = _notification(name, payload, index)
+    assert packet.payload == expected.encode()
+    assert packet.name == name
 
 
 # ===== conservation =====
