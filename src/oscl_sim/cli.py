@@ -23,12 +23,12 @@ from . import __version__
 from .overlay import LinkMetrics
 from .scenarios import NSCL_ID, SCENARIO_NAMES, SCENARIOS, ScenarioConfig, run_scenario
 from .topology import (
-    AT_MOST,
-    COMPARISONS,
     ExperimentConfig,
+    TopologyStats,
     default_pair_count,
     predicted_degree,
     run_topology_experiment,
+    seed_mean_spread,
 )
 
 SERIES_HEADER = ["N", "D", "seed", "pair_index", "avg_degree"]
@@ -142,33 +142,27 @@ def _check_choice(value, flag: str, choices: Sequence[str]) -> None:
 # ===== topology =====
 
 
+def _run_job(n: int, d: int, seed: int, pairs: Optional[int]) -> Tuple[TopologyStats, Tuple]:
+    """One (n, d, seed) experiment: its stats and its SUMMARY_HEADER row."""
+    stats = run_topology_experiment(
+        ExperimentConfig(n_nodes=n, max_hops=d, seed=seed, pair_count=pairs)
+    )
+    predicted = predicted_degree(n, d)
+    ratio = stats.final_degree / predicted
+    return stats, (n, d, seed, stats.final_degree, predicted, ratio, _csv_bool(stats.saturated))
+
+
 def _run_topology(config: Dict, out_dir: str) -> int:
     started = time.monotonic()
-    exp = ExperimentConfig(
-        n_nodes=config["n"],
-        max_hops=config["d"],
-        seed=config["seed"],
-        pair_count=config["pairs"],
-        comparison=config["comparison"],
-    )
-    stats = run_topology_experiment(exp)
-    predicted = predicted_degree(exp.n_nodes, exp.max_hops)
-    ratio = stats.final_degree / predicted
-
-    series_rows = [
-        (exp.n_nodes, exp.max_hops, exp.seed, idx, degree)
-        for idx, degree in stats.degree_series
-    ]
-    summary_rows = [
-        (exp.n_nodes, exp.max_hops, exp.seed, stats.final_degree, predicted, ratio,
-         _csv_bool(stats.saturated))
-    ]
+    n, d, seed = config["n"], config["d"], config["seed"]
+    stats, row = _run_job(n, d, seed, config["pairs"])
+    series_rows = [(n, d, seed, idx, degree) for idx, degree in stats.degree_series]
     _write_csv(os.path.join(out_dir, "series.csv"), SERIES_HEADER, series_rows)
-    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_HEADER, summary_rows)
+    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_HEADER, [row])
     _write_manifest(out_dir, "topology", config, ["series.csv", "summary.csv"], started)
+    degree, predicted, ratio = row[3:6]
     print(
-        f"n={exp.n_nodes} d={exp.max_hops} seed={exp.seed}: "
-        f"degree={stats.final_degree:.4f} predicted={predicted:.4f} "
+        f"n={n} d={d} seed={seed}: degree={degree:.4f} predicted={predicted:.4f} "
         f"ratio={ratio:.4f} saturated={stats.saturated}"
     )
     if not stats.saturated:
@@ -182,7 +176,6 @@ def _check_topology(config: Dict) -> None:
     _check_int(config["seed"], "--seed")
     if config["pairs"] is not None:
         _check_int(config["pairs"], "--pairs", 1)
-    _check_choice(config["comparison"], "--comparison", COMPARISONS)
 
 
 def cmd_topology(args: argparse.Namespace) -> int:
@@ -191,7 +184,6 @@ def cmd_topology(args: argparse.Namespace) -> int:
         "d": args.d,
         "seed": args.seed,
         "pairs": args.pairs,
-        "comparison": args.comparison,
     }
     _check_topology(config)
     return _run_topology(config, _ensure_out(args.out))
@@ -237,12 +229,8 @@ def _run_sweep(config: Dict, out_dir: str) -> int:
             if elapsed + draws * rate > budget:
                 skipped.append((n, d, seed))
                 continue
-        stats = run_topology_experiment(
-            ExperimentConfig(n_nodes=n, max_hops=d, seed=seed, comparison=config["comparison"])
-        )
-        predicted = predicted_degree(n, d)
-        ratio = stats.final_degree / predicted
-        rows.append((n, d, seed, stats.final_degree, predicted, ratio, _csv_bool(stats.saturated)))
+        stats, row = _run_job(n, d, seed, None)
+        rows.append(row)
         ran.append((n, d, seed))
         draws_done += draws
         if not stats.saturated:
@@ -255,15 +243,10 @@ def _run_sweep(config: Dict, out_dir: str) -> int:
     _write_manifest(out_dir, "sweep", manifest_config, ["summary.csv"], started)
 
     for d in config["d"]:
-        by_size: Dict[int, List[float]] = {}
-        for n, dd, seed, degree, predicted, ratio, _sat in rows:
-            if dd == d:
-                by_size.setdefault(n, []).append(degree / predicted)
-        if not by_size:
-            continue
-        ratios = [sum(v) / len(v) for v in by_size.values()]
-        spread = max(ratios) / min(ratios)
-        print(f"d={d}: spread={spread:.4f} over {len(by_size)} sizes")
+        ratios = [(row[0], row[5]) for row in rows if row[1] == d]
+        if ratios:
+            spread = seed_mean_spread(ratios)
+            print(f"d={d}: spread={spread:.4f} over {len({n for n, _ in ratios})} sizes")
     if skipped:
         names = ", ".join(f"(n={n}, d={d}, seed={s})" for n, d, s in skipped)
         print(f"warning: budget exhausted, skipped {names}", file=sys.stderr)
@@ -292,7 +275,6 @@ def _check_sweep(config: Dict) -> None:
     _check_int_list(config["n"], "--n", 2)
     _check_int_list(config["d"], "--d", 1)
     _check_int(config["seeds"], "--seeds", 1)
-    _check_choice(config["comparison"], "--comparison", COMPARISONS)
     budget = config["budget_secs"]  # None: no budget
     if budget is not None and (
         isinstance(budget, bool)
@@ -324,7 +306,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "d": hops,
         "seeds": args.seeds,
         "seed": None,
-        "comparison": args.comparison,
         "budget_secs": args.time_budget,
     }
     _check_sweep(config)
@@ -463,11 +444,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 # command -> (config check, runner, the config keys both read
 # unconditionally, the keys they read when present)
 REPLAYABLE = {
-    "topology": (_check_topology, _run_topology, ("n", "d", "seed", "pairs", "comparison"), ()),
-    "sweep": (
-        _check_sweep, _run_sweep, ("n", "d", "seeds", "comparison", "budget_secs"),
-        ("seed", "jobs"),
-    ),
+    "topology": (_check_topology, _run_topology, ("n", "d", "seed", "pairs"), ()),
+    "sweep": (_check_sweep, _run_sweep, ("n", "d", "seeds", "budget_secs"), ("seed", "jobs")),
     "scenario": (_check_scenario, _run_scenario, ("name", "oscl", "appends", "seed"), ("links",)),
 }
 
@@ -523,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_topo.add_argument("--d", type=int, required=True, help="hop budget (>= 1)")
     p_topo.add_argument("--seed", type=int, default=0)
     p_topo.add_argument("--pairs", type=int, default=None, help="override pair draws")
-    p_topo.add_argument("--comparison", choices=COMPARISONS, default=AT_MOST)
     p_topo.add_argument("--out", required=True, help="output directory")
     p_topo.set_defaults(func=cmd_topology)
 
@@ -531,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n", required=True, help="comma-separated node counts")
     p_sweep.add_argument("--d", required=True, help="comma-separated hop budgets")
     p_sweep.add_argument("--seeds", type=int, default=3, help="seeds 0..k-1 per point")
-    p_sweep.add_argument("--comparison", choices=COMPARISONS, default=AT_MOST)
     p_sweep.add_argument(
         "--time-budget",
         type=float,

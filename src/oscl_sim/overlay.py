@@ -382,28 +382,19 @@ class Overlay:
     ) -> Optional[DiscoveryResult]:
         """Name-based discovery over the overlay, None on no answer.
 
-        The hop budget caps how far the Interest may travel, so the
-        returned path never exceeds ``scope`` hops. Asking for a name
-        this node already owns short-circuits to a zero-hop result.
+        A fetch whose answer names the resource and its SCL's locator; the
+        path never exceeds ``scope`` hops, and a name this node owns is a
+        zero-hop result.
         """
         if scope < 0:
             raise ValueError("scope must be >= 0")
-        origin_scl = self.system.scl(origin)
+        self.system.scl(origin)  # NotFound for an unknown SCL
         if origin not in self._nodes:
             raise UnknownNode(origin)
-        if is_prefix(origin_scl.base_name, target_name):
-            resolve_resource(origin_scl, target_name)  # NotFound propagates
-            return DiscoveryResult(
-                uri=target_name,
-                locator=origin_scl.locator,
-                method="distributed",
-                path=(origin,),
-            )
-        _, answers = self._request(origin, target_name, solicit=1, scope=scope, subscribe=False)
-        if not answers:
+        answer = self.fetch_resource(origin, target_name, scope)
+        if answer is None:
             return None
-        pkt, trail = answers[0]
-        body = json.loads(pkt.payload)
+        body, trail = answer
         return DiscoveryResult(
             uri=parse_name(body["uri"]),
             locator=Locator(**body["locator"]),

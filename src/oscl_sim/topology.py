@@ -1,10 +1,10 @@
 """Overlay topology formation and the degree scaling experiment.
 
 Random node pairs exchange traffic; a direct link is created only when
-the overlay cannot already connect the pair within the hop budget.
-Run long enough, the average degree settles near (2 n ln n)^(1/h) for
-n nodes and hop budget h, so the budget is the knob trading per-node
-link state against worst-case path stretch.
+no path of at most h hops already joins the pair, h being the hop
+budget (``max_hops``, the CLI's --d). Run long enough, the average
+degree settles near (2 n ln n)^(1/h) for n nodes, so the budget is the
+knob trading per-node link state against worst-case path stretch.
 
 This module works on bare adjacency sets rather than Overlay objects:
 the experiment needs millions of pair draws, and bookkeeping on full
@@ -21,17 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
-
-AT_MOST = "at-most-d"  # link when no path of <= h hops (default)
-STRICTLY_LESS = "strictly-less-d"  # link when no path of < h hops
-
-COMPARISONS = (AT_MOST, STRICTLY_LESS)
-
-
-def hop_bound(max_hops: int, comparison: str) -> int:
-    """Longest path, in hops, that still serves a pair under ``comparison``."""
-    return max_hops if comparison == AT_MOST else max_hops - 1
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
 def bfs_bounded(
@@ -91,15 +81,12 @@ class ExperimentConfig:
     max_hops: int
     seed: int = 0
     pair_count: Optional[int] = None
-    comparison: str = AT_MOST
 
     def __post_init__(self) -> None:
         if self.n_nodes < 2:
             raise ValueError("n_nodes must be >= 2")
         if self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
-        if self.comparison not in COMPARISONS:
-            raise ValueError(f"comparison must be one of {COMPARISONS}")
         if self.pair_count is not None and self.pair_count < 1:
             raise ValueError("pair_count must be >= 1")
 
@@ -145,14 +132,14 @@ class TopologyStats:
 def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
     """Draw random pairs and link the ones the overlay cannot serve.
 
-    A pair is linked exactly when no path of at most h hops joins it,
-    h being hop_bound of the configured budget and comparison, which is
-    the answer bfs_bounded would give. The test meets in the middle:
-    u and v are within h hops iff the closed ball of radius h//2 around
-    u meets the closed ball of radius h - h//2 around v. Balls are
-    bitmasks over node indices. Radius 0 and 1 are kept exact; larger
-    radii are grown from radius r-1 by adding the radius-1 balls of the
-    new shell on first use, and then kept exact for the rest of the run.
+    A pair is linked exactly when no path of at most h = max_hops hops
+    joins it, which is the answer bfs_bounded would give. The test meets
+    in the middle: u and v are within h hops iff the closed ball of
+    radius h//2 around u meets the closed ball of radius h - h//2 around
+    v. Balls are bitmasks over node indices. Radius 0 and 1 are kept
+    exact; larger radii are grown from radius r-1 by adding the radius-1
+    balls of the new shell on first use, and then kept exact for the
+    rest of the run.
 
     A shortest path uses a new link (u, v) at most once, so for a node x
     at old distance j < r from u, the new r-ball of x is its old r-ball
@@ -168,7 +155,7 @@ def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
     u_bits, v_bits = n.bit_length(), (n - 1).bit_length()
     adjacency: List[Set[int]] = [set() for _ in range(n)]
     # no simple path is longer than n-1 hops, so a larger bound decides alike
-    bound = min(hop_bound(config.max_hops, config.comparison), n - 1)
+    bound = min(config.max_hops, n - 1)
     near, far = bound // 2, bound - bound // 2
 
     # balls[r][x]: closed r-ball of x as a bitmask; None until first built.
@@ -216,7 +203,7 @@ def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
                 continue
             # old j-balls of both ends, j < far, taken before any ball grows;
             # the j = 0 step puts v in the 1-ball of u, so `ones` needs no
-            # update of its own (with far 0, no ball above radius 0 is read)
+            # update of its own
             u_reach = [ball(u, j) for j in range(far)]
             v_reach = [ball(v, j) for j in range(far)]
             for reach, other in ((u_reach, v_reach), (v_reach, u_reach)):
@@ -250,6 +237,17 @@ def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
         last_link_pair=last_link,
         saturated=saturated,
     )
+
+
+def seed_mean_spread(ratios: Iterable[Tuple[int, float]]) -> float:
+    """Max over min, across sizes n, of the seed-mean degree ratio:
+    ``ratios`` holds one (n, final degree / predicted_degree) pair per
+    run, all at one hop budget, and each n's runs are averaged in order."""
+    by_size: Dict[int, List[float]] = {}
+    for n, ratio in ratios:
+        by_size.setdefault(n, []).append(ratio)
+    means = [sum(v) / len(v) for v in by_size.values()]
+    return max(means) / min(means)
 
 
 def predicted_degree(n_nodes: float, max_hops: int) -> float:

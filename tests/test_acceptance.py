@@ -29,6 +29,7 @@ from oscl_sim.topology import (
     bfs_bounded,
     predicted_degree,
     run_topology_experiment,
+    seed_mean_spread,
 )
 
 SIZES = (32, 128, 512, 2048)
@@ -66,8 +67,9 @@ def test_degree_scaling_law(report):
     ok = True
     for d in (3, 5):
         degrees = [_mean_degree(n, d) for n in SIZES]
-        ratios = [deg / predicted_degree(n, d) for n, deg in zip(SIZES, degrees)]
-        spread = max(ratios) / min(ratios)
+        spread = seed_mean_spread(
+            (n, _run(n, d, s)[0] / predicted_degree(n, d)) for n in SIZES for s in SEEDS
+        )
         monotone = all(b >= a for a, b in zip(degrees, degrees[1:]))
         saturated = sum(_run(n, d, s)[1] for n in SIZES for s in SEEDS)
         ok = ok and spread <= 2.0 and monotone

@@ -16,6 +16,12 @@ from hypothesis import strategies as st
 import oscl_sim
 from oscl_sim import cli
 from oscl_sim.cli import build_parser, main
+from oscl_sim.topology import (
+    ExperimentConfig,
+    predicted_degree,
+    run_topology_experiment,
+    seed_mean_spread,
+)
 
 GOLDEN = Path(__file__).resolve().parents[1] / "runs" / "usecases"
 
@@ -63,13 +69,24 @@ def test_sweep_rejects_empty_and_bad_lists(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "sizes, hops, message",
-    [("8,16,8", "1,2", "--n repeats the value 8"), ("8,16", "2,1,2", "--d repeats the value 2")],
-    ids=["n", "d"],
+    "argv, message",
+    [
+        (["sweep", "--n", "8,16,8", "--d", "1,2", "--seeds", "1"], "--n repeats the value 8"),
+        (["sweep", "--n", "8,16", "--d", "2,1,2", "--seeds", "1"], "--d repeats the value 2"),
+        # no command takes --comparison: --d alone sets the hop rule
+        (
+            ["topology", "--n", "8", "--d", "2", "--comparison", "strictly-less-d"],
+            "unrecognized arguments: --comparison strictly-less-d",
+        ),
+        (
+            ["sweep", "--n", "8", "--d", "2", "--comparison", "at-most-d"],
+            "unrecognized arguments: --comparison at-most-d",
+        ),
+    ],
+    ids=["n", "d", "topology-comparison", "sweep-comparison"],
 )
-def test_sweep_rejects_repeated_values(tmp_path, capsys, sizes, hops, message):
-    argv = ["sweep", "--n", sizes, "--d", hops, "--seeds", "1", "--out", str(tmp_path / "out")]
-    assert main(argv) == 2
+def test_sweep_rejects_repeated_values(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -111,8 +128,8 @@ def test_replay_bad_manifest_is_flag_error(tmp_path, capsys, body, message):
     assert not (tmp_path / "out").exists()
 
 
-_TOPOLOGY = {"n": 16, "d": 3, "seed": 0, "pairs": None, "comparison": "at-most-d"}
-_SWEEP = {"n": [8], "d": [1], "seeds": 1, "comparison": "at-most-d", "budget_secs": None}
+_TOPOLOGY = {"n": 16, "d": 3, "seed": 0, "pairs": None}
+_SWEEP = {"n": [8], "d": [1], "seeds": 1, "budget_secs": None}
 _SCENARIO = {"name": "usecase1", "oscl": "on", "appends": 3, "seed": 0}
 
 
@@ -172,6 +189,17 @@ _SCENARIO = {"name": "usecase1", "oscl": "on", "appends": 3, "seed": 0}
             {**_SCENARIO, "apends": 500, "jobs": []},
             "manifest config has 'apends', 'jobs', which scenario does not read",
         ),
+        # a manifest from a version that still had --comparison
+        (
+            "topology",
+            {**_TOPOLOGY, "comparison": "at-most-d"},
+            "manifest config has 'comparison', which topology does not read",
+        ),
+        (
+            "sweep",
+            {**_SWEEP, "comparison": "at-most-d"},
+            "manifest config has 'comparison', which sweep does not read",
+        ),
     ],
     ids=[
         "topology-n-text",
@@ -188,6 +216,8 @@ _SCENARIO = {"name": "usecase1", "oscl": "on", "appends": 3, "seed": 0}
         "topology-unread-key",
         "sweep-unread-key",
         "scenario-misspelt-key",
+        "topology-comparison",
+        "sweep-comparison",
     ],
 )
 def test_replay_checks_config_values(tmp_path, capsys, command, config, message):
@@ -375,6 +405,26 @@ def test_topology_unsaturated_warns(tmp_path, capsys):
 
 
 # ===== sweep outputs =====
+
+
+def test_topology_row_and_criterion_1_spread_are_the_sweeps(tmp_path, capsys):
+    one, many = tmp_path / "one", tmp_path / "many"
+    assert main(["topology", "--n", "16", "--d", "3", "--seed", "1", "--out", str(one)]) == 0
+    assert main(["sweep", "--n", "16,32", "--d", "3", "--seeds", "2", "--out", str(many)]) == 0
+    printed = capsys.readouterr().out
+    topology_row = (one / "summary.csv").read_text().splitlines()[1]
+    rows = (many / "summary.csv").read_text().splitlines()[1:]
+    assert rows[1] == topology_row  # n=16, seed 1
+    # criterion 1's spread, from the experiment runs, as test_acceptance computes it
+    criterion_1 = seed_mean_spread(
+        (n, run_topology_experiment(ExperimentConfig(n, 3, seed)).final_degree
+         / predicted_degree(n, 3))
+        for n in (16, 32)
+        for seed in (0, 1)
+    )
+    fields = [row.split(",") for row in rows]
+    assert seed_mean_spread((int(f[0]), float(f[5])) for f in fields) == criterion_1
+    assert f"d=3: spread={criterion_1:.4f} over 2 sizes" in printed
 
 
 def test_sweep_rows_and_spread(tmp_path, capsys):

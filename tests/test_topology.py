@@ -7,13 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from oscl_sim.cli import main
 from oscl_sim.topology import (
-    AT_MOST,
-    COMPARISONS,
-    STRICTLY_LESS,
     ExperimentConfig,
     bfs_bounded,
     default_pair_count,
-    hop_bound,
     predicted_degree,
     run_topology_experiment,
 )
@@ -120,7 +116,6 @@ def test_config_defaults():
     assert c.pairs == default_pair_count(32) == round(50 * 32 * math.log(32))
     assert c.stride == 32
     assert c.window == 320
-    assert c.comparison == AT_MOST
 
 
 @pytest.mark.parametrize(
@@ -128,7 +123,6 @@ def test_config_defaults():
     [
         {"n_nodes": 1, "max_hops": 3},
         {"n_nodes": 8, "max_hops": 0},
-        {"n_nodes": 8, "max_hops": 3, "comparison": "less-ish"},
         {"n_nodes": 8, "max_hops": 3, "pair_count": 0},
     ],
 )
@@ -169,15 +163,6 @@ def test_single_hop_budget_builds_complete_graph():
     assert stats.saturated
 
 
-def test_strict_comparison_is_denser():
-    loose = run_topology_experiment(ExperimentConfig(n_nodes=12, max_hops=2, seed=3))
-    strict = run_topology_experiment(
-        ExperimentConfig(n_nodes=12, max_hops=2, seed=3, comparison=STRICTLY_LESS)
-    )
-    assert strict.final_degree > loose.final_degree
-    assert strict.final_degree == 11.0  # bound 1 never reuses a path
-
-
 def test_every_drawn_pair_ends_within_budget():
     config = ExperimentConfig(n_nodes=32, max_hops=3, seed=5)
     stats = run_topology_experiment(config)
@@ -198,7 +183,6 @@ def _reference_experiment(config):
     n = config.n_nodes
     rng = random.Random(config.seed)
     adjacency = [set() for _ in range(n)]
-    bound = hop_bound(config.max_hops, config.comparison)
     series = []
     links = 0
     last_link = -1
@@ -207,7 +191,7 @@ def _reference_experiment(config):
         v = rng.randrange(n - 1)
         if v >= u:
             v += 1
-        if v not in adjacency[u] and bfs_bounded(adjacency, u, v, bound) is None:
+        if v not in adjacency[u] and bfs_bounded(adjacency, u, v, config.max_hops) is None:
             adjacency[u].add(v)
             adjacency[v].add(u)
             links += 1
@@ -233,15 +217,12 @@ def _assert_kernel_matches_reference(config):
 @given(
     n=st.integers(2, 40),
     max_hops=st.integers(1, 7),
-    comparison=st.sampled_from(COMPARISONS),
     seed=st.integers(0, 2**32 - 1),
     pair_count=st.integers(1, 400),
 )
-def test_ball_kernel_matches_bfs_reference(n, max_hops, comparison, seed, pair_count):
+def test_ball_kernel_matches_bfs_reference(n, max_hops, seed, pair_count):
     _assert_kernel_matches_reference(
-        ExperimentConfig(
-            n_nodes=n, max_hops=max_hops, seed=seed, pair_count=pair_count, comparison=comparison
-        )
+        ExperimentConfig(n_nodes=n, max_hops=max_hops, seed=seed, pair_count=pair_count)
     )
 
 
@@ -250,17 +231,12 @@ def test_ball_kernel_matches_bfs_reference(n, max_hops, comparison, seed, pair_c
 @given(
     n=st.integers(41, 160),
     max_hops=st.integers(2, 6),
-    comparison=st.sampled_from(COMPARISONS),
     seed=st.integers(0, 2**32 - 1),
     pair_count=st.integers(1, 3000),
 )
-def test_ball_kernel_matches_bfs_reference_on_larger_graphs(
-    n, max_hops, comparison, seed, pair_count
-):
+def test_ball_kernel_matches_bfs_reference_on_larger_graphs(n, max_hops, seed, pair_count):
     _assert_kernel_matches_reference(
-        ExperimentConfig(
-            n_nodes=n, max_hops=max_hops, seed=seed, pair_count=pair_count, comparison=comparison
-        )
+        ExperimentConfig(n_nodes=n, max_hops=max_hops, seed=seed, pair_count=pair_count)
     )
 
 
