@@ -123,6 +123,7 @@ def test_config_defaults():
     [
         {"n_nodes": 1, "max_hops": 3},
         {"n_nodes": 8, "max_hops": 0},
+        {"n_nodes": 8, "max_hops": 3, "pair_count": -1},
         {"n_nodes": 8, "max_hops": 3, "pair_count": 0},
     ],
 )
