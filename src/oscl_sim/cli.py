@@ -118,10 +118,12 @@ def _ensure_out(path: str) -> str:
 
 def _read_text(path: str, what: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise FlagError(f"{path}: cannot read {what}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise FlagError(f"{path}: cannot read {what}: not UTF-8 text") from None
 
 
 # Each command checks its config in one function, whether the config

@@ -211,11 +211,6 @@ class Overlay:
             raise DuplicateLink(f"{u} -- {v}")
         u_faces[v] = v_faces[u] = metrics or LinkMetrics()
 
-    @property
-    def edge_count(self) -> int:
-        # every forwarder has one face per link plus APP_FACE
-        return sum(len(node.faces) - 1 for node in self._nodes.values()) // 2
-
     # ----- event loop -----
 
     def run(self) -> None:

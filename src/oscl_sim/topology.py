@@ -6,12 +6,13 @@ budget (``max_hops``, the CLI's --d). Run long enough, the average
 degree settles near (2 n ln n)^(1/h) for n nodes, so the budget is the
 knob trading per-node link state against worst-case path stretch.
 
-This module works on bare adjacency sets rather than Overlay objects:
-the experiment needs millions of pair draws, and bookkeeping on full
-forwarder state would drown the measurement. The experiment decides
-each draw with a meet-in-the-middle test over cached hop balls kept as
-integer bitmasks; a link grows the cached balls it can change in place,
-so a ball is built at most once per run (see run_topology_experiment).
+The experiment works on hop balls kept as integer bitmasks rather than
+on Overlay objects: it needs millions of pair draws, and bookkeeping on
+full forwarder state would drown the measurement. It decides each draw
+with a meet-in-the-middle test over those balls. Every ball is exact
+from the first draw, and a link grows the balls it changes in place.
+The 1-balls are the graph, and the adjacency sets of the result are
+read from them after the last draw (see run_topology_experiment).
 bfs_bounded is the reference search that the tests check that kernel
 against.
 """
@@ -136,49 +137,30 @@ def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
     joins it, which is the answer bfs_bounded would give. The test meets
     in the middle: u and v are within h hops iff the closed ball of
     radius h//2 around u meets the closed ball of radius h - h//2 around
-    v. Balls are bitmasks over node indices. Radius 0 and 1 are kept
-    exact; larger radii are grown from radius r-1 by adding the radius-1
-    balls of the new shell on first use, and then kept exact for the
-    rest of the run.
+    v. Balls are bitmasks over node indices, and every ball of every
+    radius is exact from the first draw: in the empty graph each ball is
+    its centre alone. The 1-balls are the graph; the adjacency sets in
+    the result are read from them once the draws are done.
 
     A shortest path uses a new link (u, v) at most once, so for a node x
     at old distance j < r from u, the new r-ball of x is its old r-ball
     plus the old (r-1-j)-ball of v, and likewise with u and v swapped.
-    The old balls of u and v are gathered first, then every cached ball
-    of the nodes on the shells of u and v grows in place; a ball not yet
-    built stays unbuilt. Pairs are drawn with the rejection loop that
-    ``rng.randrange`` runs, inlined, so the stream is the same.
+    The old balls of u and v are gathered first, then every ball of the
+    nodes on the shells of u and v grows in place. Pairs are drawn with
+    the rejection loop that ``rng.randrange`` runs, inlined, so the
+    stream is the same.
     """
     n = config.n_nodes
     rng = random.Random(config.seed)
     getrandbits = rng.getrandbits
     u_bits, v_bits = n.bit_length(), (n - 1).bit_length()
-    adjacency: List[Set[int]] = [set() for _ in range(n)]
     # no simple path is longer than n-1 hops, so a larger bound decides alike
     bound = min(config.max_hops, n - 1)
     near, far = bound // 2, bound - bound // 2
 
-    # balls[r][x]: closed r-ball of x as a bitmask; None until first built.
-    # A ball is built only on top of the radius below it, so the cached
-    # radii of a node are always 0..m for some m.
-    balls: List[List[Optional[int]]] = [[1 << x for x in range(n)] for _ in range(2)]
-    balls += [[None] * n for _ in range(2, far + 1)]
-    ones = balls[1]
+    # balls[r][x]: closed r-ball of x as a bitmask, for r = 0..far
+    balls = [[1 << x for x in range(n)] for _ in range(far + 1)]
     near_balls, far_balls = balls[near], balls[far]
-
-    def ball(x: int, r: int) -> int:
-        top = r
-        while balls[top][x] is None:
-            top -= 1
-        grown = balls[top][x]
-        for k in range(top + 1, r + 1):
-            shell = grown & ~balls[k - 2][x]
-            while shell:
-                low = shell & -shell
-                grown |= ones[low.bit_length() - 1]
-                shell ^= low
-            balls[k][x] = grown
-        return grown
 
     series: List[Tuple[int, float]] = []
     pairs = config.pairs
@@ -196,16 +178,12 @@ def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
                 v = getrandbits(v_bits)
             if v >= u:
                 v += 1
-            # a ball holds its centre, so it is never 0 and `or` only builds missing ones
-            if v in adjacency[u] or (
-                (near_balls[u] or ball(u, near)) & (far_balls[v] or ball(v, far))
-            ):
+            if near_balls[u] & far_balls[v]:
                 continue
             # old j-balls of both ends, j < far, taken before any ball grows;
-            # the j = 0 step puts v in the 1-ball of u, so `ones` needs no
-            # update of its own
-            u_reach = [ball(u, j) for j in range(far)]
-            v_reach = [ball(v, j) for j in range(far)]
+            # the j = 0 step puts v in the 1-ball of u, which is the link
+            u_reach = [radius_balls[u] for radius_balls in balls[:far]]
+            v_reach = [radius_balls[v] for radius_balls in balls[:far]]
             for reach, other in ((u_reach, v_reach), (v_reach, u_reach)):
                 inside = 0
                 for j, within in enumerate(reach):
@@ -214,20 +192,23 @@ def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
                     shell = within ^ inside
                     inside = within
                     while shell:
-                        low = shell & -shell
-                        x = low.bit_length() - 1
-                        shell ^= low
+                        x = shell.bit_length() - 1
+                        shell ^= 1 << x
                         for radius_balls, gain in gains:
-                            grown = radius_balls[x]
-                            if grown is None:
-                                break
-                            radius_balls[x] = grown | gain
-            adjacency[u].add(v)
-            adjacency[v].add(u)
+                            radius_balls[x] |= gain
             links += 1
             last_link = i
         series.append((block_end, 2.0 * links / n))
 
+    adjacency: List[Set[int]] = []
+    for x, ball in enumerate(balls[1]):
+        rest = ball ^ (1 << x)
+        nbrs: Set[int] = set()
+        while rest:
+            y = rest.bit_length() - 1
+            nbrs.add(y)
+            rest ^= 1 << y
+        adjacency.append(nbrs)
     saturated = (pairs - 1 - last_link) >= config.window
     return TopologyStats(
         config=config,

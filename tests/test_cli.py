@@ -23,7 +23,8 @@ from oscl_sim.topology import (
     seed_mean_spread,
 )
 
-GOLDEN = Path(__file__).resolve().parents[1] / "runs" / "usecases"
+RUNS = Path(__file__).resolve().parents[1] / "runs"
+GOLDEN = RUNS / "usecases"
 
 
 def _read(path):
@@ -115,12 +116,15 @@ def test_scenario_rejects_unknown_name_and_bad_oscl(tmp_path, capsys):
         ('["scenario"]', "manifest.json: manifest must be a JSON object, got list"),
         ('{"command": "scenario", "config": {"oscl": "on", "appends": 3, "seed": 0}}',
          "manifest.json: manifest config lacks 'name'"),
+        (b"\xff\xfe", "manifest.json: cannot read manifest: not UTF-8 text"),
     ],
-    ids=["missing", "not-json", "not-object", "config-key"],
+    ids=["missing", "not-json", "not-object", "config-key", "not-utf8"],
 )
 def test_replay_bad_manifest_is_flag_error(tmp_path, capsys, body, message):
     manifest = tmp_path / "manifest.json"
-    if body is not None:
+    if isinstance(body, bytes):
+        manifest.write_bytes(body)
+    elif body is not None:
         manifest.write_text(body)
     assert main(["replay", str(manifest), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -248,11 +252,13 @@ def test_unusable_out_is_flag_error(tmp_path, capsys, command, kind):
     assert blocker.read_text() == ""
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
 def test_unreadable_links_file_is_flag_error(tmp_path, capsys, kind):
     links = tmp_path / "links.txt"
     if kind == "directory":
         links.mkdir()
+    elif kind == "not-utf8":
+        links.write_bytes(b"link Dscl1 Gscl1 \xff\n")
     code = main(["scenario", "usecase1", "--links", str(links), "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"{links}: cannot read links file: " in capsys.readouterr().err
@@ -522,6 +528,15 @@ def test_scenario_matches_committed_outputs(tmp_path, capsys, variant):
     capsys.readouterr()
     for output in ("messages.csv", "counters.csv"):
         assert _read(tmp_path / output) == _read(GOLDEN / variant / output)
+
+
+@pytest.mark.slow
+def test_standard_sweep_matches_committed_summary(tmp_path, capsys):
+    # the grid scripts/run_degree_sweep.py runs into runs/degree_sweep
+    argv = ["sweep", "--n", "32,128,512,2048", "--d", "3,5", "--seeds", "3"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _read(tmp_path / "summary.csv") == _read(RUNS / "degree_sweep" / "summary.csv")
 
 
 def test_scenario_with_overlay_prints_summary(tmp_path, capsys):

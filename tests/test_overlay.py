@@ -38,6 +38,11 @@ CONTAINER_URI = "Gscl1/applications/meter_app/containers/meter_data"
 INSTANCE_URI = CONTAINER_URI + "/content_instances/0"
 
 
+def _edge_count(system):
+    # every forwarder has one face per link plus APP_FACE
+    return sum(len(scl.ndn.faces) - 1 for scl in system.scls.values()) // 2
+
+
 def _chain(n_relays=2, seed=0, instances=1, consumer_cs=64):
     """Consumer -- relay* -- producer chain with one populated container.
 
@@ -78,7 +83,7 @@ def _unlinked(*ids):
 
 
 def test_graph_rejects_self_and_duplicate_links():
-    _, overlay = _unlinked("a", "b")
+    system, overlay = _unlinked("a", "b")
     overlay.add_link("a", "b")
     with pytest.raises(DuplicateLink):
         overlay.add_link("b", "a")
@@ -86,7 +91,8 @@ def test_graph_rejects_self_and_duplicate_links():
         overlay.add_link("a", "a")
     with pytest.raises(UnknownNode):
         overlay.add_link("a", "ghost")
-    assert overlay.edge_count == 1
+    a, b = system.scl("a").ndn, system.scl("b").ndn
+    assert set(a.faces) == {APP_FACE, "b"} and set(b.faces) == {APP_FACE, "a"}
 
 
 def test_add_node_rejects_the_application_face_id():
@@ -318,7 +324,7 @@ def test_ensure_link_after_fallback_enables_distributed_discovery():
     assert first.method == "centralized"
     decision = overlay.ensure_link(consumer.node_id, first)
     assert decision is LinkDecision.NEW_LINK
-    assert overlay.edge_count == 1
+    assert _edge_count(system) == 1
     # link_up is logged but not billed
     assert sum(1 for r in system.log if r.msg_type == "link_up") == 1
     assert system.counters.total(msg_type="link_up") == 0
@@ -327,7 +333,7 @@ def test_ensure_link_after_fallback_enables_distributed_discovery():
     assert second.method == "distributed"
     assert second.path == (consumer.node_id, producer.node_id)
     assert overlay.ensure_link(consumer.node_id, second) is LinkDecision.REUSED_PATH
-    assert overlay.edge_count == 1
+    assert _edge_count(system) == 1
 
 
 @pytest.mark.parametrize(
@@ -336,11 +342,11 @@ def test_ensure_link_after_fallback_enables_distributed_discovery():
     ids=["3-hops-reused", "4-hops-new-link"],
 )
 def test_ensure_link_path_hop_boundary(hops, decision):
-    _, overlay, consumer, _, _ = _chain(n_relays=hops - 1)
+    system, overlay, consumer, _, _ = _chain(n_relays=hops - 1)
     result = overlay.distributed_discover(consumer, parse_name(APP_URI), scope=hops)
     assert result.path_hops == hops
     assert overlay.ensure_link(consumer, result) is decision
-    assert overlay.edge_count == hops + (decision is LinkDecision.NEW_LINK)
+    assert _edge_count(system) == hops + (decision is LinkDecision.NEW_LINK)
 
 
 def test_ensure_link_triggered_by_bad_metrics():
