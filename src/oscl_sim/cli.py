@@ -335,12 +335,16 @@ def _parse_links_file(path: str) -> Tuple[List[List], List[int]]:
         if parts[0] != "link" or len(parts) < 3:
             raise FlagError(f"{path}:{lineno}: expected 'link <u> <v> [k=v ...]'")
         spec = dataclasses.asdict(LinkMetrics())
+        given = set()
         for kv in parts[3:]:
             if "=" not in kv:
                 raise FlagError(f"{path}:{lineno}: expected key=value, got {kv!r}")
             key, value = kv.split("=", 1)
             if key not in spec:
                 raise FlagError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in given:
+                raise FlagError(f"{path}:{lineno}: repeats the key {key!r}")
+            given.add(key)
             try:
                 spec[key] = float(value)
             except ValueError as exc:

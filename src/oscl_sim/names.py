@@ -29,11 +29,9 @@ class EmptyComponent(InvalidName):
 class HierarchicalName:
     """Immutable component path; ordering is lexicographic by component.
 
-    The text form (``text``, which ``str`` returns) and the hash are
-    computed once, at construction; the hash is the one the dataclass
-    would generate. Neither is a field, so equality, ordering and repr
-    see the components only. Two names are equal exactly when their
-    texts are.
+    ``text``, which ``str`` returns, is joined once at construction and
+    is not a field: equality, ordering, hash and repr see the components
+    only. Two names are equal exactly when their texts are.
     """
 
     components: Tuple[str, ...]
@@ -47,15 +45,6 @@ class HierarchicalName:
             if "/" in part:
                 raise InvalidName(f"component may not contain '/': {part!r}")
         object.__setattr__(self, "text", "/".join(self.components))
-        object.__setattr__(self, "_hash", hash((self.components,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes: a copy or an unpickled
-        # name is rebuilt from its components, never handed the old hash
-        return (HierarchicalName, (self.components,))
 
     def __str__(self) -> str:
         return self.text

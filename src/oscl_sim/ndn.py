@@ -15,6 +15,9 @@ face toward a neighbor carries that neighbor's node id, and APP_FACE,
 which carries nothing, is the node-local application. Hop limits meter
 overlay hops only, so handing a packet up to the local application
 neither checks nor spends budget.
+
+Tables looked up by name (PIT, Content Store, nonce set) key by its text:
+two names are equal exactly when their texts are, and a text hashes in C.
 """
 
 from __future__ import annotations
@@ -123,28 +126,30 @@ class ContentStore:
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
-        self._items: "OrderedDict[HierarchicalName, Tuple[DataPacket, float]]" = OrderedDict()
+        self._items: "OrderedDict[str, Tuple[DataPacket, float]]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._items)
 
     def lookup(self, name: HierarchicalName, now: float) -> Optional[DataPacket]:
-        hit = self._items.get(name)
+        key = name.text
+        hit = self._items.get(key)
         if hit is None:
             return None
         packet, inserted_at = hit
         if inserted_at + DEFAULT_FRESHNESS_MS <= now:
-            del self._items[name]
+            del self._items[key]
             return None
-        self._items.move_to_end(name)  # refresh recency
+        self._items.move_to_end(key)  # refresh recency
         return packet
 
     def insert(self, packet: DataPacket, now: float) -> None:
         if self.capacity == 0:
             return
-        if packet.name in self._items:
-            self._items.move_to_end(packet.name)
-        self._items[packet.name] = (packet, now)
+        key = packet.name.text
+        if key in self._items:
+            self._items.move_to_end(key)
+        self._items[key] = (packet, now)
         while len(self._items) > self.capacity:
             self._items.popitem(last=False)  # evict least recent
 
@@ -154,10 +159,8 @@ class BoundedNonceSet(OrderedDict):
 
     An OrderedDict with no overridden lookup, so ``in`` and ``len`` run
     at C level: the loop check on a forwarder's hot path makes no
-    Python-level call. Keys are name texts rather than names, because
-    two names are equal exactly when their texts are and a text hashes
-    without calling back into Python. ``add`` evicts the oldest key once
-    ``capacity`` are held; re-adding a held key does not refresh it.
+    Python-level call. ``add`` evicts the oldest key once ``capacity``
+    are held; re-adding a held key does not refresh it.
     """
 
     __slots__ = ("capacity",)  # in a slot: an instance dict per forwarder adds up
@@ -187,7 +190,7 @@ class NdnNode:
     node_id: str
     prefix: HierarchicalName
     cs: ContentStore = field(default_factory=ContentStore)
-    pit: Dict[HierarchicalName, PitEntry] = field(default_factory=dict)
+    pit: Dict[str, PitEntry] = field(default_factory=dict)
     seen_nonces: BoundedNonceSet = field(default_factory=BoundedNonceSet)
     # face id -> the harness's link record; APP_FACE carries None
     faces: Dict[str, Any] = field(default_factory=lambda: {APP_FACE: None})
@@ -196,18 +199,18 @@ class NdnNode:
 # ===== operations =====
 
 
-def pit_expire(node: NdnNode, now: float) -> List[HierarchicalName]:
-    """Drop every PIT entry whose lifetime has passed."""
-    dead = [name for name, e in node.pit.items() if e.expiry <= now]
-    for name in dead:
-        del node.pit[name]
+def pit_expire(node: NdnNode, now: float) -> List[str]:
+    """Drop every PIT entry whose lifetime has passed; returns their names' texts."""
+    dead = [text for text, e in node.pit.items() if e.expiry <= now]
+    for text in dead:
+        del node.pit[text]
     return dead
 
 
-def _expired_gone(node: NdnNode, name: HierarchicalName, now: float) -> Optional[PitEntry]:
-    entry = node.pit.get(name)
+def _expired_gone(node: NdnNode, text: str, now: float) -> Optional[PitEntry]:
+    entry = node.pit.get(text)
     if entry is not None and entry.expiry <= now:
-        del node.pit[name]
+        del node.pit[text]
         return None
     return entry
 
@@ -241,7 +244,8 @@ def on_interest(
     if in_face not in node.faces:
         raise UnknownFace(f"{node.node_id} has no face {in_face!r}")
 
-    key = (pkt.name.text, pkt.nonce)
+    text = pkt.name.text
+    key = (text, pkt.nonce)
     if key in node.seen_nonces:
         return [_LOOP]
     node.seen_nonces.add(key)
@@ -250,7 +254,7 @@ def on_interest(
     if cached is not None:
         return [SendData(in_face, cached)]
 
-    entry = _expired_gone(node, pkt.name, now)
+    entry = _expired_gone(node, text, now)
     if entry is not None:
         # aggregate: remember the extra consumer, do not re-forward
         entry.downstream.add(in_face)
@@ -262,7 +266,7 @@ def on_interest(
     if not out:
         return [_NO_ROUTE]
 
-    node.pit[pkt.name] = PitEntry(
+    node.pit[text] = PitEntry(
         downstream={in_face},
         remaining=pkt.solicit_count,
         expiry=now + DEFAULT_PIT_LIFETIME_MS,
@@ -285,7 +289,7 @@ def on_data(node: NdnNode, pkt: DataPacket, in_face: str, now: float) -> List[Em
     if in_face not in node.faces:
         raise UnknownFace(f"{node.node_id} has no face {in_face!r}")
 
-    entry = _expired_gone(node, pkt.name, now)
+    entry = _expired_gone(node, pkt.name.text, now)
     if entry is None:
         return [_UNSOLICITED]
 
@@ -294,6 +298,6 @@ def on_data(node: NdnNode, pkt: DataPacket, in_face: str, now: float) -> List[Em
     ]
     entry.remaining -= 1
     if entry.remaining <= 0:
-        del node.pit[pkt.name]
+        del node.pit[pkt.name.text]
     node.cs.insert(pkt, now)
     return emissions

@@ -183,9 +183,9 @@ class Overlay:
         self._seq = itertools.count()
         # node id -> forwarder; its faces are the node's links
         self._nodes: Dict[str, NdnNode] = {}
-        # (consumer, name) -> delivered (packet, trail) answers
+        # (consumer, name text) -> delivered (packet, trail) answers
         self._inbox: Dict[Tuple[str, str], List[Tuple[DataPacket, List[str]]]] = {}
-        # (origin, name, nonce) of a subscribe Interest in flight -> the
+        # (origin, name text, nonce) of a subscribe Interest in flight -> the
         # subscription the producer installed, None until it arrives
         self._subs: Dict[Tuple[str, str, int], Optional[Subscription]] = {}
         self.drops: List[Tuple[str, str, str]] = []  # (node, reason, name)
@@ -196,6 +196,8 @@ class Overlay:
         if scl.node_id == APP_FACE:
             # a neighbor's face toward it would be the application face
             raise ValueError(f"node id {APP_FACE!r} is reserved")
+        if self.system.scls.get(scl.node_id) is not scl:
+            raise ValueError(f"{scl.node_id!r} is not an SCL of this overlay's system")
         self._nodes[scl.node_id] = scl.ndn
 
     def add_link(self, u: str, v: str, metrics: Optional[LinkMetrics] = None) -> None:
@@ -317,7 +319,7 @@ class Overlay:
             resolved = resolve_resource(scl, pkt.name)
         except NotFound:
             return
-        key = (trail[0], str(pkt.name), pkt.nonce)
+        key = (trail[0], pkt.name.text, pkt.nonce)
         if resolved[0] == "container" and key in self._subs:
             sub = Subscription(partial(self._notify, node_id, pkt.name), pkt.solicit_count)
             resolved[1].subscriptions.append(sub)
@@ -348,10 +350,10 @@ class Overlay:
     def _notify_local(self, origin: str, name: HierarchicalName, payload: str, index: int) -> None:
         """Hook of a subscription to the origin's own container."""
         packet = _notification(name, payload, index)
-        self._inbox.setdefault((origin, str(name)), []).append((packet, [origin]))
+        self._inbox.setdefault((origin, name.text), []).append((packet, [origin]))
 
     def _app_data(self, node_id: str, pkt: DataPacket, trail: Tuple[str, ...]) -> None:
-        key = (node_id, str(pkt.name))
+        key = (node_id, pkt.name.text)
         self._inbox.setdefault(key, []).append((pkt, list(trail)))
 
     def _request(
@@ -362,11 +364,11 @@ class Overlay:
         A subscribe request files its key in ``_subs`` before the queue
         runs, which is before the Interest can reach any other node.
         """
-        key = (origin, str(name))
+        key = (origin, name.text)
         self._inbox.pop(key, None)
         nonce = self.begin_fetch(origin, name, scope, solicit)
         if subscribe:
-            self._subs[(origin, str(name), nonce)] = None
+            self._subs[(origin, name.text, nonce)] = None
         self.run()
         return nonce, self._inbox.pop(key, [])
 
@@ -449,7 +451,7 @@ class Overlay:
 
     def answers(self, origin: str, name: HierarchicalName) -> List[Tuple[dict, List[str]]]:
         """Decoded Data answers delivered to ``origin`` for ``name`` so far."""
-        rows = self._inbox.get((origin, str(name)), [])
+        rows = self._inbox.get((origin, name.text), [])
         return [(json.loads(pkt.payload), list(trail)) for pkt, trail in rows]
 
     def qos_monitor(
@@ -558,7 +560,7 @@ class Overlay:
         nonce, _ = self._request(
             origin, target_uri, solicit=expected_notifications, scope=scope, subscribe=True
         )
-        sub = self._subs.pop((origin, str(target_uri), nonce), None)
+        sub = self._subs.pop((origin, target_uri.text, nonce), None)
         if sub is None:
             raise NoPath(str(target_uri))
         return sub

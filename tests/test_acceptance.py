@@ -6,7 +6,9 @@ suspended, so the pass/fail record shows up in any pytest run.
 """
 
 import json
+import math
 import random
+import statistics
 from collections import deque
 from functools import lru_cache
 
@@ -63,6 +65,8 @@ def _mean_degree(n: int, d: int) -> float:
 
 @pytest.mark.slow
 def test_degree_scaling_law(report):
+    """Spread and monotonicity alone also pass neighbouring laws, so the
+    fitted exponent b must lie nearer 1/d than 1/(d+1) or 1/(d-1)."""
     details = []
     ok = True
     for d in (3, 5):
@@ -71,11 +75,16 @@ def test_degree_scaling_law(report):
             (n, _run(n, d, s)[0] / predicted_degree(n, d)) for n in SIZES for s in SEEDS
         )
         monotone = all(b >= a for a, b in zip(degrees, degrees[1:]))
+        # least-squares slope of log(seed-mean degree) on log(2n ln n)
+        slope = statistics.linear_regression(
+            [math.log(2 * n * math.log(n)) for n in SIZES], [math.log(x) for x in degrees]
+        ).slope
+        tolerance = (1 / d - 1 / (d + 1)) / 2
         saturated = sum(_run(n, d, s)[1] for n in SIZES for s in SEEDS)
-        ok = ok and spread <= 2.0 and monotone
+        ok = ok and spread <= 2.0 and monotone and abs(slope - 1 / d) < tolerance
         details.append(
-            f"d={d} spread={spread:.3f} monotone={monotone} "
-            f"saturated={saturated}/{len(SIZES) * len(SEEDS)}"
+            f"d={d} spread={spread:.3f} b={slope:.4f} vs 1/d={1 / d:.4f} tol={tolerance:.4f} "
+            f"monotone={monotone} saturated={saturated}/{len(SIZES) * len(SEEDS)}"
         )
     report(1, "degree tracks (2n ln n)^(1/d) across sizes", ok, "; ".join(details))
 

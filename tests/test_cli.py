@@ -295,8 +295,9 @@ def test_bad_links_value_reports_line(tmp_path, capsys, bad):
         ("link Dscl1 Gscl9", "unknown node 'Gscl9'"),
         ("link Gscl1 Gscl1", "self link Gscl1 -- Gscl1"),
         ("link Gscl1 Dscl1 delay_ms=1", "repeats the link Gscl1 -- Dscl1 of line 1"),
+        ("link Gscl1 Nscl delay_ms=1 delay_ms=50", "repeats the key 'delay_ms'"),
     ],
-    ids=["unknown-node", "self-link", "repeated-link"],
+    ids=["unknown-node", "self-link", "repeated-link", "repeated-key"],
 )
 def test_bad_links_line_reports_line(tmp_path, capsys, line, message):
     links = tmp_path / "links.txt"

@@ -101,6 +101,8 @@ def _uncached_text_and_hash(name):
 
 @given(st.lists(COMPONENT, min_size=1, max_size=6), st.lists(COMPONENT, max_size=3))
 def test_cached_text_and_hash_match_definitions(parts, extra):
+    """The text joined at construction is the components' join, and the
+    hash is the dataclass's, however the name was built."""
     direct = HierarchicalName(tuple(parts))
     parsed = parse_name("/".join(parts))
     extended = direct.extend(*extra)
@@ -110,8 +112,8 @@ def test_cached_text_and_hash_match_definitions(parts, extra):
 
 
 def test_unpickled_name_hashes_in_another_process():
-    """A name's hash is fixed at construction and string hashes differ
-    between processes, so pickling must not carry the old hash along."""
+    """String hashes differ between processes, so a name unpickled in
+    another process must hash by that process's string hashes."""
     script = (
         "import pickle, sys; from oscl_sim.names import parse_name; "
         "name = pickle.loads(sys.stdin.buffer.read()); "
@@ -127,6 +129,18 @@ def test_unpickled_name_hashes_in_another_process():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+# few components, so that two drawn names are often equal
+SHORT_NAME = st.builds(
+    HierarchicalName, st.lists(st.sampled_from(["a", "b", "ab"]), min_size=1, max_size=3).map(tuple)
+)
+
+
+@given(NAME | SHORT_NAME, NAME | SHORT_NAME)
+def test_names_are_equal_exactly_when_their_texts_are(a, b):
+    """Tables looked up by name key by the text, so they rest on this."""
+    assert (a == b) == (a.text == b.text)
 
 
 @given(NAME, NAME, NAME)

@@ -196,20 +196,20 @@ def test_interest_cache_hit_answers_arrival_face():
     packet = _data()
     node.cs.insert(packet, 0.0)
     assert on_interest(node, _interest(), "peer", 1.0) == [SendData("peer", packet)]
-    assert NAME not in node.pit  # no pending state for answered Interests
+    assert NAME.text not in node.pit  # no pending state for answered Interests
 
 
 def test_interest_no_route_drop():
     node = _node(faces=["peer"])
     assert on_interest(node, _interest(), "peer", 0.0) == [Drop("no-route")]
-    assert NAME not in node.pit
+    assert NAME.text not in node.pit
 
 
 def test_interest_forwarded_decrements_hop_limit():
     node = _node(faces=["a", "b"])
     out = on_interest(node, _interest(hop_limit=4), "a", 0.0)
     assert out == [SendInterest("b", _interest(hop_limit=3))]
-    assert node.pit[NAME].downstream == {"a"}
+    assert node.pit[NAME.text].downstream == {"a"}
 
 
 def test_interest_hop_budget_blocks_overlay_but_not_local_delivery():
@@ -227,7 +227,7 @@ def test_interest_aggregated_into_live_entry():
     assert len(first) == 2  # flooded to b and up
     second = on_interest(node, _interest(nonce=2, solicit=5), "b", 1.0)
     assert second == []  # suppressed: only the first copy went upstream
-    entry = node.pit[NAME]
+    entry = node.pit[NAME.text]
     assert entry.downstream == {"a", "b"}
     assert entry.remaining == 5  # solicit budget grows to the max seen
     assert entry.expiry == 1.0 + DEFAULT_PIT_LIFETIME_MS
@@ -254,7 +254,7 @@ def test_interest_pit_expiry_allows_refresh():
     lifetime = DEFAULT_PIT_LIFETIME_MS
     out = on_interest(node, _interest(nonce=2), "a", lifetime + 1.0)
     assert out == [SendInterest("up", _interest(nonce=2, hop_limit=3))]
-    assert node.pit[NAME].downstream == {"a"}
+    assert node.pit[NAME.text].downstream == {"a"}
 
 
 _labels = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3)
@@ -298,8 +298,23 @@ def test_data_fans_out_and_consumes_entry():
     packet = _data()
     out = on_data(node, packet, "up", 1.0)
     assert out == [SendData("f1", packet), SendData("f2", packet)]
-    assert NAME not in node.pit
+    assert NAME.text not in node.pit
     assert node.cs.lookup(NAME, 1.0) == packet
+
+
+def test_separately_parsed_copies_of_one_name_meet_in_every_table():
+    # the Interest, the Data and the lookups each carry their own object
+    text = NAME.text
+    copies = [parse_name(text) for _ in range(4)]
+    assert len({id(name) for name in copies}) == 4
+    node = _node(faces=["a", "up"])
+    on_interest(node, _interest(name=copies[0], nonce=1), "a", 0.0)
+    packet = _data(name=copies[1])
+    assert on_data(node, packet, "up", 1.0) == [SendData("a", packet)]
+    assert text not in node.pit
+    assert node.cs.lookup(copies[2], 1.0) is packet
+    answer = on_interest(node, _interest(name=copies[3], nonce=2), "a", 2.0)
+    assert answer == [SendData("a", packet)]
 
 
 def test_data_unsolicited_dropped_and_not_cached():
@@ -313,7 +328,7 @@ def test_data_not_reflected_to_arrival_face():
     node = _node(faces=["up"])
     on_interest(node, _interest(), APP_FACE, 0.0)
     # entry's only other downstream is the arrival face itself
-    node.pit[NAME].downstream = {"up"}
+    node.pit[NAME.text].downstream = {"up"}
     assert on_data(node, _data(), "up", 1.0) == []
 
 
@@ -329,10 +344,10 @@ def test_data_solicit_budget_consumed_one_per_message(solicit):
     node = _node(faces=["a", "up"])
     on_interest(node, _interest(solicit=solicit), "a", 0.0)
     for i in range(solicit):
-        assert NAME in node.pit
+        assert NAME.text in node.pit
         out = on_data(node, _data(payload=f"v{i}".encode()), "up", float(i))
         assert len(out) == 1
-    assert NAME not in node.pit
+    assert NAME.text not in node.pit
     assert on_data(node, _data(), "up", float(solicit)) == [Drop("unsolicited")]
 
 
@@ -346,8 +361,8 @@ def test_pit_expire_removes_only_dead_entries():
     on_interest(node, _interest(name=other, nonce=2), "a", 100.0)
     lifetime = DEFAULT_PIT_LIFETIME_MS
     dead = pit_expire(node, lifetime + 1.0)
-    assert dead == [NAME]
-    assert other in node.pit and NAME not in node.pit
+    assert dead == [NAME.text]
+    assert other.text in node.pit and NAME.text not in node.pit
 
 
 @given(st.integers(1, 10), st.integers(0, 64))

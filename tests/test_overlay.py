@@ -103,6 +103,20 @@ def test_add_node_rejects_the_application_face_id():
         overlay.add_node(system.add_scl(SclKind.GSCL, APP_FACE))
 
 
+def test_add_node_rejects_an_scl_of_another_system():
+    # its forwarder would take Interests that this system's SCLs cannot
+    # answer, and the run would stop midway on a NotFound
+    system, overlay = _unlinked("Gscl1", "Gscl2")
+    for node_id in ("Gscl2", "Gscl3"):
+        stranger = M2mSystem().add_scl(SclKind.GSCL, node_id)
+        with pytest.raises(ValueError, match="not an SCL of this overlay's system"):
+            overlay.add_node(stranger)
+    with pytest.raises(UnknownNode):
+        overlay.add_link("Gscl1", "Gscl3")
+    overlay.add_link("Gscl1", "Gscl2")  # the rejected copy replaced nothing
+    assert set(system.scl("Gscl2").ndn.faces) == {APP_FACE, "Gscl1"}
+
+
 # ===== distributed discovery =====
 
 
