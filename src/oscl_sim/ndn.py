@@ -4,8 +4,9 @@ Each overlay node runs one forwarder. It answers names under its own
 prefix and floods every other Interest, like multicast forwarding in
 NFD. Handlers are pure with respect to the wire: they mutate node
 state and return emission records; the harness decides what a "face"
-physically is and what a send costs. A Drop is always a handler's only
-emission, and the handlers return shared Drop constants, so a dropped
+physically is and what a send costs. A handler returns at most one
+emission: one send names every face its packet goes out on, in sorted
+order, and the handlers return shared Drop constants, so a dropped
 copy costs no record of its own.
 
 A node's faces are its links: ``NdnNode.faces`` maps each face id to
@@ -68,13 +69,13 @@ class DataPacket:
 
 @dataclass(frozen=True, slots=True)
 class SendInterest:
-    face: str
+    faces: Tuple[str, ...]
     packet: InterestPacket
 
 
 @dataclass(frozen=True, slots=True)
 class SendData:
-    face: str
+    faces: Tuple[str, ...]
     packet: DataPacket
 
 
@@ -215,16 +216,6 @@ def _expired_gone(node: NdnNode, text: str, now: float) -> Optional[PitEntry]:
     return entry
 
 
-def _forwarding_faces(node: NdnNode, pkt: InterestPacket, in_face: str) -> List[str]:
-    """Pick outbound faces: the application face alone for a name under
-    the node's prefix, else every overlay face but the arrival one."""
-    if is_prefix(node.prefix, pkt.name):
-        return [APP_FACE]
-    if pkt.hop_limit <= 0:
-        return []
-    return sorted(f for f in node.faces if f not in (in_face, APP_FACE))
-
-
 def on_interest(
     node: NdnNode, pkt: InterestPacket, in_face: str, now: float
 ) -> List[Emission]:
@@ -238,8 +229,9 @@ def on_interest(
     without touching the PIT; a live PIT entry absorbs the Interest
     (only the first copy of a request is ever forwarded onward);
     otherwise a name under the node's prefix goes up to the
-    application, any other is flooded with the hop budget spent per
-    overlay hop, and a PIT entry records the way back.
+    application, any other is flooded, as one hop-spent copy, to every
+    overlay face but the arrival one, and a PIT entry records the way
+    back.
     """
     if in_face not in node.faces:
         raise UnknownFace(f"{node.node_id} has no face {in_face!r}")
@@ -252,7 +244,7 @@ def on_interest(
 
     cached = node.cs.lookup(pkt.name, now)
     if cached is not None:
-        return [SendData(in_face, cached)]
+        return [SendData((in_face,), cached)]
 
     entry = _expired_gone(node, text, now)
     if entry is not None:
@@ -262,20 +254,23 @@ def on_interest(
         entry.expiry = max(entry.expiry, now + DEFAULT_PIT_LIFETIME_MS)
         return []
 
-    out = _forwarding_faces(node, pkt, in_face)
-    if not out:
+    if is_prefix(node.prefix, pkt.name):
+        send = SendInterest((APP_FACE,), pkt)
+    elif pkt.hop_limit <= 0:
         return [_NO_ROUTE]
-
+    else:
+        faces = sorted([f for f in node.faces if f != in_face and f != APP_FACE])
+        if not faces:
+            return [_NO_ROUTE]
+        # packets are frozen: one hop-spent copy serves every face
+        spent = InterestPacket(pkt.name, pkt.nonce, pkt.hop_limit - 1, pkt.solicit_count)
+        send = SendInterest(tuple(faces), spent)
     node.pit[text] = PitEntry(
         downstream={in_face},
         remaining=pkt.solicit_count,
         expiry=now + DEFAULT_PIT_LIFETIME_MS,
     )
-    if out[0] == APP_FACE:
-        return [SendInterest(APP_FACE, pkt)]
-    # one hop-spent copy serves every overlay face: packets are frozen
-    spent = InterestPacket(pkt.name, pkt.nonce, pkt.hop_limit - 1, pkt.solicit_count)
-    return [SendInterest(face, spent) for face in out]
+    return [send]
 
 
 def on_data(node: NdnNode, pkt: DataPacket, in_face: str, now: float) -> List[Emission]:
@@ -289,15 +284,16 @@ def on_data(node: NdnNode, pkt: DataPacket, in_face: str, now: float) -> List[Em
     if in_face not in node.faces:
         raise UnknownFace(f"{node.node_id} has no face {in_face!r}")
 
-    entry = _expired_gone(node, pkt.name.text, now)
+    text = pkt.name.text
+    entry = _expired_gone(node, text, now)
     if entry is None:
         return [_UNSOLICITED]
 
-    emissions: List[Emission] = [
-        SendData(face, pkt) for face in sorted(entry.downstream) if face != in_face
-    ]
+    faces = sorted(entry.downstream)
+    if in_face in entry.downstream:
+        faces.remove(in_face)
     entry.remaining -= 1
     if entry.remaining <= 0:
-        del node.pit[pkt.name.text]
+        del node.pit[text]
     node.cs.insert(pkt, now)
-    return emissions
+    return [SendData(tuple(faces), pkt)] if faces else []

@@ -18,13 +18,13 @@ message log but never in the counters.
 
 Most link traversals of a flood end in a drop, chiefly at the loop
 check, so a dropped copy costs only its log row, one counter, one
-drop tuple and the forwarder's shared Drop.
+drop tuple and the forwarder's shared Drop. A copy the forwarder sends
+on costs one emission however many faces it goes out on.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 import math
 import random
@@ -168,19 +168,21 @@ class Overlay:
 
     All randomness (nonces, loss draws) comes from one seeded RNG, so a
     given seed replays the same message sequence. The event queue holds
-    link traversals as plain data, ``(at, seq, u, v, packet, trail)``:
-    a copy of ``packet`` arrives at ``v`` from ``u`` at time ``at``,
-    ``trail`` lists the nodes the copy has visited, origin first, and
-    ``seq`` orders arrivals due at the same time by when they were sent.
-    The overlay moves packets; the application endpoints decide what an
-    Interest means (see ``_app_interest``).
+    link traversals as plain data, ``(u, v, packet, trail)``: a copy of
+    ``packet`` arrives at ``v`` from ``u``, and ``trail`` lists the
+    nodes the copy has visited, origin first. Arrivals are bucketed by
+    due time, in the order they were sent, and ``_times`` is a heap of
+    the due times that have a bucket. The overlay moves packets; the
+    application endpoints decide what an Interest means (see
+    ``_app_interest``).
     """
 
     def __init__(self, system: M2mSystem, seed: int = 0) -> None:
         self.system = system
         self.rng = random.Random(seed)
-        self._events: List[Tuple[float, int, str, str, Packet, Tuple[str, ...]]] = []
-        self._seq = itertools.count()
+        self._events: Dict[float, List[Tuple[str, str, Packet, Tuple[str, ...]]]] = {}
+        self._times: List[float] = []
+        self._running = False
         # node id -> forwarder; its faces are the node's links
         self._nodes: Dict[str, NdnNode] = {}
         # (consumer, name text) -> delivered (packet, trail) answers
@@ -218,23 +220,37 @@ class Overlay:
     def run(self) -> None:
         """Drain the event queue, advancing the shared clock.
 
-        One pass per link traversal: log the arriving copy, hand it to
-        the receiving forwarder, and let ``_handle`` act on what the
-        forwarder emits. The packet's kind is read once, from its type.
+        Buckets run in due-time order, each in sending order. A send
+        made while a bucket drains, due at that same time when its link
+        has no delay, opens a fresh bucket that runs next. One pass per
+        link traversal: log the arriving copy, hand it to the receiving
+        forwarder, and let ``_handle`` act on what the forwarder emits.
+        The packet's kind is read once, from its type.
+
+        Raises RuntimeError when called while it is already draining: a
+        nested pass would run later buckets before the rest of the
+        current one.
         """
-        events, system, nodes = self._events, self.system, self._nodes
+        if self._running:
+            raise RuntimeError("Overlay.run called while the event queue is draining")
+        events, times, system, nodes = self._events, self._times, self.system, self._nodes
         log_extend, pop, handle = system.log.extend, heapq.heappop, self._handle
-        while events:
-            at, _, u, v, pkt, trail = pop(events)
-            if at > system.clock_ms:
-                system.clock_ms = at
-            now = system.clock_ms
-            if type(pkt) is InterestPacket:
-                kind, handler = MSG_INTEREST, on_interest
-            else:
-                kind, handler = MSG_DATA, on_data
-            log_extend((now, u, v, "", kind, pkt.name.text))
-            handle(v, kind, pkt, trail, handler(nodes[v], pkt, u, now))
+        self._running = True
+        try:
+            while times:
+                at = pop(times)
+                if at > system.clock_ms:
+                    system.clock_ms = at
+                now = system.clock_ms
+                for u, v, pkt, trail in events.pop(at):
+                    if type(pkt) is InterestPacket:
+                        kind, handler = MSG_INTEREST, on_interest
+                    else:
+                        kind, handler = MSG_DATA, on_data
+                    log_extend((now, u, v, "", kind, pkt.name.text))
+                    handle(v, kind, pkt, trail, handler(nodes[v], pkt, u, now))
+        finally:
+            self._running = False
 
     # ----- packet plumbing -----
 
@@ -254,53 +270,59 @@ class Overlay:
     def _handle(
         self, at_node: str, kind: str, pkt: Packet, trail: Tuple[str, ...], emissions
     ) -> None:
-        """Act on the emissions of ``at_node``'s forwarder for ``pkt``.
+        """Act on the emission of ``at_node``'s forwarder for ``pkt``.
 
         No emission means the copy was absorbed into a pending entry; a
-        Drop ends the copy. Anything sent to APP_FACE goes up to the
-        node's application. Anything else is forwarded over the link
-        behind its face, in one place: a relay count unless the copy
-        starts its journey here, a loss draw, and the push of its
-        arrival. A Data answer to an Interest is a Content Store hit,
-        which ends the Interest and starts a Data journey at this node.
+        Drop ends the copy. A send goes out on its faces in their sorted
+        order. APP_FACE hands the packet up to the node's application;
+        any other face forwards it over the link behind it: a relay
+        count unless the copy starts its journey here, a loss draw, and
+        the arrival appended to its due time's bucket. A Data answer to
+        an Interest is a Content Store hit, which ends the Interest and
+        starts a Data journey at this node.
         """
         record = self.system.counters.record
-        if not emissions or type(emissions[0]) is Drop:  # a Drop comes alone
+        if not emissions or type(emissions[0]) is Drop:
             record(at_node, kind, ROLE_DROPPED)
             reason = emissions[0].reason if emissions else "aggregated"
             self.drops.append((at_node, reason, pkt.name.text))
             return
-        faces = self._nodes[at_node].faces
-        for em in emissions:
-            cls = type(em)
-            face, out, out_trail = em.face, em.packet, trail
-            if cls is SendInterest:
-                out_kind = MSG_INTEREST
-            else:
-                out_kind = MSG_DATA
-                if kind == MSG_INTEREST:  # Content Store hit
-                    record(at_node, MSG_INTEREST, ROLE_RECEIVED)
-                    record(at_node, MSG_DATA, ROLE_ORIGINATED)
-                    out_trail = (at_node,)
+        send = emissions[0]
+        out = send.packet
+        if type(send) is SendInterest:
+            out_kind = MSG_INTEREST
+        else:
+            out_kind = MSG_DATA
+            if kind == MSG_INTEREST:  # Content Store hit
+                record(at_node, MSG_INTEREST, ROLE_RECEIVED)
+                record(at_node, MSG_DATA, ROLE_ORIGINATED)
+                trail = (at_node,)
+        links, events = self._nodes[at_node].faces, self._events
+        relayed = at_node != trail[0]
+        now = self.system.clock_ms
+        for face in send.faces:
             if face == APP_FACE:
                 record(at_node, out_kind, ROLE_RECEIVED)
-                if cls is SendInterest:
-                    self._app_interest(at_node, out, out_trail)
+                if out_kind == MSG_INTEREST:
+                    self._app_interest(at_node, out, trail)
                 else:
-                    self._app_data(at_node, out, out_trail)
+                    self._app_data(at_node, out, trail)
                 continue
-            link = faces[face]  # face ids double as neighbor ids
-            if at_node != out_trail[0]:
+            link = links[face]  # face ids double as neighbor ids
+            if relayed:
                 record(at_node, out_kind, ROLE_RELAYED)
             if link.loss > 0.0 and self.rng.random() < link.loss:
                 record(at_node, out_kind, ROLE_DROPPED)
                 self.drops.append((at_node, "loss", out.name.text))
                 continue
-            heapq.heappush(
-                self._events,
-                (self.system.clock_ms + link.delay_ms, next(self._seq), at_node, face, out,
-                 out_trail + (face,)),
-            )
+            at = now + link.delay_ms
+            arrival = (at_node, face, out, trail + (face,))
+            bucket = events.get(at)
+            if bucket is None:
+                events[at] = [arrival]
+                heapq.heappush(self._times, at)
+            else:
+                bucket.append(arrival)
 
     # ----- application endpoints -----
 

@@ -4,8 +4,8 @@ One seeded run over a 48-node overlay built by the degree experiment:
 discoveries (some falling back to the hub, some for names nobody
 owns), content fetches that hit caches on the way, and a peer-to-peer
 subscription fed by appends. Links mix delays, including zero-delay
-ties that only the event sequence number orders, and one link loses
-packets, so the loss draws interleave with the nonce draws.
+ties that only the sending order orders, and one link loses packets,
+so the loss draws interleave with the nonce draws.
 
 The digest covers everything the run leaves behind: the message log,
 the counters, the drop list, every operation's result, the final

@@ -186,7 +186,7 @@ def test_interest_loop_dropped_before_cache():
     node = _node(faces=["peer"])
     node.cs.insert(_data(), 0.0)
     first = on_interest(node, _interest(nonce=3), "peer", 0.0)
-    assert first == [SendData("peer", node.cs.lookup(NAME, 0.0))]
+    assert first == [SendData(("peer",), node.cs.lookup(NAME, 0.0))]
     second = on_interest(node, _interest(nonce=3), "peer", 1.0)
     assert second == [Drop("loop")]
 
@@ -195,7 +195,7 @@ def test_interest_cache_hit_answers_arrival_face():
     node = _node(faces=["peer"])
     packet = _data()
     node.cs.insert(packet, 0.0)
-    assert on_interest(node, _interest(), "peer", 1.0) == [SendData("peer", packet)]
+    assert on_interest(node, _interest(), "peer", 1.0) == [SendData(("peer",), packet)]
     assert NAME.text not in node.pit  # no pending state for answered Interests
 
 
@@ -208,7 +208,7 @@ def test_interest_no_route_drop():
 def test_interest_forwarded_decrements_hop_limit():
     node = _node(faces=["a", "b"])
     out = on_interest(node, _interest(hop_limit=4), "a", 0.0)
-    assert out == [SendInterest("b", _interest(hop_limit=3))]
+    assert out == [SendInterest(("b",), _interest(hop_limit=3))]
     assert node.pit[NAME.text].downstream == {"a"}
 
 
@@ -218,13 +218,14 @@ def test_interest_hop_budget_blocks_overlay_but_not_local_delivery():
     # local producer delivery is free of hop budget
     local = _node("n2", prefix=PRODUCER, faces=["a"])
     out = on_interest(local, _interest(nonce=2, hop_limit=0), "a", 0.0)
-    assert out == [SendInterest(APP_FACE, _interest(nonce=2, hop_limit=0))]
+    assert out == [SendInterest((APP_FACE,), _interest(nonce=2, hop_limit=0))]
 
 
 def test_interest_aggregated_into_live_entry():
     node = _node(faces=["a", "b", "up"])
     first = on_interest(node, _interest(nonce=1), "a", 0.0)
-    assert len(first) == 2  # flooded to b and up
+    # one hop-spent copy flooded to b and up
+    assert first == [SendInterest(("b", "up"), _interest(nonce=1, hop_limit=3))]
     second = on_interest(node, _interest(nonce=2, solicit=5), "b", 1.0)
     assert second == []  # suppressed: only the first copy went upstream
     entry = node.pit[NAME.text]
@@ -236,16 +237,13 @@ def test_interest_aggregated_into_live_entry():
 def test_interest_flood_copies_everywhere_but_arrival():
     node = _node(faces=["a", "b", "c"])
     out = on_interest(node, _interest(hop_limit=2), "a", 0.0)
-    assert out == [
-        SendInterest("b", _interest(hop_limit=1)),
-        SendInterest("c", _interest(hop_limit=1)),
-    ]
+    assert out == [SendInterest(("b", "c"), _interest(hop_limit=1))]
 
 
 def test_interest_flood_prefers_local_producer():
     node = _node(prefix=PRODUCER, faces=["a", "b"])
     out = on_interest(node, _interest(hop_limit=2), "a", 0.0)
-    assert out == [SendInterest(APP_FACE, _interest(hop_limit=2))]
+    assert out == [SendInterest((APP_FACE,), _interest(hop_limit=2))]
 
 
 def test_interest_pit_expiry_allows_refresh():
@@ -253,7 +251,7 @@ def test_interest_pit_expiry_allows_refresh():
     on_interest(node, _interest(nonce=1), "a", 0.0)
     lifetime = DEFAULT_PIT_LIFETIME_MS
     out = on_interest(node, _interest(nonce=2), "a", lifetime + 1.0)
-    assert out == [SendInterest("up", _interest(nonce=2, hop_limit=3))]
+    assert out == [SendInterest(("up",), _interest(nonce=2, hop_limit=3))]
     assert node.pit[NAME.text].downstream == {"a"}
 
 
@@ -280,10 +278,10 @@ def test_forwarding_rule_answers_own_prefix_and_floods_the_rest(case):
     out = on_interest(node, pkt, in_face, 0.0)
     others = sorted(faces - {in_face})
     if name_labels[: len(prefix_labels)] == prefix_labels:
-        assert out == [SendInterest(APP_FACE, pkt)]
+        assert out == [SendInterest((APP_FACE,), pkt)]
     elif hop_limit > 0 and others:
         spent = _interest(name=pkt.name, hop_limit=hop_limit - 1)
-        assert out == [SendInterest(face, spent) for face in others]
+        assert out == [SendInterest(tuple(others), spent)]
     else:
         assert out == [Drop("no-route")]
 
@@ -297,7 +295,7 @@ def test_data_fans_out_and_consumes_entry():
     on_interest(node, _interest(nonce=2), "f2", 0.0)
     packet = _data()
     out = on_data(node, packet, "up", 1.0)
-    assert out == [SendData("f1", packet), SendData("f2", packet)]
+    assert out == [SendData(("f1", "f2"), packet)]
     assert NAME.text not in node.pit
     assert node.cs.lookup(NAME, 1.0) == packet
 
@@ -310,11 +308,11 @@ def test_separately_parsed_copies_of_one_name_meet_in_every_table():
     node = _node(faces=["a", "up"])
     on_interest(node, _interest(name=copies[0], nonce=1), "a", 0.0)
     packet = _data(name=copies[1])
-    assert on_data(node, packet, "up", 1.0) == [SendData("a", packet)]
+    assert on_data(node, packet, "up", 1.0) == [SendData(("a",), packet)]
     assert text not in node.pit
     assert node.cs.lookup(copies[2], 1.0) is packet
     answer = on_interest(node, _interest(name=copies[3], nonce=2), "a", 2.0)
-    assert answer == [SendData("a", packet)]
+    assert answer == [SendData(("a",), packet)]
 
 
 def test_data_unsolicited_dropped_and_not_cached():
@@ -345,8 +343,8 @@ def test_data_solicit_budget_consumed_one_per_message(solicit):
     on_interest(node, _interest(solicit=solicit), "a", 0.0)
     for i in range(solicit):
         assert NAME.text in node.pit
-        out = on_data(node, _data(payload=f"v{i}".encode()), "up", float(i))
-        assert len(out) == 1
+        packet = _data(payload=f"v{i}".encode())
+        assert on_data(node, packet, "up", float(i)) == [SendData(("a",), packet)]
     assert NAME.text not in node.pit
     assert on_data(node, _data(), "up", float(solicit)) == [Drop("unsolicited")]
 

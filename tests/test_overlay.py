@@ -243,6 +243,67 @@ def test_relay_suppresses_duplicate_interests(k):
         assert answers[0][0]["value"] == "v0"
 
 
+def test_data_fan_out_reaches_faces_sorted_after_the_application():
+    """Node ids that sort after APP_FACE put it first in a fan-out: the
+    Data must still go on to every neighbor behind it."""
+    system = M2mSystem()
+    producer = system.add_scl(SclKind.GSCL, "Gscl1")
+    zed1 = system.add_scl(SclKind.DSCL, "zed1")
+    zed2 = system.add_scl(SclKind.DSCL, "zed2")
+    create_application(producer, "meter_app")
+    create_container(producer, "meter_app", "meter_data")
+    create_content_instance(producer, "meter_app", "meter_data", "v0")
+    overlay = Overlay(system, seed=0)
+    for scl in (producer, zed1, zed2):
+        overlay.add_node(scl)
+    overlay.add_link("Gscl1", "zed1")
+    overlay.add_link("zed1", "zed2")
+    assert sorted([APP_FACE, "zed2"]) == [APP_FACE, "zed2"]
+
+    # zed2's Interest aggregates into zed1's own pending entry, so the
+    # Data at zed1 fans out to (APP_FACE, "zed2")
+    name = parse_name(INSTANCE_URI)
+    overlay.begin_fetch("zed1", name, scope=2)
+    overlay.begin_fetch("zed2", name, scope=2)
+    overlay.run()
+
+    for consumer, trail in (("zed1", ["Gscl1", "zed1"]), ("zed2", ["Gscl1", "zed1", "zed2"])):
+        [(body, got_trail)] = overlay.answers(consumer, name)
+        assert body["value"] == "v0" and got_trail == trail
+    c = system.counters
+    assert c.get("zed1", "data", "received") == c.get("zed2", "data", "received") == 1
+    assert c.get("zed1", "data", "relayed") == 1
+    assert c.total("data", "originated") == 1  # the producer's answer
+    assert c.total("data", "received") == 2 and c.total("data", "dropped") == 0
+    assert c.total("interest", "originated") == 2
+    assert c.total("interest", "received") == 1  # the producer's
+    assert sorted(overlay.drops) == [
+        ("zed1", "aggregated", name.text),
+        ("zed2", "aggregated", name.text),
+    ]
+    assert c.total(role="dropped") == len(overlay.drops)
+
+
+# ===== event loop =====
+
+
+def test_run_refuses_to_reenter_itself(monkeypatch):
+    _, overlay, consumer, _, _ = _chain(n_relays=1)
+    deliver = overlay._app_data
+
+    def deliver_and_rerun(node_id, pkt, trail):
+        deliver(node_id, pkt, trail)
+        overlay.run()
+
+    monkeypatch.setattr(overlay, "_app_data", deliver_and_rerun)
+    with pytest.raises(RuntimeError, match="draining"):
+        overlay.fetch_resource(consumer, parse_name(INSTANCE_URI), scope=3)
+    monkeypatch.undo()
+    overlay.run()  # the refusal leaves the loop callable again
+    body, _ = overlay.fetch_resource(consumer, parse_name(APP_URI), scope=3)
+    assert body["uri"] == APP_URI
+
+
 # ===== qos monitoring =====
 
 
