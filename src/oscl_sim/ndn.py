@@ -12,10 +12,10 @@ copy costs no record of its own.
 A node's faces are its links: ``NdnNode.faces`` maps each face id to
 whatever the harness attaches to that link (the overlay attaches the
 link's metrics), and nothing else records who is linked to whom. The
-face toward a neighbor carries that neighbor's node id, and APP_FACE,
-which carries nothing, is the node-local application. Hop limits meter
-overlay hops only, so handing a packet up to the local application
-neither checks nor spends budget.
+face toward a neighbor carries that neighbor's node id. APP_FACE, the
+node-local application, is no link and so in no ``faces``. Hop limits
+meter overlay hops only, so handing a packet up to the local
+application neither checks nor spends budget.
 
 Tables looked up by name (PIT, Content Store, nonce set) key by its text:
 two names are equal exactly when their texts are, and a text hashes in C.
@@ -35,10 +35,6 @@ DEFAULT_PIT_LIFETIME_MS = 4000.0
 DEFAULT_FRESHNESS_MS = 10_000.0
 DEFAULT_CS_CAPACITY = 64
 DEFAULT_NONCE_CAPACITY = 1 << 16
-
-
-class UnknownFace(ValueError):
-    """Packet handed to a node on a face it does not own."""
 
 
 # ===== packets =====
@@ -104,7 +100,7 @@ class PitEntry:
 
     ``downstream`` holds the faces the Interest arrived on, the first
     copy's and every aggregated one's; Data goes back out on each of
-    them but the one it arrived on.
+    them but the link it arrived on.
     ``remaining`` is how many further Data messages this entry will
     accept before it is consumed; a solicited stream keeps the entry
     alive across several Data arrivals.
@@ -193,8 +189,8 @@ class NdnNode:
     cs: ContentStore = field(default_factory=ContentStore)
     pit: Dict[str, PitEntry] = field(default_factory=dict)
     seen_nonces: BoundedNonceSet = field(default_factory=BoundedNonceSet)
-    # face id -> the harness's link record; APP_FACE carries None
-    faces: Dict[str, Any] = field(default_factory=lambda: {APP_FACE: None})
+    # neighbor id -> the harness's record of the link to it
+    faces: Dict[str, Any] = field(default_factory=dict)
 
 
 # ===== operations =====
@@ -233,9 +229,6 @@ def on_interest(
     overlay face but the arrival one, and a PIT entry records the way
     back.
     """
-    if in_face not in node.faces:
-        raise UnknownFace(f"{node.node_id} has no face {in_face!r}")
-
     text = pkt.name.text
     key = (text, pkt.nonce)
     if key in node.seen_nonces:
@@ -259,7 +252,7 @@ def on_interest(
     elif pkt.hop_limit <= 0:
         return [_NO_ROUTE]
     else:
-        faces = sorted([f for f in node.faces if f != in_face and f != APP_FACE])
+        faces = sorted([f for f in node.faces if f != in_face])
         if not faces:
             return [_NO_ROUTE]
         # packets are frozen: one hop-spent copy serves every face
@@ -278,19 +271,16 @@ def on_data(node: NdnNode, pkt: DataPacket, in_face: str, now: float) -> List[Em
 
     Unsolicited Data (no live PIT entry under the exact name) is
     dropped and never cached. A match sends the packet out on every
-    downstream face except the arrival one, in sorted face order,
+    downstream face but the link it arrived on, in sorted face order,
     caches it, and consumes one unit of the entry's solicit budget.
     """
-    if in_face not in node.faces:
-        raise UnknownFace(f"{node.node_id} has no face {in_face!r}")
-
     text = pkt.name.text
     entry = _expired_gone(node, text, now)
     if entry is None:
         return [_UNSOLICITED]
 
     faces = sorted(entry.downstream)
-    if in_face in entry.downstream:
+    if in_face != APP_FACE and in_face in entry.downstream:
         faces.remove(in_face)
     entry.remaining -= 1
     if entry.remaining <= 0:

@@ -13,8 +13,9 @@ Counter semantics: a packet is "originated" once where it is injected,
 "relayed" at every node that forwards it onward, "received" where a
 local application consumes it, and "dropped" where a copy terminates
 without consumer (loop pruning, no route, loss, or aggregation into an
-existing pending entry). Probe and link_up rows appear in the
-message log but never in the counters.
+existing pending entry). A request for a name its origin owns goes
+through the origin's own forwarder and is counted alike. Probe and
+link_up rows appear in the message log but never in the counters.
 
 Most link traversals of a flood end in a drop, chiefly at the loop
 check, so a dropped copy costs only its log row, one counter, one
@@ -33,7 +34,7 @@ from enum import Enum
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .names import HierarchicalName, is_prefix, parse_name
+from .names import HierarchicalName, parse_name
 from .ndn import (
     APP_FACE,
     DataPacket,
@@ -327,7 +328,8 @@ class Overlay:
     # ----- application endpoints -----
 
     def _app_interest(self, node_id: str, pkt: InterestPacket, trail: Tuple[str, ...]) -> None:
-        """Producer-side handling of a delivered Interest.
+        """Producer-side handling of a delivered Interest, whether it came
+        over a link or from this node's own requests.
 
         A subscribe Interest, one whose (origin, name, nonce) key
         p2p_subscribe filed in ``_subs``, installs a standing
@@ -347,32 +349,15 @@ class Overlay:
             resolved[1].subscriptions.append(sub)
             self._subs[key] = sub
             return
-        payload = self._answer_payload(scl, pkt.name, resolved)
-        self._inject(node_id, DataPacket(pkt.name, payload))
-
-    def _answer_payload(self, scl: SclInstance, name: HierarchicalName, resolved) -> bytes:
-        body = {
-            "uri": str(name),
-            "locator": {
-                "node_id": scl.locator.node_id,
-                "host": scl.locator.host,
-                "port": scl.locator.port,
-            },
-        }
+        body = {"uri": str(pkt.name), "locator": vars(scl.locator)}
         if resolved[0] == "instance":
-            body["value"] = resolved[1]
-            body["index"] = resolved[2]
-        return _to_json(body).encode()
+            body["value"], body["index"] = resolved[1], resolved[2]
+        self._inject(node_id, DataPacket(pkt.name, _to_json(body).encode()))
 
     def _notify(self, producer_id: str, name: HierarchicalName, payload: str, index: int) -> None:
-        """Remote subscription hook: send one Data along the reverse path."""
+        """Subscription hook: send one Data along the reverse path."""
         self._inject(producer_id, _notification(name, payload, index))
         self.run()
-
-    def _notify_local(self, origin: str, name: HierarchicalName, payload: str, index: int) -> None:
-        """Hook of a subscription to the origin's own container."""
-        packet = _notification(name, payload, index)
-        self._inbox.setdefault((origin, name.text), []).append((packet, [origin]))
 
     def _app_data(self, node_id: str, pkt: DataPacket, trail: Tuple[str, ...]) -> None:
         key = (node_id, pkt.name.text)
@@ -380,19 +365,27 @@ class Overlay:
 
     def _request(
         self, origin: str, name: HierarchicalName, solicit: int, scope: int, subscribe: bool
-    ) -> Tuple[int, List[Tuple[DataPacket, List[str]]]]:
-        """Inject one Interest and run to quiescence; returns (nonce, answers).
+    ) -> Tuple[Optional[Subscription], List[Tuple[DataPacket, List[str]]]]:
+        """Inject one Interest and run to quiescence; returns (the
+        subscription a subscribe request installed or None, answers).
 
-        A subscribe request files its key in ``_subs`` before the queue
-        runs, which is before the Interest can reach any other node.
+        A subscribe request's key is filed in ``_subs`` before the
+        Interest is injected, because a request for the origin's own
+        name reaches its application inside ``_inject``; the key leaves
+        ``_subs`` however the request ends.
         """
         key = (origin, name.text)
         self._inbox.pop(key, None)
-        nonce = self.begin_fetch(origin, name, scope, solicit)
+        pkt = InterestPacket(name, self.rng.getrandbits(62), scope, solicit)
+        sub_key = key + (pkt.nonce,)
         if subscribe:
-            self._subs[(origin, name.text, nonce)] = None
-        self.run()
-        return nonce, self._inbox.pop(key, [])
+            self._subs[sub_key] = None
+        try:
+            self._inject(origin, pkt)
+            self.run()
+        finally:
+            sub = self._subs.pop(sub_key, None)
+        return sub, self._inbox.pop(key, [])
 
     # ----- operations -----
 
@@ -405,11 +398,6 @@ class Overlay:
         path never exceeds ``scope`` hops, and a name this node owns is a
         zero-hop result.
         """
-        if scope < 0:
-            raise ValueError("scope must be >= 0")
-        self.system.scl(origin)  # NotFound for an unknown SCL
-        if origin not in self._nodes:
-            raise UnknownNode(origin)
         answer = self.fetch_resource(origin, target_name, scope)
         if answer is None:
             return None
@@ -447,12 +435,9 @@ class Overlay:
         """One-shot content retrieval; (decoded payload, trail) or None.
 
         Answers may come from any Content Store on the way, not only
-        the producer.
+        the producer; a name the origin owns is answered by its own
+        application, with a trail of the origin alone.
         """
-        origin_scl = self.system.scl(origin)
-        if is_prefix(origin_scl.base_name, name):
-            payload = self._answer_payload(origin_scl, name, resolve_resource(origin_scl, name))
-            return json.loads(payload), [origin]
         _, answers = self._request(origin, name, solicit=1, scope=scope, subscribe=False)
         if not answers:
             return None
@@ -465,7 +450,8 @@ class Overlay:
         """Inject a fetch Interest without draining the event queue.
 
         Lets several consumers race for the same name before run() is
-        called; pair with answers() to read what each one got.
+        called; pair with answers() to read what each one got. A name
+        the origin owns is answered before the call returns.
         """
         nonce = self.rng.getrandbits(62)
         self._inject(origin, InterestPacket(name, nonce, hop_limit=scope, solicit_count=solicit))
@@ -493,7 +479,7 @@ class Overlay:
         links: List[LinkMetrics] = []
         for u, v in zip(path, path[1:]):
             node = self._nodes.get(u)
-            link = None if node is None else node.faces.get(v)  # APP_FACE: None
+            link = None if node is None else node.faces.get(v)
             if link is None:
                 raise BrokenPath(f"{u} -- {v}")
             links.append(link)
@@ -559,7 +545,8 @@ class Overlay:
 
         The Interest's solicit count pre-authorizes that many future
         Data messages along the reverse path. Raises NoPath when the
-        Interest dies before reaching the producer.
+        Interest dies before reaching the producer. A container the
+        origin owns is subscribed alike: its pending entry lapses too.
 
         Subscribing again does not refresh a subscription: once one
         notification (or a fetched answer) has arrived, the consumer's
@@ -570,19 +557,9 @@ class Overlay:
         """
         if expected_notifications < 1:
             raise ValueError("expected_notifications must be >= 1")
-        origin_scl = self.system.scl(origin)
-        if is_prefix(origin_scl.base_name, target_uri):
-            resolved = resolve_resource(origin_scl, target_uri)
-            if resolved[0] != "container":
-                raise NotFound(f"{target_uri} is not a container")
-            hook = partial(self._notify_local, origin, target_uri)
-            sub = Subscription(hook, expected_notifications)
-            resolved[1].subscriptions.append(sub)
-            return sub
-        nonce, _ = self._request(
+        sub, _ = self._request(
             origin, target_uri, solicit=expected_notifications, scope=scope, subscribe=True
         )
-        sub = self._subs.pop((origin, target_uri.text, nonce), None)
         if sub is None:
             raise NoPath(str(target_uri))
         return sub

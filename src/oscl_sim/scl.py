@@ -283,20 +283,14 @@ class M2mSystem:
         except KeyError:
             raise NotFound(f"no SCL {node_id!r}") from None
 
-    # --- synchronous control-plane message primitives ---
-
-    def send_direct(self, src: str, dst: str, msg_type: str, name: str) -> None:
-        self.clock_ms += CONTROL_LEG_MS
-        self.log.extend((self.clock_ms, src, dst, "", msg_type, name))
-        self.counters.record(src, msg_type, ROLE_ORIGINATED)
-        self.counters.record(dst, msg_type, ROLE_RECEIVED)
-
-    def send_relayed(self, src: str, dst: str, relayer: str, msg_type: str, name: str) -> None:
-        """Two infrastructure legs through ``relayer`` (normally the NSCL)."""
-        self.clock_ms += 2 * CONTROL_LEG_MS
+    def send(self, src: str, dst: str, relayer: str, msg_type: str, name: str) -> None:
+        """One synchronous control-plane message: a direct leg when
+        ``relayer`` is "", else two legs through it (normally the NSCL)."""
+        self.clock_ms += 2 * CONTROL_LEG_MS if relayer else CONTROL_LEG_MS
         self.log.extend((self.clock_ms, src, dst, relayer, msg_type, name))
         self.counters.record(src, msg_type, ROLE_ORIGINATED)
-        self.counters.record(relayer, msg_type, ROLE_RELAYED)
+        if relayer:
+            self.counters.record(relayer, msg_type, ROLE_RELAYED)
         self.counters.record(dst, msg_type, ROLE_RECEIVED)
 
 
@@ -310,8 +304,8 @@ def register_scl(scl: SclInstance, nscl: SclInstance) -> None:
     if scl.registered:
         raise AlreadyRegistered(scl.node_id)
     system = _shared_system(scl, nscl)
-    system.send_direct(scl.node_id, nscl.node_id, MSG_REGISTER, str(scl.base_name))
-    system.send_direct(nscl.node_id, scl.node_id, MSG_REGISTER, str(scl.base_name))
+    system.send(scl.node_id, nscl.node_id, "", MSG_REGISTER, str(scl.base_name))
+    system.send(nscl.node_id, scl.node_id, "", MSG_REGISTER, str(scl.base_name))
     nscl.registry[scl.base_name.components[0]] = scl.locator
     scl.registered = True
 
@@ -465,10 +459,10 @@ def centralized_discover(
     system = _shared_system(origin, nscl)
     owner, uri = _resolve_query(nscl, query)
     relayer = nscl.node_id
-    system.send_relayed(origin.node_id, owner.node_id, relayer, MSG_DISCOVER_QUERY, str(query))
-    system.send_relayed(owner.node_id, origin.node_id, relayer, MSG_DISCOVER_RESPONSE, str(owner.base_name))
-    system.send_relayed(origin.node_id, owner.node_id, relayer, MSG_DISCOVER_QUERY, str(uri))
-    system.send_relayed(owner.node_id, origin.node_id, relayer, MSG_DISCOVER_RESPONSE, str(uri))
+    system.send(origin.node_id, owner.node_id, relayer, MSG_DISCOVER_QUERY, str(query))
+    system.send(owner.node_id, origin.node_id, relayer, MSG_DISCOVER_RESPONSE, str(owner.base_name))
+    system.send(origin.node_id, owner.node_id, relayer, MSG_DISCOVER_QUERY, str(uri))
+    system.send(owner.node_id, origin.node_id, relayer, MSG_DISCOVER_RESPONSE, str(uri))
     return DiscoveryResult(uri=uri, locator=owner.locator, method="centralized")
 
 
@@ -489,7 +483,7 @@ def subscribe_centralized(
     hook = partial(_relay_notification, system, owner.node_id, origin.node_id, nscl.node_id, uri)
     sub = Subscription(hook)
     resolved[1].subscriptions.append(sub)
-    system.send_relayed(origin.node_id, owner.node_id, nscl.node_id, MSG_SUBSCRIBE, str(uri))
+    system.send(origin.node_id, owner.node_id, nscl.node_id, MSG_SUBSCRIBE, str(uri))
     return sub
 
 
@@ -500,6 +494,6 @@ def _relay_notification(
     """Hook of a hub subscription: one notify message through the hub,
     named by the instance's URI. The name is only logged, so its text is
     built directly: ``container_uri`` is valid, and so is a decimal index."""
-    system.send_relayed(
+    system.send(
         owner, subscriber, hub, MSG_NOTIFY, f"{container_uri.text}/content_instances/{index}"
     )

@@ -28,7 +28,7 @@ from oscl_sim.scl import (
 )
 from oscl_sim.topology import ExperimentConfig, run_topology_experiment
 
-GOLDEN_SHA256 = "bf463dcaeccf5a49a4c35f18a09041f3426d3a2af31fa1c67030e6bf50371177"
+GOLDEN_SHA256 = "2673ca1b7caadfce599ac7da1809b39152abab77ae5f9af43f28ca1185e9e26e"
 
 N_NODES = 48
 DELAYS_MS = (0.0, 0.0, 1.0, 2.5, 5.0)

@@ -15,7 +15,6 @@ from oscl_sim.ndn import (
     NdnNode,
     SendData,
     SendInterest,
-    UnknownFace,
     on_data,
     on_interest,
     pit_expire,
@@ -175,12 +174,6 @@ def test_nonce_set_fifo_through_the_handler():
 # ===== on_interest =====
 
 
-def test_interest_unknown_face_raises():
-    node = _node()
-    with pytest.raises(UnknownFace):
-        on_interest(node, _interest(), "ghost", 0.0)
-
-
 def test_interest_loop_dropped_before_cache():
     # a looped copy dies even when the cache could answer it
     node = _node(faces=["peer"])
@@ -328,6 +321,17 @@ def test_data_not_reflected_to_arrival_face():
     # entry's only other downstream is the arrival face itself
     node.pit[NAME.text].downstream = {"up"}
     assert on_data(node, _data(), "up", 1.0) == []
+
+
+def test_application_answer_goes_back_up_to_the_application():
+    # a request for the node's own name: the application face is both
+    # the Interest's arrival face and the Data's
+    node = _node(prefix=PRODUCER, faces=["peer"])
+    assert node.faces == {"peer": None}  # the application face is no link
+    assert on_interest(node, _interest(), APP_FACE, 0.0) == [SendInterest((APP_FACE,), _interest())]
+    node.pit[NAME.text].downstream.add("peer")  # a neighbor's copy aggregated
+    assert on_data(node, _data(), APP_FACE, 1.0) == [SendData((APP_FACE, "peer"), _data())]
+    assert NAME.text not in node.pit
 
 
 def test_data_after_entry_expiry_is_unsolicited():

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oscl_sim.names import HierarchicalName, parse_name
-from oscl_sim.ndn import APP_FACE
+from oscl_sim.ndn import APP_FACE, DEFAULT_PIT_LIFETIME_MS
 from oscl_sim.overlay import (
     MAX_PATH_HOPS,
     BrokenPath,
@@ -39,8 +39,8 @@ INSTANCE_URI = CONTAINER_URI + "/content_instances/0"
 
 
 def _edge_count(system):
-    # every forwarder has one face per link plus APP_FACE
-    return sum(len(scl.ndn.faces) - 1 for scl in system.scls.values()) // 2
+    # every forwarder has one face per link
+    return sum(len(scl.ndn.faces) for scl in system.scls.values()) // 2
 
 
 def _chain(n_relays=2, seed=0, instances=1, consumer_cs=64):
@@ -92,7 +92,7 @@ def test_graph_rejects_self_and_duplicate_links():
     with pytest.raises(UnknownNode):
         overlay.add_link("a", "ghost")
     a, b = system.scl("a").ndn, system.scl("b").ndn
-    assert set(a.faces) == {APP_FACE, "b"} and set(b.faces) == {APP_FACE, "a"}
+    assert set(a.faces) == {"b"} and set(b.faces) == {"a"}
 
 
 def test_add_node_rejects_the_application_face_id():
@@ -114,7 +114,7 @@ def test_add_node_rejects_an_scl_of_another_system():
     with pytest.raises(UnknownNode):
         overlay.add_link("Gscl1", "Gscl3")
     overlay.add_link("Gscl1", "Gscl2")  # the rejected copy replaced nothing
-    assert set(system.scl("Gscl2").ndn.faces) == {APP_FACE, "Gscl1"}
+    assert set(system.scl("Gscl2").ndn.faces) == {"Gscl1"}
 
 
 # ===== distributed discovery =====
@@ -367,7 +367,7 @@ def test_qos_broken_path_and_bad_args():
         overlay.qos_monitor([consumer, "Ghost"], probe_count=1)
     with pytest.raises(BrokenPath):
         overlay.qos_monitor(["Ghost", consumer], probe_count=1)
-    with pytest.raises(BrokenPath):  # every forwarder has an application face
+    with pytest.raises(BrokenPath):  # the application face is no link
         overlay.qos_monitor([consumer, APP_FACE], probe_count=1)
     with pytest.raises(ValueError):
         overlay.qos_monitor([consumer], probe_count=0)
@@ -509,6 +509,70 @@ def test_p2p_subscribe_own_container_is_local():
     assert not sub.active
 
 
+# ===== a node's own names: one path with its remote requests =====
+
+
+def test_local_requests_are_counted_and_cached_at_the_node():
+    system, overlay, _, _, producer = _chain(instances=1)
+    node, container = producer.node_id, parse_name(CONTAINER_URI)
+    before = len(system.log)
+    body, trail = overlay.fetch_resource(node, parse_name(INSTANCE_URI), scope=3)
+    assert (body["value"], trail) == ("v0", [node])
+    overlay.p2p_subscribe(node, container, expected_notifications=1)
+    create_content_instance(producer, "meter_app", "meter_data", "v1")
+    assert [n["value"] for n in overlay.notifications(node, container)] == ["v1"]
+    c = system.counters
+    for kind in ("interest", "data"):
+        assert c.get(node, kind, "originated") == c.get(node, kind, "received") == 2
+    assert c.total("interest") + c.total("data") == 8
+    assert len(system.log) == before  # nothing crossed a link
+    # each Interest carried a fresh nonce, and each answer sits in the node's store
+    assert len(producer.ndn.seen_nonces) == 2
+    assert producer.ndn.cs.lookup(parse_name(INSTANCE_URI), system.clock_ms) is not None
+    assert producer.ndn.cs.lookup(container, system.clock_ms) is not None
+
+
+def test_local_subscription_lapses_with_its_pending_entry():
+    system, overlay, _, _, producer = _chain(instances=0)
+    node, container = producer.node_id, parse_name(CONTAINER_URI)
+    sub = overlay.p2p_subscribe(node, container, expected_notifications=2)
+    create_content_instance(producer, "meter_app", "meter_data", "v0")
+    system.clock_ms += DEFAULT_PIT_LIFETIME_MS
+    create_content_instance(producer, "meter_app", "meter_data", "v1")
+    assert [n["value"] for n in overlay.notifications(node, container)] == ["v0"]
+    assert overlay.drops == [(node, "unsolicited", container.text)]
+    assert not sub.active  # the producer still spent both units
+
+
+@pytest.mark.parametrize("origin", ["Gscl1", "Dscl1"], ids=["local", "remote"])
+def test_negative_scope_raises_for_every_origin(origin):
+    _, overlay, _, _, _ = _chain()
+    with pytest.raises(ValueError):
+        overlay.fetch_resource(origin, parse_name(INSTANCE_URI), scope=-1)
+
+
+@pytest.mark.parametrize("origin", ["Gscl1", "Dscl1"], ids=["local", "remote"])
+def test_unknown_name_under_a_known_prefix_gets_no_answer(origin):
+    _, overlay, _, _, _ = _chain()
+    assert overlay.fetch_resource(origin, parse_name(APP_URI + "_x"), scope=3) is None
+    with pytest.raises(NoPath):
+        overlay.p2p_subscribe(origin, parse_name(CONTAINER_URI + "_x"), 1)
+
+
+@pytest.mark.parametrize("owner", ["Gscl7", "Gscl1"], ids=["local", "remote"])
+def test_requests_from_an_scl_off_the_overlay_raise(owner):
+    system, overlay, _, _, _ = _chain()
+    stray = system.add_scl(SclKind.GSCL, "Gscl7")
+    create_application(stray, "meter_app")
+    create_container(stray, "meter_app", "meter_data")
+    container = parse_name(f"{owner}/applications/meter_app/containers/meter_data")
+    with pytest.raises(UnknownNode):
+        overlay.fetch_resource(stray.node_id, container, scope=3)
+    with pytest.raises(UnknownNode):
+        overlay.p2p_subscribe(stray.node_id, container, 1)
+    assert overlay._subs == {}
+
+
 @given(
     st.lists(st.text(min_size=1).filter(lambda t: "/" not in t), min_size=1, max_size=4),
     st.text(),
@@ -571,9 +635,6 @@ def test_counter_semantics_hold_on_random_overlays(run):
     the log's clock never runs backwards, and every Data a node's
     application received sits in its inbox, or was handed back by the
     discover/fetch/subscribe call that consumed it.
-
-    A subscription to a node's own container is delivered without any
-    packet, so it is left out: it shows in the inbox but in no counter.
     """
     n, links, ops, seed = run
     system = M2mSystem()
@@ -642,20 +703,18 @@ def test_counter_semantics_hold_on_random_overlays(run):
             continue
         origin, t = ids[op[1]], op[2]
         name = {"discover": app, "fetch": instance, "subscribe": container}[kind](t)
-        remote = t != op[1]
-        if remote:  # the call first clears what the origin's inbox holds for the name
-            consumed[origin] += len(overlay.answers(origin, name))
+        # the call first clears what the origin's inbox holds for the name
+        consumed[origin] += len(overlay.answers(origin, name))
         if kind == "discover":
             try:
                 result = overlay.discover(origin, name, op[3], nscl)
             except NotFound:
                 result = None
-            answered = result is not None and result.method == "distributed" and remote
-            check(origin if remote else None, answered)
+            check(origin, result is not None and result.method == "distributed")
         elif kind == "fetch":
             result = overlay.fetch_resource(origin, name, op[3])
-            check(origin if remote else None, result is not None and remote)
-        elif remote:
+            check(origin, result is not None)
+        else:
             _, _, _, expected, appends = op
             try:
                 overlay.p2p_subscribe(origin, name, expected, scope=4)

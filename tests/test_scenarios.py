@@ -21,8 +21,8 @@ def _nscl_relayed(system, msg_type=None):
 
 
 def _edge_count(system):
-    # every forwarder has one face per link plus APP_FACE
-    return sum(len(scl.ndn.faces) - 1 for scl in system.scls.values()) // 2
+    # every forwarder has one face per link
+    return sum(len(scl.ndn.faces) for scl in system.scls.values()) // 2
 
 
 # ===== single gateway =====
