@@ -18,9 +18,11 @@ through the origin's own forwarder and is counted alike. Probe and
 link_up rows appear in the message log but never in the counters.
 
 Most link traversals of a flood end in a drop, chiefly at the loop
-check, so a dropped copy costs only its log row, one counter, one
-drop tuple and the forwarder's shared Drop. A copy the forwarder sends
-on costs one emission however many faces it goes out on.
+check, so a dropped copy costs one log row, one counter update and
+three slots in the flat drop store, and leaves nothing the garbage
+collector tracks: the forwarder's Drop is shared, and a copy's trail
+grows only where it lives on. A copy the forwarder sends on costs one
+emission and one relay count however many faces it goes out on.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .ndn import (
 )
 from .scl import (
     DiscoveryResult,
+    FlatRows,
     Locator,
     M2mSystem,
     MSG_DATA,
@@ -171,9 +174,13 @@ class Overlay:
     given seed replays the same message sequence. The event queue holds
     link traversals as plain data, ``(u, v, packet, trail)``: a copy of
     ``packet`` arrives at ``v`` from ``u``, and ``trail`` lists the
-    nodes the copy has visited, origin first. Arrivals are bucketed by
+    nodes the copy visited before, origin first and ``u`` last; every
+    copy ``u`` sends in one go shares it, and ``v`` joins a trail of
+    its own only if the copy lives on there. Arrivals are bucketed by
     due time, in the order they were sent, and ``_times`` is a heap of
-    the due times that have a bucket. The overlay moves packets; the
+    the due times that have a bucket. ``drops`` keeps one
+    ``(node, reason, name)`` row per dropped copy, in drop order, as
+    flat fields (a ``FlatRows``). The overlay moves packets; the
     application endpoints decide what an Interest means (see
     ``_app_interest``).
     """
@@ -191,7 +198,7 @@ class Overlay:
         # (origin, name text, nonce) of a subscribe Interest in flight -> the
         # subscription the producer installed, None until it arrives
         self._subs: Dict[Tuple[str, str, int], Optional[Subscription]] = {}
-        self.drops: List[Tuple[str, str, str]] = []  # (node, reason, name)
+        self.drops = FlatRows(3)  # (node, reason, name) per dropped copy
 
     # ----- construction -----
 
@@ -224,9 +231,11 @@ class Overlay:
         Buckets run in due-time order, each in sending order. A send
         made while a bucket drains, due at that same time when its link
         has no delay, opens a fresh bucket that runs next. One pass per
-        link traversal: log the arriving copy, hand it to the receiving
-        forwarder, and let ``_handle`` act on what the forwarder emits.
-        The packet's kind is read once, from its type.
+        link traversal: log the arriving copy and hand it to the
+        receiving forwarder. The packet's kind is read once, from its
+        type. A Drop, the fate of most flooded copies, is counted and
+        stored here; a send or an aggregation goes to ``_handle``, with
+        the receiver added to the copy's trail.
 
         Raises RuntimeError when called while it is already draining: a
         nested pass would run later buckets before the rest of the
@@ -236,6 +245,7 @@ class Overlay:
             raise RuntimeError("Overlay.run called while the event queue is draining")
         events, times, system, nodes = self._events, self._times, self.system, self._nodes
         log_extend, pop, handle = system.log.extend, heapq.heappop, self._handle
+        record, drop = system.counters.record, self.drops.extend
         self._running = True
         try:
             while times:
@@ -248,8 +258,14 @@ class Overlay:
                         kind, handler = MSG_INTEREST, on_interest
                     else:
                         kind, handler = MSG_DATA, on_data
-                    log_extend((now, u, v, "", kind, pkt.name.text))
-                    handle(v, kind, pkt, trail, handler(nodes[v], pkt, u, now))
+                    text = pkt.name.text
+                    log_extend((now, u, v, "", kind, text))
+                    emissions = handler(nodes[v], pkt, u, now)
+                    if emissions and type(emissions[0]) is Drop:
+                        record(v, kind, ROLE_DROPPED)
+                        drop((v, emissions[0].reason, text))
+                    else:
+                        handle(v, kind, pkt, trail + (v,), emissions)
         finally:
             self._running = False
 
@@ -271,25 +287,28 @@ class Overlay:
     def _handle(
         self, at_node: str, kind: str, pkt: Packet, trail: Tuple[str, ...], emissions
     ) -> None:
-        """Act on the emission of ``at_node``'s forwarder for ``pkt``.
+        """Act on the emission of ``at_node``'s forwarder for ``pkt``;
+        ``trail`` lists the nodes the copy has visited, ``at_node`` last.
 
         No emission means the copy was absorbed into a pending entry; a
-        Drop ends the copy. A send goes out on its faces in their sorted
-        order. APP_FACE hands the packet up to the node's application;
-        any other face forwards it over the link behind it: a relay
-        count unless the copy starts its journey here, a loss draw, and
-        the arrival appended to its due time's bucket. A Data answer to
-        an Interest is a Content Store hit, which ends the Interest and
-        starts a Data journey at this node.
+        Drop ends the copy (``run`` handles its own Drops inline). A
+        send goes out on its faces in their sorted order. Unless the
+        copy starts its journey here, its link faces are counted as
+        relayed at once, lost copies included. APP_FACE hands the packet
+        up to the node's application; any other face forwards it over
+        the link behind it: a loss draw, then the arrival, carrying
+        this node's trail, appended to its due time's bucket. A Data
+        answer to an Interest is a Content Store hit, which ends the
+        Interest and starts a Data journey at this node.
         """
         record = self.system.counters.record
         if not emissions or type(emissions[0]) is Drop:
             record(at_node, kind, ROLE_DROPPED)
             reason = emissions[0].reason if emissions else "aggregated"
-            self.drops.append((at_node, reason, pkt.name.text))
+            self.drops.extend((at_node, reason, pkt.name.text))
             return
         send = emissions[0]
-        out = send.packet
+        out, faces = send.packet, send.faces
         if type(send) is SendInterest:
             out_kind = MSG_INTEREST
         else:
@@ -298,10 +317,13 @@ class Overlay:
                 record(at_node, MSG_INTEREST, ROLE_RECEIVED)
                 record(at_node, MSG_DATA, ROLE_ORIGINATED)
                 trail = (at_node,)
+        if at_node != trail[0]:
+            link_faces = len(faces) - (APP_FACE in faces)
+            if link_faces:
+                record(at_node, out_kind, ROLE_RELAYED, link_faces)
         links, events = self._nodes[at_node].faces, self._events
-        relayed = at_node != trail[0]
         now = self.system.clock_ms
-        for face in send.faces:
+        for face in faces:
             if face == APP_FACE:
                 record(at_node, out_kind, ROLE_RECEIVED)
                 if out_kind == MSG_INTEREST:
@@ -310,14 +332,12 @@ class Overlay:
                     self._app_data(at_node, out, trail)
                 continue
             link = links[face]  # face ids double as neighbor ids
-            if relayed:
-                record(at_node, out_kind, ROLE_RELAYED)
             if link.loss > 0.0 and self.rng.random() < link.loss:
                 record(at_node, out_kind, ROLE_DROPPED)
-                self.drops.append((at_node, "loss", out.name.text))
+                self.drops.extend((at_node, "loss", out.name.text))
                 continue
             at = now + link.delay_ms
-            arrival = (at_node, face, out, trail + (face,))
+            arrival = (at_node, face, out, trail)
             bucket = events.get(at)
             if bucket is None:
                 events[at] = [arrival]
@@ -396,10 +416,12 @@ class Overlay:
 
         A fetch whose answer names the resource and its SCL's locator; the
         path never exceeds ``scope`` hops, and a name this node owns is a
-        zero-hop result.
+        zero-hop result. An answer with no locator is no answer: a
+        subscription's notification, cached under its container's name,
+        can answer a discovery of that container.
         """
         answer = self.fetch_resource(origin, target_name, scope)
-        if answer is None:
+        if answer is None or "locator" not in answer[0]:
             return None
         body, trail = answer
         return DiscoveryResult(
@@ -552,8 +574,9 @@ class Overlay:
         notification (or a fetched answer) has arrived, the consumer's
         own Content Store answers the next subscribe Interest under the
         container's name, so the call raises NoPath and empties the
-        consumer's inbox for that container. A relay's store, or another consumer's live
-        subscription behind the same relay, swallows it likewise.
+        consumer's inbox for that container. A relay's store, or another
+        consumer's live subscription behind the same relay, swallows it
+        likewise.
         """
         if expected_notifications < 1:
             raise ValueError("expected_notifications must be >= 1")

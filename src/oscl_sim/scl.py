@@ -14,9 +14,9 @@ through the network SCL, and the overlay's hook sends Data peer to
 peer.
 
 Every message, here and on the overlay, adds one row to the system's
-MessageLog. The log keeps its rows as flat fields, which the garbage
-collector never walks, and builds a MessageRecord only when a row is
-read.
+MessageLog. The log keeps its rows as flat fields in a FlatRows, which
+the garbage collector never walks, and builds a MessageRecord only when
+a row is read; the overlay keeps its dropped copies the same way.
 """
 
 from __future__ import annotations
@@ -184,27 +184,49 @@ class MessageRecord:
 _STRIDE = len(MessageRecord.__slots__)  # fields per log row
 
 
-class MessageLog:
+class FlatRows:
+    """Rows of ``width`` fields each, in the order they were added.
+
+    One list holds every row's fields back to back, so a row of floats
+    and strings is ``width`` list slots and nothing the cyclic garbage
+    collector visits; a store of one row per link traversal would
+    otherwise make every full collection walk it. A writer adds a row
+    with ``extend(row)``, ``row`` being a sequence of ``width`` fields.
+    ``len()`` counts rows; iteration and ``rows()`` give each one as a
+    plain tuple.
+    """
+
+    __slots__ = ("_fields", "_width", "extend")
+
+    def __init__(self, width: int) -> None:
+        self._fields: list = []
+        self._width = width
+        self.extend = self._fields.extend
+
+    def __len__(self) -> int:
+        return len(self._fields) // self._width
+
+    def __iter__(self) -> Iterator[Tuple]:
+        return self.rows()
+
+    def rows(self) -> Iterator[Tuple]:
+        """Each row as a plain tuple, in the order the rows were added."""
+        return zip(*[iter(self._fields)] * self._width)
+
+
+class MessageLog(FlatRows):
     """The message log, one row per message, in sending order.
 
-    Rows are stored flat: one list holds every row's six fields in
-    ``MessageRecord`` order, so a row is six list slots and, its fields
-    being floats and strings, nothing the cyclic garbage collector
-    visits; a log of one row per link traversal would otherwise make
-    every full collection walk it. A writer adds a row with
+    A row holds the six ``MessageRecord`` fields, added with
     ``extend((time_ms, src, dst, relayer, msg_type, name))``. Reading
     by iteration, int index or slice builds ``MessageRecord``s;
     ``rows()`` gives plain tuples in the same order.
     """
 
-    __slots__ = ("_fields", "extend")
+    __slots__ = ()
 
     def __init__(self) -> None:
-        self._fields: list = []
-        self.extend = self._fields.extend
-
-    def __len__(self) -> int:
-        return len(self._fields) // _STRIDE
+        super().__init__(_STRIDE)
 
     def __iter__(self) -> Iterator[MessageRecord]:
         return map(MessageRecord, *[iter(self._fields)] * _STRIDE)
@@ -218,10 +240,6 @@ class MessageLog:
             return MessageRecord(*fields[rows * _STRIDE : (rows + 1) * _STRIDE])
         return [MessageRecord(*fields[i * _STRIDE : (i + 1) * _STRIDE]) for i in rows]
 
-    def rows(self) -> Iterator[Tuple]:
-        """Each row as a plain tuple, in ``MessageRecord`` field order."""
-        return zip(*[iter(self._fields)] * _STRIDE)
-
 
 class MessageCounters:
     """Per-node, per-type, per-role message tallies."""
@@ -229,9 +247,10 @@ class MessageCounters:
     def __init__(self) -> None:
         self._counts: Dict[Tuple[str, str, str], int] = {}
 
-    def record(self, node_id: str, msg_type: str, role: str) -> None:
+    def record(self, node_id: str, msg_type: str, role: str, count: int = 1) -> None:
+        """Add ``count`` messages to the tally of (node_id, msg_type, role)."""
         key = (node_id, msg_type, role)
-        self._counts[key] = self._counts.get(key, 0) + 1
+        self._counts[key] = self._counts.get(key, 0) + count
 
     def get(self, node_id: str, msg_type: str, role: str) -> int:
         return self._counts.get((node_id, msg_type, role), 0)

@@ -150,6 +150,24 @@ def test_discover_falls_back_to_hub_when_overlay_fails():
     assert system.counters.get("Nscl", "discover_query", "relayed") == 2
 
 
+@pytest.mark.parametrize("own", [False, True], ids=["remote", "own"])
+def test_subscriber_discovering_its_container_falls_back_to_the_hub(own):
+    # the notification cached under the container's name answers the
+    # discovery's Interest from the subscriber's own store; its body
+    # names no locator, so the overlay has no answer and the hub does
+    system, overlay, consumer, _, producer = _chain(instances=0)
+    node = producer.node_id if own else consumer
+    container = parse_name(CONTAINER_URI)
+    overlay.p2p_subscribe(node, container, expected_notifications=2)
+    create_content_instance(producer, "meter_app", "meter_data", "v0")
+    assert [n["value"] for n in overlay.notifications(node, container)] == ["v0"]
+    result = overlay.discover(node, container, scope=3)
+    assert (result.method, result.uri, result.locator) == (
+        "centralized", container, producer.locator,
+    )
+    assert system.counters.get("Nscl", "discover_query", "relayed") == 2
+
+
 def test_discover_not_found_anywhere():
     _, overlay, consumer, _, _ = _chain()
     with pytest.raises(NotFound):
@@ -540,7 +558,7 @@ def test_local_subscription_lapses_with_its_pending_entry():
     system.clock_ms += DEFAULT_PIT_LIFETIME_MS
     create_content_instance(producer, "meter_app", "meter_data", "v1")
     assert [n["value"] for n in overlay.notifications(node, container)] == ["v0"]
-    assert overlay.drops == [(node, "unsolicited", container.text)]
+    assert list(overlay.drops) == [(node, "unsolicited", container.text)]
     assert not sub.active  # the producer still spent both units
 
 
@@ -600,6 +618,29 @@ def test_overlay_counter_conservation_on_chain_flows():
     create_content_instance(producer, "meter_app", "meter_data", "v2")
     c = system.counters
     assert c.total(role="originated") == c.total(role="received") + c.total(role="dropped")
+
+
+def test_relay_counts_every_link_face_lost_copies_included():
+    # R floods O's Interest on to K over a clean link and to L1 and L2
+    # over links that lose everything: three relayed copies, two of them
+    # lost on the way, each lost copy one "loss" drop at R
+    system, overlay = _unlinked("O", "R", "K", "L1", "L2")
+    overlay.add_link("O", "R")
+    for far, loss in (("L1", 1.0), ("K", 0.0), ("L2", 1.0)):
+        overlay.add_link("R", far, LinkMetrics(loss=loss))
+    name = parse_name("Nobody/applications/x")
+    assert overlay.fetch_resource("O", name, scope=3) is None
+    c = system.counters
+    assert c.get("O", "interest", "originated") == 1
+    assert c.get("O", "interest", "relayed") == 0
+    assert c.get("R", "interest", "relayed") == 3
+    assert c.get("R", "interest", "dropped") == 2
+    assert list(overlay.drops) == [
+        ("R", "loss", name.text),
+        ("R", "loss", name.text),
+        ("K", "no-route", name.text),  # K's only link leads back
+    ]
+    assert [(r.src, r.dst) for r in system.log] == [("O", "R"), ("R", "K")]
 
 
 MAX_NODES = 7
