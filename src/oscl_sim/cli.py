@@ -4,11 +4,24 @@ Every command writes its outputs plus a manifest.json into --out; a
 manifest is enough to re-run the command and get byte-identical CSV
 bodies. Exit codes: 0 success, 1 runtime failure, 2 bad flags or a bad
 input file (links file, replay manifest).
+
+A rerun into the same directory rewrites each output in place: the
+file is opened without truncation, written, and cut at its new end, so
+a shorter output leaves no stale tail. The manifest is written last
+and marks a finished run: before a command touches any output, an
+existing manifest.json is moved aside to manifest.json.tmp; the new
+manifest is written over that file and renamed to manifest.json once
+every output is written. A run that fails part way leaves no
+manifest.json. Truncating an existing file and renaming over one are
+the two replace patterns that ext4's auto_da_alloc flushes; on an ext4
+root mounted with discard each cost about ten times an in-place
+rewrite.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -17,7 +30,7 @@ import os
 import sys
 import time
 from itertools import chain, islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import __version__
 from .overlay import LinkMetrics
@@ -35,10 +48,25 @@ SERIES_HEADER = ["N", "D", "seed", "pair_index", "avg_degree"]
 SUMMARY_HEADER = ["N", "D", "seed", "final_degree", "predicted", "ratio", "saturated"]
 MESSAGES_HEADER = ["time_ms", "src", "dst", "relayer", "msg_type", "name"]
 COUNTERS_HEADER = ["node", "msg_type", "role", "count"]
+MANIFEST = "manifest.json"
 
 
 class FlagError(Exception):
     """Invalid flag combination or value; maps to exit code 2."""
+
+
+@contextlib.contextmanager
+def _rewritten(path: str) -> Iterator[TextIO]:
+    """``path`` opened for text output over its old bytes, if any.
+
+    The one way an output is written. The file is created if missing
+    and never truncated on open; once the body has all been written, it
+    is cut at the final position, so a shorter output leaves no stale
+    tail. If writing raises, the file is left as it stands.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
+        yield fh
+        fh.truncate()
 
 
 # rows formatted and written per block: bounds the text held at once
@@ -60,12 +88,15 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
     ``"`` and no ``\r``, which csv 3.11 leaves bare but a newer csv may
     quote. Any other block, and every one-column table, where a row of
     one empty field is written ``""``, goes through csv.writer.
+
+    An existing file at ``path`` is rewritten in place (``_rewritten``):
+    not truncated first, and cut at the end of the new table.
     """
     import csv  # on first use: importing the package alone does not load it
 
     width = len(header)
     template = ",".join(["%s"] * width) + "\n"
-    with open(path, "w", newline="") as fh:
+    with _rewritten(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         pending = chain((header,), rows)
         while True:
@@ -91,6 +122,15 @@ def _csv_bool(value: bool) -> str:
 
 
 def _write_manifest(out_dir: str, command: str, config: Dict, outputs: List[str], started: float) -> None:
+    """Write the run's manifest.json, after every other output.
+
+    The manifest is serialised first, so one that is refused (NaN and
+    Infinity are not JSON) touches no file. The text is then written in
+    place over manifest.json.tmp, where ``_ensure_out`` moved the old
+    manifest, and renamed to manifest.json, which no longer exists: the
+    rename replaces nothing, and a manifest.json present means the run
+    that wrote it finished.
+    """
     manifest = {
         "command": command,
         "config": config,
@@ -99,18 +139,31 @@ def _write_manifest(out_dir: str, command: str, config: Dict, outputs: List[str]
         "outputs": outputs,
         "duration_secs": time.monotonic() - started,
     }
-    path = os.path.join(out_dir, "manifest.json")
-    tmp = path + ".tmp"
-    # one write; allow_nan=False: Infinity and NaN are not JSON
     text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    with open(tmp, "w") as fh:
+    path = os.path.join(out_dir, MANIFEST)
+    tmp = path + ".tmp"
+    with _rewritten(tmp) as fh:
         fh.write(text)
     os.replace(tmp, path)
 
 
 def _ensure_out(path: str) -> str:
+    """Make the output directory ``path`` and move aside its manifest.
+
+    Every command calls this before it touches any output, so an
+    existing manifest.json is renamed to manifest.json.tmp (replacing a
+    failed run's leftover one) until ``_write_manifest`` writes the new
+    manifest over it in place and renames it back. Outputs are then
+    rewritten in place, and a directory holds a manifest.json only
+    while the outputs beside it are the ones it describes.
+    """
+    manifest = os.path.join(path, MANIFEST)
     try:
         os.makedirs(path, exist_ok=True)
+        try:
+            os.replace(manifest, manifest + ".tmp")
+        except FileNotFoundError:  # a fresh directory
+            pass
     except OSError as exc:
         raise FlagError(f"{path}: cannot use as output directory: {exc.strerror}") from None
     return path

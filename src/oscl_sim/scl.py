@@ -14,9 +14,10 @@ through the network SCL, and the overlay's hook sends Data peer to
 peer.
 
 Every message, here and on the overlay, adds one row to the system's
-MessageLog. The log keeps its rows as flat fields in a FlatRows, which
-the garbage collector never walks, and builds a MessageRecord only when
-a row is read; the overlay keeps its dropped copies the same way.
+MessageLog. The log keeps its rows as flat fields in a FlatRows, whose
+one list is the only object the garbage collector tracks however many
+rows it holds, and builds a MessageRecord only when a row is read; the
+overlay keeps its dropped copies the same way.
 """
 
 from __future__ import annotations
@@ -188,9 +189,11 @@ class FlatRows:
     """Rows of ``width`` fields each, in the order they were added.
 
     One list holds every row's fields back to back, so a row of floats
-    and strings is ``width`` list slots and nothing the cyclic garbage
-    collector visits; a store of one row per link traversal would
-    otherwise make every full collection walk it. A writer adds a row
+    and strings is ``width`` list slots and no object the cyclic garbage
+    collector tracks. The list itself is tracked, and a full collection
+    walks its slots (a full ``gc.collect()`` took 12.8 ms with a
+    1.2M-slot list of floats, against 1.8 ms without it); what the store
+    avoids is one tracked object per row. A writer adds a row
     with ``extend(row)``, ``row`` being a sequence of ``width`` fields.
     ``len()`` counts rows; iteration and ``rows()`` give each one as a
     plain tuple.

@@ -327,7 +327,8 @@ def _csv_tables(draw):
 @given(_csv_tables(), st.integers(1, 4))
 def test_write_csv_bytes_are_the_csv_modules(table, block_rows):
     """Small blocks put quoted and plain rows in one table, so blocks of
-    both kinds meet at block boundaries."""
+    both kinds meet at block boundaries. The table is written twice: into
+    a fresh file, and over a longer one, whose tail must not survive."""
     header, rows = table
     with tempfile.TemporaryDirectory() as tmp:
         expected, path = os.path.join(tmp, "expected.csv"), os.path.join(tmp, "out.csv")
@@ -335,15 +336,53 @@ def test_write_csv_bytes_are_the_csv_modules(table, block_rows):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
-        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
-            cli._write_csv(path, header, iter(rows))
-        assert Path(path).read_bytes() == Path(expected).read_bytes()
+        want = Path(expected).read_bytes()
+        for old in (None, want + b"stale,tail\n" * 3):
+            if old is not None:
+                Path(path).write_bytes(old)
+            with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
+                cli._write_csv(path, header, iter(rows))
+            assert Path(path).read_bytes() == want
 
 
 def test_manifest_refuses_non_json_numbers(tmp_path):
     with pytest.raises(ValueError):
         cli._write_manifest(str(tmp_path), "sweep", {"note": math.inf}, [], 0.0)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_over_a_longer_one_holds_only_the_new_json(tmp_path):
+    """The old manifest is moved aside and written over in place; the
+    new one ends where its JSON ends."""
+    old = json.dumps({"config": {"note": "x" * 4096}}, indent=2)
+    (tmp_path / "manifest.json").write_text(old)
+    cli._ensure_out(str(tmp_path))
+    cli._write_manifest(str(tmp_path), "topology", dict(_TOPOLOGY), ["summary.csv"], 0.0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+    text = (tmp_path / "manifest.json").read_text()
+    assert len(text) < len(old)
+    manifest = json.loads(text)
+    assert manifest["config"] == _TOPOLOGY and manifest["outputs"] == ["summary.csv"]
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+
+def test_failed_rerun_leaves_no_manifest(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["scenario", "usecase1", "--appends", "3", "--out", str(out)]
+    assert main(argv) == 0
+    write_csv = cli._write_csv
+
+    def fail_on_counters(path, header, rows):
+        if os.path.basename(path) == "counters.csv":
+            raise OSError("disk full")
+        write_csv(path, header, rows)
+
+    with mock.patch.object(cli, "_write_csv", fail_on_counters):
+        assert main(argv) == 1
+    assert "error: OSError: disk full" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    assert main(["replay", str(out / "manifest.json")]) == 2
+    assert "cannot read manifest" in capsys.readouterr().err
 
 
 # ===== topology outputs =====
