@@ -103,7 +103,8 @@ class PitEntry:
     them but the link it arrived on.
     ``remaining`` is how many further Data messages this entry will
     accept before it is consumed; a solicited stream keeps the entry
-    alive across several Data arrivals.
+    alive across several Data arrivals. A peer-to-peer subscription is
+    such an entry at its producer, so this is its only countdown.
     """
 
     downstream: Set[str]
@@ -204,7 +205,9 @@ def pit_expire(node: NdnNode, now: float) -> List[str]:
     return dead
 
 
-def _expired_gone(node: NdnNode, text: str, now: float) -> Optional[PitEntry]:
+def pending(node: NdnNode, text: str, now: float) -> Optional[PitEntry]:
+    """The live PIT entry filed under ``text``, or None: an entry whose
+    lifetime has passed is dropped here, so it never answers."""
     entry = node.pit.get(text)
     if entry is not None and entry.expiry <= now:
         del node.pit[text]
@@ -239,7 +242,7 @@ def on_interest(
     if cached is not None:
         return [SendData((in_face,), cached)]
 
-    entry = _expired_gone(node, text, now)
+    entry = pending(node, text, now)
     if entry is not None:
         # aggregate: remember the extra consumer, do not re-forward
         entry.downstream.add(in_face)
@@ -275,7 +278,7 @@ def on_data(node: NdnNode, pkt: DataPacket, in_face: str, now: float) -> List[Em
     caches it, and consumes one unit of the entry's solicit budget.
     """
     text = pkt.name.text
-    entry = _expired_gone(node, text, now)
+    entry = pending(node, text, now)
     if entry is None:
         return [_UNSOLICITED]
 

@@ -44,9 +44,11 @@ from .ndn import (
     InterestPacket,
     NdnNode,
     Packet,
+    PitEntry,
     SendInterest,
     on_data,
     on_interest,
+    pending,
 )
 from .scl import (
     DiscoveryResult,
@@ -63,7 +65,6 @@ from .scl import (
     ROLE_RECEIVED,
     ROLE_RELAYED,
     SclInstance,
-    Subscription,
     centralized_discover,
     resolve_resource,
 )
@@ -195,9 +196,9 @@ class Overlay:
         self._nodes: Dict[str, NdnNode] = {}
         # (consumer, name text) -> delivered (packet, trail) answers
         self._inbox: Dict[Tuple[str, str], List[Tuple[DataPacket, List[str]]]] = {}
-        # (origin, name text, nonce) of a subscribe Interest in flight -> the
-        # subscription the producer installed, None until it arrives
-        self._subs: Dict[Tuple[str, str, int], Optional[Subscription]] = {}
+        # (origin, name text, nonce) of a subscribe Interest in flight ->
+        # whether it has reached its producer, which bound a hook to it
+        self._subs: Dict[Tuple[str, str, int], bool] = {}
         self.drops = FlatRows(3)  # (node, reason, name) per dropped copy
 
     # ----- construction -----
@@ -352,9 +353,12 @@ class Overlay:
         over a link or from this node's own requests.
 
         A subscribe Interest, one whose (origin, name, nonce) key
-        p2p_subscribe filed in ``_subs``, installs a standing
-        subscription to its container for the next solicit_count
-        instances. Any other resolvable name, a container's included, is
+        p2p_subscribe filed in ``_subs``, has just filed a pending entry
+        in this node's PIT on its way up; that entry is the
+        subscription. Its container gains a hook bound to the entry,
+        which sends each new instance back along it for as long as the
+        entry lives: until its solicit count is spent or its lifetime
+        passes. Any other resolvable name, a container's included, is
         answered immediately. Names this SCL cannot resolve are silently
         left to die in pending tables; the consumer's fallback handles it.
         """
@@ -365,19 +369,28 @@ class Overlay:
             return
         key = (trail[0], pkt.name.text, pkt.nonce)
         if resolved[0] == "container" and key in self._subs:
-            sub = Subscription(partial(self._notify, node_id, pkt.name), pkt.solicit_count)
-            resolved[1].subscriptions.append(sub)
-            self._subs[key] = sub
+            entry = self._nodes[node_id].pit[pkt.name.text]
+            resolved[1].subscriptions.append(partial(self._notify, node_id, pkt.name, entry))
+            self._subs[key] = True
             return
         body = {"uri": str(pkt.name), "locator": vars(scl.locator)}
         if resolved[0] == "instance":
             body["value"], body["index"] = resolved[1], resolved[2]
         self._inject(node_id, DataPacket(pkt.name, _to_json(body).encode()))
 
-    def _notify(self, producer_id: str, name: HierarchicalName, payload: str, index: int) -> None:
-        """Subscription hook: send one Data along the reverse path."""
+    def _notify(
+        self, producer_id: str, name: HierarchicalName, entry: PitEntry, payload: str, index: int
+    ) -> bool:
+        """Subscription hook: send one Data back along ``entry``, the
+        subscribe Interest's pending entry at the producer, and say that
+        the subscription stands. Once that entry is no longer the live
+        one under ``name`` the subscription has lapsed: send nothing,
+        and return False."""
+        if pending(self._nodes[producer_id], name.text, self.system.clock_ms) is not entry:
+            return False
         self._inject(producer_id, _notification(name, payload, index))
         self.run()
+        return True
 
     def _app_data(self, node_id: str, pkt: DataPacket, trail: Tuple[str, ...]) -> None:
         key = (node_id, pkt.name.text)
@@ -385,9 +398,9 @@ class Overlay:
 
     def _request(
         self, origin: str, name: HierarchicalName, solicit: int, scope: int, subscribe: bool
-    ) -> Tuple[Optional[Subscription], List[Tuple[DataPacket, List[str]]]]:
-        """Inject one Interest and run to quiescence; returns (the
-        subscription a subscribe request installed or None, answers).
+    ) -> Tuple[bool, List[Tuple[DataPacket, List[str]]]]:
+        """Inject one Interest and run to quiescence; returns (whether a
+        subscribe request reached its producer, answers).
 
         A subscribe request's key is filed in ``_subs`` before the
         Interest is injected, because a request for the origin's own
@@ -399,13 +412,13 @@ class Overlay:
         pkt = InterestPacket(name, self.rng.getrandbits(62), scope, solicit)
         sub_key = key + (pkt.nonce,)
         if subscribe:
-            self._subs[sub_key] = None
+            self._subs[sub_key] = False
         try:
             self._inject(origin, pkt)
             self.run()
         finally:
-            sub = self._subs.pop(sub_key, None)
-        return sub, self._inbox.pop(key, [])
+            subscribed = self._subs.pop(sub_key, False)
+        return subscribed, self._inbox.pop(key, [])
 
     # ----- operations -----
 
@@ -465,19 +478,6 @@ class Overlay:
             return None
         pkt, trail = answers[0]
         return json.loads(pkt.payload), trail
-
-    def begin_fetch(
-        self, origin: str, name: HierarchicalName, scope: int, solicit: int = 1
-    ) -> int:
-        """Inject a fetch Interest without draining the event queue.
-
-        Lets several consumers race for the same name before run() is
-        called; pair with answers() to read what each one got. A name
-        the origin owns is answered before the call returns.
-        """
-        nonce = self.rng.getrandbits(62)
-        self._inject(origin, InterestPacket(name, nonce, hop_limit=scope, solicit_count=solicit))
-        return nonce
 
     def answers(self, origin: str, name: HierarchicalName) -> List[Tuple[dict, List[str]]]:
         """Decoded Data answers delivered to ``origin`` for ``name`` so far."""
@@ -562,30 +562,34 @@ class Overlay:
         target_uri: HierarchicalName,
         expected_notifications: int,
         scope: int = DEFAULT_SUBSCRIBE_SCOPE,
-    ) -> Subscription:
+    ) -> None:
         """Subscribe to a container over the overlay, bypassing the hub.
 
-        The Interest's solicit count pre-authorizes that many future
-        Data messages along the reverse path. Raises NoPath when the
-        Interest dies before reaching the producer. A container the
-        origin owns is subscribed alike: its pending entry lapses too.
+        The subscription is the Interest's pending entry at the producer:
+        its solicit count pre-authorizes that many future Data messages
+        along the reverse path, and when it is spent or the entry's
+        lifetime (DEFAULT_PIT_LIFETIME_MS) passes, the producer sends no
+        more. Raises NoPath when the Interest dies before reaching the
+        producer. A container the origin owns is subscribed alike: its
+        pending entry lapses too.
 
-        Subscribing again does not refresh a subscription: once one
-        notification (or a fetched answer) has arrived, the consumer's
-        own Content Store answers the next subscribe Interest under the
-        container's name, so the call raises NoPath and empties the
-        consumer's inbox for that container. A relay's store, or another
-        consumer's live subscription behind the same relay, swallows it
-        likewise.
+        Subscribing again does not refresh a live subscription: while
+        one notification (or a fetched answer) is fresh in the
+        consumer's own Content Store, that store answers the next
+        subscribe Interest under the container's name, so the call
+        raises NoPath and empties the consumer's inbox for that
+        container. A relay's store, or another consumer's live
+        subscription behind the same relay, swallows it likewise. A
+        subscribe Interest that does reach the producer files a new
+        entry there, and the old subscription stands down.
         """
         if expected_notifications < 1:
             raise ValueError("expected_notifications must be >= 1")
-        sub, _ = self._request(
+        subscribed, _ = self._request(
             origin, target_uri, solicit=expected_notifications, scope=scope, subscribe=True
         )
-        if sub is None:
+        if not subscribed:
             raise NoPath(str(target_uri))
-        return sub
 
     def notifications(self, consumer: str, container_uri: HierarchicalName) -> List[dict]:
         """Decoded subscription payloads delivered to ``consumer`` so far;

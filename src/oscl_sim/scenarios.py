@@ -25,7 +25,6 @@ from .scl import (
     M2mSystem,
     SclInstance,
     SclKind,
-    Subscription,
     centralized_discover,
     create_application,
     create_container,
@@ -109,7 +108,6 @@ class ScenarioResult:
     discovery: Optional[DiscoveryResult] = None
     qos: Optional[QosMetrics] = None
     link_decision: Optional[LinkDecision] = None
-    subscription: Optional[Subscription] = None
 
     @property
     def new_links(self) -> int:
@@ -157,12 +155,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         if result.discovery.path_hops not in (None, 0):
             result.qos = overlay.qos_monitor(result.discovery.path)
         result.link_decision = overlay.ensure_link(dscl.node_id, result.discovery, result.qos)
-        result.subscription = overlay.p2p_subscribe(
-            dscl.node_id, container_uri, expected_notifications=config.appends
-        )
+        overlay.p2p_subscribe(dscl.node_id, container_uri, expected_notifications=config.appends)
     else:
         result.discovery = centralized_discover(dscl, nscl, bare_app)
-        result.subscription = subscribe_centralized(dscl, nscl, container_uri)
+        subscribe_centralized(dscl, nscl, container_uri)
 
     for i in range(config.appends):
         create_content_instance(producer, spec.app, CONTAINER, f"reading-{i}")

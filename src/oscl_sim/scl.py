@@ -8,10 +8,12 @@ embeds a forwarder for the overlay side.
 Control-plane traffic here is synchronous and infrastructure-routed:
 every message between two SCLs transits the network SCL, which is what
 the overlay later lets endpoints avoid. A subscription is only a
-delivery hook and a countdown, so the same append serves both: the
+delivery hook on its container, so the same append serves both: the
 hook that subscribe_centralized installs relays a notify message
-through the network SCL, and the overlay's hook sends Data peer to
-peer.
+through the network SCL for as long as the container exists, and the
+overlay's hook sends Data peer to peer for as long as the producer's
+pending entry lives. A hook says whether it still stands; the append
+drops one that does not.
 
 Every message, here and on the overlay, adds one row to the system's
 MessageLog. The log keeps its rows as flat fields in a FlatRows, whose
@@ -123,29 +125,14 @@ class DiscoveryResult:
         return None if self.path is None else len(self.path) - 1
 
 
-@dataclass
-class Subscription:
-    """Standing request for future content instances of one container:
-    ``deliver(payload, index)`` carries each one to the subscriber, by
-    whatever route, and spends one unit of ``remaining``. The route is
-    the hook's business: an overlay notification records its own path
-    as it travels."""
-
-    deliver: Callable[[str, int], None]
-    remaining: Optional[int] = None  # None = unbounded
-
-    @property
-    def active(self) -> bool:
-        return self.remaining != 0
-
-
 # ===== resources =====
 
 
 @dataclass
 class Container:
     instances: List[str] = field(default_factory=list)
-    subscriptions: List[Subscription] = field(default_factory=list)
+    # delivery hooks, hook(payload, index) -> whether the subscription stands
+    subscriptions: List[Callable[[str, int], bool]] = field(default_factory=list)
 
 
 @dataclass
@@ -361,21 +348,17 @@ def create_container(scl: SclInstance, app_name: str, container_name: str) -> Hi
 def create_content_instance(
     scl: SclInstance, app_name: str, container_name: str, payload: str
 ) -> int:
-    """Append one instance and hand it to every live subscription.
+    """Append one instance and hand it to every subscription.
 
-    Each live subscription's own hook carries the instance to its
-    subscriber, which spends one unit of a bounded subscription; it
-    goes inactive when none remain. Returns the new instance index.
+    Each subscription's hook carries the instance to its subscriber, in
+    subscribing order, and returns whether the subscription still
+    stands; one that no longer does is dropped. Returns the new
+    instance index.
     """
     container = _container(scl, app_name, container_name)
     container.instances.append(payload)
     index = len(container.instances) - 1
-    for sub in list(container.subscriptions):
-        if not sub.active:
-            continue
-        sub.deliver(payload, index)
-        if sub.remaining is not None:
-            sub.remaining -= 1
+    container.subscriptions = [hook for hook in container.subscriptions if hook(payload, index)]
     return index
 
 
@@ -490,7 +473,7 @@ def centralized_discover(
 
 def subscribe_centralized(
     origin: SclInstance, nscl: SclInstance, target: HierarchicalName
-) -> Subscription:
+) -> None:
     """Register interest in a container; notifications will transit the
     network SCL on every future append, named by the instance's URI."""
     if nscl.kind is not SclKind.NSCL:
@@ -503,19 +486,19 @@ def subscribe_centralized(
     if resolved[0] != "container":
         raise NotFound(f"{target} is not a container")
     hook = partial(_relay_notification, system, owner.node_id, origin.node_id, nscl.node_id, uri)
-    sub = Subscription(hook)
-    resolved[1].subscriptions.append(sub)
+    resolved[1].subscriptions.append(hook)
     system.send(origin.node_id, owner.node_id, nscl.node_id, MSG_SUBSCRIBE, str(uri))
-    return sub
 
 
 def _relay_notification(
     system: M2mSystem, owner: str, subscriber: str, hub: str,
     container_uri: HierarchicalName, payload: str, index: int,
-) -> None:
+) -> bool:
     """Hook of a hub subscription: one notify message through the hub,
-    named by the instance's URI. The name is only logged, so its text is
-    built directly: ``container_uri`` is valid, and so is a decimal index."""
+    named by the instance's URI; a hub subscription never lapses. The
+    name is only logged, so its text is built directly: ``container_uri``
+    is valid, and so is a decimal index."""
     system.send(
         owner, subscriber, hub, MSG_NOTIFY, f"{container_uri.text}/content_instances/{index}"
     )
+    return True

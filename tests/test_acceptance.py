@@ -16,7 +16,8 @@ import pytest
 
 from oscl_sim.cli import main
 from oscl_sim.names import parse_name
-from oscl_sim.overlay import LinkDecision, Overlay
+from oscl_sim.ndn import InterestPacket
+from oscl_sim.overlay import LinkDecision, LinkMetrics, Overlay
 from oscl_sim.scenarios import NSCL_ID, SUBSCRIBER_ID, ScenarioConfig, run_scenario
 from oscl_sim.scl import (
     M2mSystem,
@@ -35,6 +36,13 @@ from oscl_sim.topology import (
 
 SIZES = (32, 128, 512, 2048)
 SEEDS = (0, 1, 2)
+
+
+def _begin_fetch(overlay, origin, name, scope):
+    """Inject a fetch Interest without draining the event queue, so
+    several consumers race for one name before ``overlay.run()``; the
+    nonce is the overlay's next draw, as for any request."""
+    overlay._inject(origin, InterestPacket(name, overlay.rng.getrandbits(62), scope))
 
 
 @pytest.fixture
@@ -170,7 +178,7 @@ def test_interest_suppression(report):
             "Gscl1/applications/meter_app/containers/meter_data/content_instances/0"
         )
         for c in consumers:
-            overlay.begin_fetch(c.node_id, name, scope=2)
+            _begin_fetch(overlay, c.node_id, name, scope=2)
         overlay.run()
 
         upstream = sum(
@@ -336,3 +344,73 @@ def test_replay_determinism(tmp_path, capsys, report):
         results.append(f"{label}={'ok' if identical else 'DIFFERS'}")
     capsys.readouterr()
     report(9, "manifest replays rewrite every CSV byte for byte", ok, ", ".join(results))
+
+
+CHAIN_LOSS_POINTS = ((1, 0.2), (3, 0.1), (4, 0.2))  # (links h, loss p per link)
+CHAIN_FETCHES = 3000
+CHAIN_ALPHA = 0.001  # two-sided: a 99.9% interval
+
+
+def _clopper_pearson(k: int, n: int, alpha: float) -> tuple[float, float]:
+    """Exact two-sided 1 - alpha interval for a binomial share k / n
+    (Clopper and Pearson, Biometrika 26, 1934): the p at which
+    P(X >= k) and P(X <= k) each equal alpha / 2, found by bisection."""
+    log_comb = [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(n + 1)]
+
+    def tails(p):
+        lp, lq = math.log(p), math.log1p(-p)
+        pmf = [math.exp(c + i * lp + (n - i) * lq) for i, c in enumerate(log_comb)]
+        return math.fsum(pmf[: k + 1]), math.fsum(pmf[k:])  # P(X <= k), P(X >= k)
+
+    def solve(side):
+        # P(X >= k) rises with p, P(X <= k) falls
+        lo, hi = 0.0, 1.0
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            if (tails(mid)[side] < alpha / 2) == (side == 1):
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+    return (0.0 if k == 0 else solve(1)), (1.0 if k == n else solve(0))
+
+
+def _chain_fetch_successes(hops: int, loss: float, fetches: int, seed: int) -> int:
+    """Fetches of distinct instance names, each asked once from one end
+    of a chain of ``hops`` links with loss ``loss`` each, answered from
+    the producer at the other end: how many got an answer."""
+    system = M2mSystem()
+    ids = [f"Gscl{i}" for i in range(hops + 1)]  # the producer first
+    scls = [system.add_scl(SclKind.GSCL, node_id) for node_id in ids]
+    create_application(scls[0], "meter_app")
+    container = create_container(scls[0], "meter_app", "meter_data")
+    for i in range(fetches):
+        create_content_instance(scls[0], "meter_app", "meter_data", f"v{i}")
+    overlay = Overlay(system, seed=seed)
+    for scl in scls:
+        overlay.add_node(scl)
+    for u, v in zip(ids, ids[1:]):
+        overlay.add_link(u, v, LinkMetrics(loss=loss))
+    return sum(
+        overlay.fetch_resource(ids[-1], container.extend("content_instances", str(i)), hops)
+        is not None
+        for i in range(fetches)
+    )
+
+
+def test_lossy_chain_delivery_matches_its_closed_form(report):
+    """A fetch over h lossy links succeeds when its Interest and then its
+    Data each cross all h: with probability (1 - p)^(2h)."""
+    results = []
+    ok = True
+    for seed, (hops, loss) in enumerate(CHAIN_LOSS_POINTS):
+        k = _chain_fetch_successes(hops, loss, CHAIN_FETCHES, seed)
+        lower, upper = _clopper_pearson(k, CHAIN_FETCHES, CHAIN_ALPHA)
+        expected = (1 - loss) ** (2 * hops)
+        ok = ok and lower <= expected <= upper
+        results.append(
+            f"h={hops} p={loss}: {k}/{CHAIN_FETCHES} in [{lower:.4f}, {upper:.4f}]"
+            f" vs {expected:.4f}"
+        )
+    report(10, "fetch success on a lossy chain is (1-p)^(2h)", ok, "; ".join(results))

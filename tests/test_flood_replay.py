@@ -28,7 +28,7 @@ from oscl_sim.scl import (
 )
 from oscl_sim.topology import ExperimentConfig, run_topology_experiment
 
-GOLDEN_SHA256 = "2673ca1b7caadfce599ac7da1809b39152abab77ae5f9af43f28ca1185e9e26e"
+GOLDEN_SHA256 = "6a26e42db1fff23657f47576a54e64dc3b7f0d44bf2af068e5314ea2aa0d0748"
 
 N_NODES = 48
 DELAYS_MS = (0.0, 0.0, 1.0, 2.5, 5.0)
@@ -69,12 +69,14 @@ def _flood_run():
         results.append(("fetch", overlay.fetch_resource(ids[origin], name, 4)))
 
     container = parse_name("Gscl30/applications/app30/containers/data")
-    sub = overlay.p2p_subscribe("Gscl2", container, expected_notifications=3)
+    overlay.p2p_subscribe("Gscl2", container, expected_notifications=3)
     producer = system.scl("Gscl30")
+    hooks = [len(producer.applications["app30"]["data"].subscriptions)]
     for k in range(5):
         create_content_instance(producer, "app30", "data", f"reading{k}")
+    hooks.append(len(producer.applications["app30"]["data"].subscriptions))
     path = tuple(overlay.answers("Gscl2", container)[0][1])  # the first notification's trail
-    results.append(("subscribe", path, sub.remaining, sub.active))
+    results.append(("subscribe", path, *hooks))
     results.append(("notifications", overlay.notifications("Gscl2", container)))
 
     log_rows = [

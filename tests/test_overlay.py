@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oscl_sim.names import HierarchicalName, parse_name
-from oscl_sim.ndn import APP_FACE, DEFAULT_PIT_LIFETIME_MS
+from oscl_sim.ndn import APP_FACE, DEFAULT_FRESHNESS_MS, DEFAULT_PIT_LIFETIME_MS, InterestPacket
 from oscl_sim.overlay import (
     MAX_PATH_HOPS,
     BrokenPath,
@@ -36,6 +36,18 @@ from oscl_sim.scl import (
 APP_URI = "Gscl1/applications/meter_app"
 CONTAINER_URI = "Gscl1/applications/meter_app/containers/meter_data"
 INSTANCE_URI = CONTAINER_URI + "/content_instances/0"
+
+
+def _begin_fetch(overlay, origin, name, scope):
+    """Inject a fetch Interest without draining the event queue, so
+    several consumers race for one name before ``overlay.run()``; the
+    nonce is the overlay's next draw, as for any request."""
+    overlay._inject(origin, InterestPacket(name, overlay.rng.getrandbits(62), scope))
+
+
+def _hooks(producer):
+    """The delivery hooks standing on the producer's container."""
+    return producer.applications["meter_app"]["meter_data"].subscriptions
 
 
 def _edge_count(system):
@@ -245,7 +257,7 @@ def test_relay_suppresses_duplicate_interests(k):
 
     name = parse_name(INSTANCE_URI)
     for c in consumers:
-        overlay.begin_fetch(c.node_id, name, scope=2)
+        _begin_fetch(overlay, c.node_id, name, scope=2)
     overlay.run()
 
     upstream = [
@@ -281,8 +293,8 @@ def test_data_fan_out_reaches_faces_sorted_after_the_application():
     # zed2's Interest aggregates into zed1's own pending entry, so the
     # Data at zed1 fans out to (APP_FACE, "zed2")
     name = parse_name(INSTANCE_URI)
-    overlay.begin_fetch("zed1", name, scope=2)
-    overlay.begin_fetch("zed2", name, scope=2)
+    _begin_fetch(overlay, "zed1", name, scope=2)
+    _begin_fetch(overlay, "zed2", name, scope=2)
     overlay.run()
 
     for consumer, trail in (("zed1", ["Gscl1", "zed1"]), ("zed2", ["Gscl1", "zed1", "zed2"])):
@@ -461,8 +473,8 @@ def test_ensure_link_self_result_is_noop():
 def test_p2p_subscribe_delivers_future_instances():
     system, overlay, consumer, relays, producer = _chain(n_relays=2, instances=0)
     container = parse_name(CONTAINER_URI)
-    sub = overlay.p2p_subscribe(consumer, container, expected_notifications=3)
-    assert sub.remaining == 3
+    overlay.p2p_subscribe(consumer, container, expected_notifications=3)
+    assert len(_hooks(producer)) == 1
     for i in range(3):
         create_content_instance(producer, "meter_app", "meter_data", f"reading-{i}")
     path = [producer.node_id, *reversed(relays), consumer]
@@ -473,7 +485,10 @@ def test_p2p_subscribe_delivers_future_instances():
         ("reading-1", 1),
         ("reading-2", 2),
     ]
-    assert not sub.active  # budget exhausted
+    # budget exhausted: one more append delivers nothing, and the hook goes
+    create_content_instance(producer, "meter_app", "meter_data", "reading-3")
+    assert len(overlay.notifications(consumer, container)) == 3
+    assert _hooks(producer) == []
     assert system.counters.get(consumer, "data", "received") == 3
     assert system.counters.get("Nscl", "notify", "relayed") == 0
 
@@ -520,11 +535,13 @@ def test_p2p_subscribe_own_container_is_local():
     system, overlay, _, _, producer = _chain(instances=0)
     container = parse_name(CONTAINER_URI)
     before = len(system.log)
-    sub = overlay.p2p_subscribe(producer.node_id, container, expected_notifications=1)
+    overlay.p2p_subscribe(producer.node_id, container, expected_notifications=1)
     create_content_instance(producer, "meter_app", "meter_data", "v0")
     assert len(system.log) == before  # nothing crossed the wire
     assert overlay.notifications(producer.node_id, container)[0]["value"] == "v0"
-    assert not sub.active
+    create_content_instance(producer, "meter_app", "meter_data", "v1")
+    assert len(overlay.notifications(producer.node_id, container)) == 1
+    assert _hooks(producer) == []
 
 
 # ===== a node's own names: one path with its remote requests =====
@@ -553,13 +570,33 @@ def test_local_requests_are_counted_and_cached_at_the_node():
 def test_local_subscription_lapses_with_its_pending_entry():
     system, overlay, _, _, producer = _chain(instances=0)
     node, container = producer.node_id, parse_name(CONTAINER_URI)
-    sub = overlay.p2p_subscribe(node, container, expected_notifications=2)
+    overlay.p2p_subscribe(node, container, expected_notifications=2)
     create_content_instance(producer, "meter_app", "meter_data", "v0")
     system.clock_ms += DEFAULT_PIT_LIFETIME_MS
     create_content_instance(producer, "meter_app", "meter_data", "v1")
     assert [n["value"] for n in overlay.notifications(node, container)] == ["v0"]
-    assert list(overlay.drops) == [(node, "unsolicited", container.text)]
-    assert not sub.active  # the producer still spent both units
+    # the lapsed entry was the subscription: nothing sent into it, no hook left
+    assert list(overlay.drops) == []
+    assert _hooks(producer) == []
+    assert system.counters.get(node, "data", "originated") == 1
+
+
+def test_renewed_subscription_delivers_each_reading_once():
+    """A subscription renewed once the first one's pending entry has
+    lapsed, and its notification has gone stale in the consumer's store,
+    is the new entry alone: the old hook stands down rather than feed
+    the new entry a second copy of every reading."""
+    system, overlay, consumer, _, producer = _chain(n_relays=0, instances=0)
+    container = parse_name(CONTAINER_URI)
+    overlay.p2p_subscribe(consumer, container, 10)
+    create_content_instance(producer, "meter_app", "meter_data", "v0")
+    system.clock_ms += max(DEFAULT_PIT_LIFETIME_MS, DEFAULT_FRESHNESS_MS)
+    overlay.p2p_subscribe(consumer, container, 10)
+    for value in ("v1", "v2"):
+        create_content_instance(producer, "meter_app", "meter_data", value)
+    assert [n["index"] for n in overlay.notifications(consumer, container)] == [1, 2]
+    assert len(_hooks(producer)) == 1
+    assert system.counters.get(producer.node_id, "data", "originated") == 3
 
 
 @pytest.mark.parametrize("origin", ["Gscl1", "Dscl1"], ids=["local", "remote"])
@@ -738,7 +775,7 @@ def test_counter_semantics_hold_on_random_overlays(run):
         if kind == "race":
             _, consumers, t, hops = op
             for c in consumers:
-                overlay.begin_fetch(ids[c], instance(t), hops)
+                _begin_fetch(overlay, ids[c], instance(t), hops)
             overlay.run()
             check()
             continue

@@ -2,7 +2,8 @@ import pytest
 
 from oscl_sim.names import parse_name
 from oscl_sim.overlay import LinkDecision
-from oscl_sim.scenarios import NSCL_ID, SUBSCRIBER_ID, ScenarioConfig, run_scenario
+from oscl_sim.scenarios import CONTAINER, NSCL_ID, SUBSCRIBER_ID, ScenarioConfig, run_scenario
+from oscl_sim.scl import create_content_instance
 
 ALL_VARIANTS = [
     ("usecase1", True),
@@ -34,7 +35,10 @@ def test_usecase1_overlay_path():
     assert r.qos is None
     assert r.link_decision is LinkDecision.NEW_LINK
     assert r.new_links == 1
-    assert not r.subscription.active  # budget spent
+    # budget spent: one more append delivers nothing, and the hook goes
+    producer = r.system.scl("Gscl1")
+    create_content_instance(producer, "meter_app", CONTAINER, "extra")
+    assert producer.applications["meter_app"][CONTAINER].subscriptions == []
 
     got = r.overlay.answers(SUBSCRIBER_ID, parse_name(r.container_uri))
     assert [g["value"] for g, _ in got] == [f"reading-{i}" for i in range(4)]

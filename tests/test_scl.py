@@ -214,10 +214,10 @@ def test_discover_requires_registration():
 def test_subscribe_then_appends_notify_through_hub():
     system, nscl, gscl, dscl = _populated()
     uri = parse_name("Gscl1/applications/meter_app/containers/meter_data")
-    sub = subscribe_centralized(dscl, nscl, uri)
-    assert sub.remaining is None
+    subscribe_centralized(dscl, nscl, uri)
     for i in range(3):
         create_content_instance(gscl, "meter_app", "meter_data", f"v{i}")
+    assert len(gscl.applications["meter_app"]["meter_data"].subscriptions) == 1  # never lapses
     c = system.counters
     assert c.get("Nscl", "subscribe", "relayed") == 1
     assert c.get("Nscl", "notify", "relayed") == 3
