@@ -12,10 +12,12 @@ and marks a finished run: before a command touches any output, an
 existing manifest.json is moved aside to manifest.json.tmp; the new
 manifest is written over that file and renamed to manifest.json once
 every output is written. A run that fails part way leaves no
-manifest.json. Truncating an existing file and renaming over one are
-the two replace patterns that ext4's auto_da_alloc flushes; on an ext4
-root mounted with discard each cost about ten times an in-place
-rewrite.
+manifest.json, and its manifest.json.tmp is its recipe: the next
+command into that directory exits 2 rather than write over it, unless
+it replays that very file. Truncating an existing file and renaming
+over one are the two replace patterns that ext4's auto_da_alloc
+flushes; on an ext4 root mounted with discard each cost about ten
+times an in-place rewrite.
 """
 
 from __future__ import annotations
@@ -151,19 +153,26 @@ def _ensure_out(path: str) -> str:
     """Make the output directory ``path`` and move aside its manifest.
 
     Every command calls this before it touches any output, so an
-    existing manifest.json is renamed to manifest.json.tmp (replacing a
-    failed run's leftover one) until ``_write_manifest`` writes the new
-    manifest over it in place and renames it back. Outputs are then
-    rewritten in place, and a directory holds a manifest.json only
-    while the outputs beside it are the ones it describes.
+    existing manifest.json is renamed to manifest.json.tmp until
+    ``_write_manifest`` writes the new manifest over it in place and
+    renames it back. Outputs are then rewritten in place, and a
+    directory holds a manifest.json only while the outputs beside it
+    are the ones it describes. A manifest.json.tmp with no manifest.json
+    beside it is the recipe of a run that failed part way: rather than
+    write over it, this raises FlagError (exit 2). A replay of that
+    file into its own directory does not call this and goes ahead.
     """
     manifest = os.path.join(path, MANIFEST)
     try:
         os.makedirs(path, exist_ok=True)
         try:
             os.replace(manifest, manifest + ".tmp")
-        except FileNotFoundError:  # a fresh directory
-            pass
+        except FileNotFoundError:  # a fresh directory, or one a run failed in
+            if os.path.exists(manifest + ".tmp"):
+                raise FlagError(
+                    f"{manifest}.tmp is the recipe of the previous run into {path}, "
+                    "which failed: replay it or remove it"
+                ) from None
     except OSError as exc:
         raise FlagError(f"{path}: cannot use as output directory: {exc.strerror}") from None
     return path
@@ -538,8 +547,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
         check(config)
     except FlagError as exc:
         raise FlagError(f"{path}: {exc}") from None
-    out_dir = _ensure_out(args.out if args.out else os.path.dirname(os.path.abspath(path)))
-    return runner(config, out_dir)
+    out_dir = args.out if args.out else os.path.dirname(os.path.abspath(path))
+    if os.path.abspath(path) == os.path.abspath(os.path.join(out_dir, MANIFEST + ".tmp")):
+        # a failed run's recipe, replayed over what it left: it already
+        # lies where _ensure_out moves a manifest aside
+        return runner(config, out_dir)
+    return runner(config, _ensure_out(out_dir))
 
 
 # ===== parser =====

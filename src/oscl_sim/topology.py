@@ -11,10 +11,10 @@ on Overlay objects: it needs millions of pair draws, and bookkeeping on
 full forwarder state would drown the measurement. It decides each draw
 with a meet-in-the-middle test over those balls. Every ball is exact
 from the first draw, and a link grows the balls it changes in place.
-The 1-balls are the graph, and the adjacency sets of the result are
-read from them after the last draw (see run_topology_experiment).
-bfs_bounded is the reference search that the tests check that kernel
-against.
+Each node also keeps a list of its neighbours: a growth step walks an
+end's first shell from it, and the adjacency sets of the result are
+built from the lists (see run_topology_experiment). bfs_bounded is the
+reference search that the tests check that kernel against.
 """
 
 from __future__ import annotations
@@ -139,28 +139,34 @@ def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
     radius h//2 around u meets the closed ball of radius h - h//2 around
     v. Balls are bitmasks over node indices, and every ball of every
     radius is exact from the first draw: in the empty graph each ball is
-    its centre alone. The 1-balls are the graph; the adjacency sets in
-    the result are read from them once the draws are done.
+    its centre alone. Each node's neighbour list holds the links of its
+    1-ball; the result's adjacency sets are built from the lists.
 
     A shortest path uses a new link (u, v) at most once, so for a node x
     at old distance j < r from u, the new r-ball of x is its old r-ball
     plus the old (r-1-j)-ball of v, and likewise with u and v swapped.
     The old balls of u and v are gathered first, then every ball of the
-    nodes on the shells of u and v grows in place. Pairs are drawn with
-    the rejection loop that ``rng.randrange`` runs, inlined, so the
-    stream is the same.
+    nodes on the shells of u and v grows in place: shell 0 is the end,
+    shell 1 its list (the link is listed after), deeper ones (h >= 5)
+    are peeled off the old balls, and the outermost, j = far - 1, only
+    gains the other end in its far-ball. Pairs are drawn with the
+    rejection loop that ``rng.randrange`` runs, inlined, so the stream
+    is the same.
     """
     n = config.n_nodes
+    last = n - 1
     rng = random.Random(config.seed)
     getrandbits = rng.getrandbits
-    u_bits, v_bits = n.bit_length(), (n - 1).bit_length()
+    u_bits, v_bits = n.bit_length(), last.bit_length()
     # no simple path is longer than n-1 hops, so a larger bound decides alike
-    bound = min(config.max_hops, n - 1)
+    bound = min(config.max_hops, last)
     near, far = bound // 2, bound - bound // 2
 
     # balls[r][x]: closed r-ball of x as a bitmask, for r = 0..far
     balls = [[1 << x for x in range(n)] for _ in range(far + 1)]
     near_balls, far_balls = balls[near], balls[far]
+    # nbrs[x]: the neighbours of x, in linking order
+    nbrs: List[List[int]] = [[] for _ in range(n)]
 
     series: List[Tuple[int, float]] = []
     pairs = config.pairs
@@ -174,41 +180,39 @@ def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
             while u >= n:
                 u = getrandbits(u_bits)
             v = getrandbits(v_bits)
-            while v >= n - 1:
+            while v >= last:
                 v = getrandbits(v_bits)
             if v >= u:
                 v += 1
             if near_balls[u] & far_balls[v]:
                 continue
-            # old j-balls of both ends, j < far, taken before any ball grows;
-            # the j = 0 step puts v in the 1-ball of u, which is the link
+            # old j-balls of both ends, j < far, taken before any ball grows
             u_reach = [radius_balls[u] for radius_balls in balls[:far]]
             v_reach = [radius_balls[v] for radius_balls in balls[:far]]
-            for reach, other in ((u_reach, v_reach), (v_reach, u_reach)):
-                inside = 0
-                for j, within in enumerate(reach):
+            for end, reach, other in ((u, u_reach, v_reach), (v, v_reach, u_reach)):
+                for j in range(far):
+                    if j > 1:
+                        shell = _members(reach[j] ^ reach[j - 1])
+                    else:
+                        shell = nbrs[end] if j else (end,)
+                    if j == far - 1:
+                        # its far-ball gains the other end alone
+                        gain = other[0]
+                        for x in shell:
+                            far_balls[x] |= gain
+                        continue
                     # x at distance j: its r-ball gains the other end's (r-1-j)-ball
-                    gains = list(zip(balls[j + 1 : far + 1], other))
-                    shell = within ^ inside
-                    inside = within
-                    while shell:
-                        x = shell.bit_length() - 1
-                        shell ^= 1 << x
+                    gains = list(zip(balls[j + 1 :], other))
+                    for x in shell:
                         for radius_balls, gain in gains:
                             radius_balls[x] |= gain
+            nbrs[u].append(v)
+            nbrs[v].append(u)
             links += 1
             last_link = i
         series.append((block_end, 2.0 * links / n))
 
-    adjacency: List[Set[int]] = []
-    for x, ball in enumerate(balls[1]):
-        rest = ball ^ (1 << x)
-        nbrs: Set[int] = set()
-        while rest:
-            y = rest.bit_length() - 1
-            nbrs.add(y)
-            rest ^= 1 << y
-        adjacency.append(nbrs)
+    adjacency = [set(x_nbrs) for x_nbrs in nbrs]
     saturated = (pairs - 1 - last_link) >= config.window
     return TopologyStats(
         config=config,
@@ -218,6 +222,16 @@ def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
         last_link_pair=last_link,
         saturated=saturated,
     )
+
+
+def _members(mask: int) -> List[int]:
+    """Indices of the set bits of ``mask``, highest first."""
+    members = []
+    while mask:
+        x = mask.bit_length() - 1
+        members.append(x)
+        mask ^= 1 << x
+    return members
 
 
 def seed_mean_spread(ratios: Iterable[Tuple[int, float]]) -> float:

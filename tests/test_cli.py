@@ -385,6 +385,35 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, capsys):
     assert "cannot read manifest" in capsys.readouterr().err
 
 
+def test_failed_replay_keeps_its_recipe(tmp_path, capsys):
+    out, fresh = tmp_path / "run", tmp_path / "fresh"
+    assert main(["scenario", "usecase1", "--appends", "7", "--out", str(out)]) == 0
+    write_csv = cli._write_csv
+
+    def fail_on_counters(path, header, rows):
+        if os.path.basename(path) == "counters.csv":
+            raise OSError("disk full")
+        write_csv(path, header, rows)
+
+    with mock.patch.object(cli, "_write_csv", fail_on_counters):
+        assert main(["replay", str(out / "manifest.json")]) == 1
+    capsys.readouterr()
+    recipe = out / "manifest.json.tmp"
+    assert main(["scenario", "usecase1", "--appends", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{recipe} is the recipe of the previous run" in err
+    assert "replay it or remove it" in err
+    assert json.loads(recipe.read_text())["config"]["appends"] == 7
+    assert not (out / "manifest.json").exists()
+
+    assert main(["replay", str(recipe)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["appends"] == 7
+    assert not recipe.exists()
+    assert main(["scenario", "usecase1", "--appends", "7", "--out", str(fresh)]) == 0
+    for name in ("messages.csv", "counters.csv"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
 # ===== topology outputs =====
 
 

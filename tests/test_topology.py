@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import deque
@@ -241,12 +242,22 @@ def test_ball_kernel_matches_bfs_reference_on_larger_graphs(n, max_hops, seed, p
     )
 
 
+# sha256 of the degree series and every sorted neighbour set, by hop
+# budget: the whole graph at the benchmark's size
+GRAPH_DIGESTS_AT_512 = {
+    3: "fda324800ea051938a4164d9650034d398b83f54ded827e212286dbe8d40a99e",
+    5: "63aa2e97bf2693ab7906753863fddbca24f4ad558e4a8491cfdc4a04566ceabd",
+}
+
+
 # computed with the rng.randrange draw loop; a drift in the pair stream
 # or the kernel changes them
 @pytest.mark.parametrize("max_hops, links, last_link", [(3, 3430, 158336), (5, 1394, 159189)])
 def test_kernel_pinned_at_512_nodes(max_hops, links, last_link):
     stats = run_topology_experiment(ExperimentConfig(n_nodes=512, max_hops=max_hops, seed=0))
     assert (stats.links_created, stats.last_link_pair) == (links, last_link)
+    graph = repr((stats.degree_series, [sorted(nbrs) for nbrs in stats.adjacency]))
+    assert hashlib.sha256(graph.encode()).hexdigest() == GRAPH_DIGESTS_AT_512[max_hops]
 
 
 def test_unsaturated_run_is_flagged():
