@@ -12,12 +12,12 @@ and marks a finished run: before a command touches any output, an
 existing manifest.json is moved aside to manifest.json.tmp; the new
 manifest is written over that file and renamed to manifest.json once
 every output is written. A run that fails part way leaves no
-manifest.json, and its manifest.json.tmp is its recipe: the next
-command into that directory exits 2 rather than write over it, unless
-it replays that very file. Truncating an existing file and renaming
-over one are the two replace patterns that ext4's auto_da_alloc
-flushes; on an ext4 root mounted with discard each cost about ten
-times an in-place rewrite.
+manifest.json, and its manifest.json.tmp, which its error names, is
+its recipe: the next command into that directory exits 2 rather than
+write over it, unless it replays that very file. Truncating an
+existing file and renaming over one are the two replace patterns that
+ext4's auto_da_alloc flushes; on an ext4 root mounted with discard
+each cost about ten times an in-place rewrite.
 """
 
 from __future__ import annotations
@@ -547,12 +547,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
         check(config)
     except FlagError as exc:
         raise FlagError(f"{path}: {exc}") from None
-    out_dir = args.out if args.out else os.path.dirname(os.path.abspath(path))
-    if os.path.abspath(path) == os.path.abspath(os.path.join(out_dir, MANIFEST + ".tmp")):
+    if os.path.abspath(path) == os.path.abspath(os.path.join(args.out, MANIFEST + ".tmp")):
         # a failed run's recipe, replayed over what it left: it already
         # lies where _ensure_out moves a manifest aside
-        return runner(config, out_dir)
-    return runner(config, _ensure_out(out_dir))
+        return runner(config, args.out)
+    return runner(config, _ensure_out(args.out))
 
 
 # ===== parser =====
@@ -612,6 +611,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.command == "replay" and not args.out:  # a replay writes beside its manifest
+        args.out = os.path.dirname(os.path.abspath(args.manifest))
     try:
         return args.func(args)
     except FlagError as exc:
@@ -619,6 +620,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except Exception as exc:  # runtime failure, not a usage problem
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        manifest = os.path.join(args.out, MANIFEST)
+        if os.path.exists(manifest + ".tmp") and not os.path.exists(manifest):
+            print(f"note: {manifest}.tmp is the recipe of {args.out}'s last finished run: "
+                  "replay it or remove it", file=sys.stderr)
         return 1
 
 

@@ -25,13 +25,13 @@ class EmptyComponent(InvalidName):
     """Name containing a zero-length component, e.g. "a//b"."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class HierarchicalName:
-    """Immutable component path; ordering is lexicographic by component.
+    """Immutable component path, compared for equality only.
 
     ``text``, which ``str`` returns, is joined once at construction and
-    is not a field: equality, ordering, hash and repr see the components
-    only. Two names are equal exactly when their texts are.
+    is not a field: equality, hash and repr see the components only.
+    Two names are equal exactly when their texts are.
     """
 
     components: Tuple[str, ...]

@@ -56,8 +56,11 @@ class InterestPacket:
 
 @dataclass(frozen=True)
 class DataPacket:
+    """A named answer. The payload is the answer itself, a dict no
+    forwarder reads; it leaves the packet unhashable, and nothing hashes one."""
+
     name: HierarchicalName
-    payload: bytes
+    payload: Dict[str, Any]
 
 
 # ===== emissions: what a handler asks the harness to do =====

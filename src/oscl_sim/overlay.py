@@ -28,7 +28,6 @@ emission and one relay count however many faces it goes out on.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -53,7 +52,6 @@ from .ndn import (
 from .scl import (
     DiscoveryResult,
     FlatRows,
-    Locator,
     M2mSystem,
     MSG_DATA,
     MSG_INTEREST,
@@ -70,11 +68,6 @@ from .scl import (
 )
 
 DEFAULT_SUBSCRIBE_SCOPE = 16
-
-# json.dumps(obj, sort_keys=True) without building an encoder per call
-_to_json = json.JSONEncoder(sort_keys=True).encode
-# a JSON string literal, as _to_json writes one (ASCII, with \u escapes)
-_json_str = json.encoder.encode_basestring_ascii
 
 
 class OverlayError(Exception):
@@ -152,20 +145,6 @@ def _metrics_acceptable(metrics: QosMetrics) -> bool:
 class LinkDecision(Enum):
     REUSED_PATH = "reused-path"
     NEW_LINK = "new-link"
-
-
-def _notification(container_name: HierarchicalName, payload: str, index: int) -> DataPacket:
-    """Data message carrying one new content instance to a subscriber.
-
-    The body is the bytes ``_to_json`` gives for ``{"uri": ..., "value":
-    payload, "index": index}``, filled into a template: every append
-    makes one, so it skips the general encoder's key sorting and type
-    dispatch.
-    """
-    body = '{"index": %d, "uri": %s, "value": %s}' % (
-        index, _json_str(container_name.text), _json_str(payload)
-    )
-    return DataPacket(container_name, body.encode())
 
 
 class Overlay:
@@ -373,10 +352,10 @@ class Overlay:
             resolved[1].subscriptions.append(partial(self._notify, node_id, pkt.name, entry))
             self._subs[key] = True
             return
-        body = {"uri": str(pkt.name), "locator": vars(scl.locator)}
+        answer = {"uri": pkt.name.text, "locator": scl.locator}
         if resolved[0] == "instance":
-            body["value"], body["index"] = resolved[1], resolved[2]
-        self._inject(node_id, DataPacket(pkt.name, _to_json(body).encode()))
+            answer["value"], answer["index"] = resolved[1], resolved[2]
+        self._inject(node_id, DataPacket(pkt.name, answer))
 
     def _notify(
         self, producer_id: str, name: HierarchicalName, entry: PitEntry, payload: str, index: int
@@ -388,7 +367,8 @@ class Overlay:
         and return False."""
         if pending(self._nodes[producer_id], name.text, self.system.clock_ms) is not entry:
             return False
-        self._inject(producer_id, _notification(name, payload, index))
+        note = {"uri": name.text, "value": payload, "index": index}
+        self._inject(producer_id, DataPacket(name, note))
         self.run()
         return True
 
@@ -439,7 +419,7 @@ class Overlay:
         body, trail = answer
         return DiscoveryResult(
             uri=parse_name(body["uri"]),
-            locator=Locator(**body["locator"]),
+            locator=body["locator"],
             method="distributed",
             path=tuple(reversed(trail)),
         )
@@ -467,22 +447,24 @@ class Overlay:
     def fetch_resource(
         self, origin: str, name: HierarchicalName, scope: int
     ) -> Optional[Tuple[dict, List[str]]]:
-        """One-shot content retrieval; (decoded payload, trail) or None.
+        """One-shot content retrieval; (answer, trail) or None.
 
-        Answers may come from any Content Store on the way, not only
-        the producer; a name the origin owns is answered by its own
-        application, with a trail of the origin alone.
+        The answer is a copy of the Data's payload: the name's text, its
+        SCL's Locator and an instance's value and index. Any Content Store
+        on the way may answer, not only the producer; a name the origin
+        owns is answered by its own application, with a trail of the
+        origin alone.
         """
         _, answers = self._request(origin, name, solicit=1, scope=scope, subscribe=False)
         if not answers:
             return None
         pkt, trail = answers[0]
-        return json.loads(pkt.payload), trail
+        return dict(pkt.payload), trail
 
     def answers(self, origin: str, name: HierarchicalName) -> List[Tuple[dict, List[str]]]:
-        """Decoded Data answers delivered to ``origin`` for ``name`` so far."""
+        """Copies of the Data answers delivered to ``origin`` for ``name``, with trails."""
         rows = self._inbox.get((origin, name.text), [])
-        return [(json.loads(pkt.payload), list(trail)) for pkt, trail in rows]
+        return [(dict(pkt.payload), list(trail)) for pkt, trail in rows]
 
     def qos_monitor(
         self, path: Sequence[str], probe_count: int = 8
@@ -592,6 +574,6 @@ class Overlay:
             raise NoPath(str(target_uri))
 
     def notifications(self, consumer: str, container_uri: HierarchicalName) -> List[dict]:
-        """Decoded subscription payloads delivered to ``consumer`` so far;
-        ``answers`` gives each one's path too."""
+        """Copies of the notifications delivered to ``consumer`` so far, each
+        {uri, value, index}; ``answers`` gives each one's path too."""
         return [payload for payload, _ in self.answers(consumer, container_uri)]

@@ -34,10 +34,6 @@ from .ndn import NdnNode
 
 CONTROL_LEG_MS = 1.0  # one infrastructure hop, fixed
 
-# the address in every SCL's Locator; the simulation opens no socket
-SCL_HOST = "10.0.0.1"
-SCL_PORT = 4000
-
 LATEST = "latest"
 OLDEST = "oldest"
 
@@ -94,15 +90,9 @@ class SclKind(Enum):
 
 @dataclass(frozen=True)
 class Locator:
-    """Network-layer address record for one SCL."""
+    """Where one SCL is reached: its node id, also its overlay address."""
 
     node_id: str
-    host: str
-    port: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.port <= 65535):
-            raise ValueError(f"port out of range: {self.port}")
 
 
 @dataclass(frozen=True)
@@ -278,7 +268,7 @@ class M2mSystem:
         label = base.components[0]
         if label in self._base_names:
             raise DuplicateResource(f"base name {label!r} taken")
-        scl = SclInstance(node_id, kind, base, Locator(node_id, SCL_HOST, SCL_PORT), self)
+        scl = SclInstance(node_id, kind, base, Locator(node_id), self)
         self.scls[node_id] = scl
         self._base_names[label] = node_id
         if kind is SclKind.NSCL:

@@ -414,3 +414,124 @@ def test_lossy_chain_delivery_matches_its_closed_form(report):
             f" vs {expected:.4f}"
         )
     report(10, "fetch success on a lossy chain is (1-p)^(2h)", ok, "; ".join(results))
+
+
+# Lossless floods of a name nobody owns, from origin n0 unless the case
+# says otherwise; every link has the same 5 ms delay. Per node, derived
+# by hand: (interest relayed, loop drops, no-route drops, arrivals); a
+# node left out has all four at 0, and no node receives the Interest.
+# The origin spends one hop per link, so a node k links away gets the
+# Interest with scope - k hops left: it drops it as no-route at 0 left
+# or with no face but the arrival one, and else relays it on every
+# other face. The second copy to reach a node is a loop drop.
+FLOOD_CASES = {
+    # path n0 - n1 - n2 - n3
+    "path": ([("n0", "n1"), ("n1", "n2"), ("n2", "n3")], "n0", {
+        0: ({"n0": (0, 0, 1, 0)}, 0),
+        1: ({"n1": (0, 0, 1, 1)}, 1),
+        2: ({"n1": (1, 0, 0, 1), "n2": (0, 0, 1, 1)}, 2),
+        3: ({"n1": (1, 0, 0, 1), "n2": (1, 0, 0, 1), "n3": (0, 0, 1, 1)}, 3),
+        4: ({"n1": (1, 0, 0, 1), "n2": (1, 0, 0, 1), "n3": (0, 0, 1, 1)}, 3),  # n3: no face
+    }),
+    # star: centre c, leaves n0 (the origin), n1, n2
+    "star": ([("c", "n0"), ("c", "n1"), ("c", "n2")], "n0", {
+        0: ({"n0": (0, 0, 1, 0)}, 0),
+        1: ({"c": (0, 0, 1, 1)}, 1),
+        2: ({"c": (2, 0, 0, 1), "n1": (0, 0, 1, 1), "n2": (0, 0, 1, 1)}, 3),
+        3: ({"c": (2, 0, 0, 1), "n1": (0, 0, 1, 1), "n2": (0, 0, 1, 1)}, 3),  # leaves: no face
+    }),
+    # cycle n0 - n1 - n2 - n3 - n0: copies meet at n2, and n2's relay
+    # of the first one dies at n3, which has seen the Interest
+    "cycle": ([("n0", "n1"), ("n1", "n2"), ("n2", "n3"), ("n3", "n0")], "n0", {
+        0: ({"n0": (0, 0, 1, 0)}, 0),
+        1: ({"n1": (0, 0, 1, 1), "n3": (0, 0, 1, 1)}, 2),
+        2: ({"n1": (1, 0, 0, 1), "n2": (0, 1, 1, 2), "n3": (1, 0, 0, 1)}, 4),
+        3: ({"n1": (1, 0, 0, 1), "n2": (1, 1, 0, 2), "n3": (1, 1, 0, 2)}, 5),
+        4: ({"n1": (1, 0, 0, 1), "n2": (1, 1, 0, 2), "n3": (1, 1, 0, 2)}, 5),
+    }),
+}
+STAR_SPOKES = 4
+STAR_LOSS = 0.5
+STAR_FLOODS = 1000
+
+
+def _overlay_of(edges, seed=0, metrics=None):
+    system = M2mSystem()
+    overlay = Overlay(system, seed=seed)
+    for node_id in sorted({x for edge in edges for x in edge}):
+        overlay.add_node(system.add_scl(SclKind.GSCL, node_id))
+    for u, v in edges:
+        overlay.add_link(u, v, metrics)
+    return system, overlay
+
+
+def _flood_counts(edges, origin, scope):
+    """(per node: (relayed, loop, no-route, arrivals, received, dropped
+    counts with no drop row, originated), link traversals) of one flood
+    of an unowned name."""
+    system, overlay = _overlay_of(edges)
+    assert overlay.fetch_resource(origin, parse_name("Nobody/app"), scope) is None
+    c = system.counters
+    counts = {}
+    for node in system.scls:
+        reasons = [reason for at, reason, _ in overlay.drops if at == node]
+        counts[node] = (
+            c.get(node, "interest", "relayed"),
+            reasons.count("loop"),
+            reasons.count("no-route"),
+            sum(1 for row in system.log if row.dst == node),
+            c.get(node, "interest", "received"),
+            c.get(node, "interest", "dropped") - len(reasons),
+            c.get(node, "interest", "originated"),
+        )
+    return counts, len(system.log)
+
+
+def _partial_reach_count(seed: int) -> int:
+    """Floods of distinct names from a star's centre at scope 1, each
+    spoke losing a copy with probability STAR_LOSS: how many reached
+    some leaves but not all."""
+    spokes = [("c", f"n{i}") for i in range(STAR_SPOKES)]
+    system, overlay = _overlay_of(spokes, seed, LinkMetrics(loss=STAR_LOSS))
+    partial = 0
+    for i in range(STAR_FLOODS):
+        before = len(system.log)
+        overlay.fetch_resource("c", parse_name(f"Nobody/flood{i}"), 1)
+        partial += 0 < len(system.log) - before < STAR_SPOKES
+    return partial
+
+
+def test_flood_counts_and_per_face_loss(report):
+    """A flood's counts on lossless graphs match the hand-derived tables
+    on both sides of each hop-limit boundary, and a loss draw is made
+    per face: a flood from a star's centre reaches some but not all of
+    its k leaves with probability 1 - p^k - (1 - p)^k, where a single
+    draw per send would give 0."""
+    mismatches = []
+    checked = 0
+    for graph, (edges, origin, scopes) in FLOOD_CASES.items():
+        for scope, (table, traversals) in scopes.items():
+            counts, links = _flood_counts(edges, origin, scope)
+            expected = {
+                node: table.get(node, (0, 0, 0, 0)) + (0, 0, int(node == origin))
+                for node in counts
+            }
+            checked += 1
+            if (counts, links) != (expected, traversals):
+                mismatches.append(f"{graph} scope={scope}: {counts}, {links} traversals")
+    share = 1 - STAR_LOSS**STAR_SPOKES - (1 - STAR_LOSS) ** STAR_SPOKES
+    results = []
+    ok = not mismatches
+    for seed in range(3):
+        k = _partial_reach_count(seed)
+        lower, upper = _clopper_pearson(k, STAR_FLOODS, CHAIN_ALPHA)
+        ok = ok and lower <= share <= upper
+        results.append(f"seed {seed}: {k}/{STAR_FLOODS} in [{lower:.4f}, {upper:.4f}]")
+    report(
+        11,
+        "lossless flood counts match by hand; per-face loss splits a star's flood",
+        ok,
+        f"{checked - len(mismatches)}/{checked} flood tables match"
+        + "".join(f"; MISMATCH {m}" for m in mismatches)
+        + f"; partial reach vs {share:.4f}: " + "; ".join(results),
+    )

@@ -1,5 +1,6 @@
 import ast
 import csv
+import importlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import ModuleType, SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -379,7 +381,12 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, capsys):
 
     with mock.patch.object(cli, "_write_csv", fail_on_counters):
         assert main(argv) == 1
-    assert "error: OSError: disk full" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: OSError: disk full" in err
+    recipe = out / "manifest.json.tmp"
+    assert err.splitlines()[-1] == (
+        f"note: {recipe} is the recipe of {out}'s last finished run: replay it or remove it"
+    )
     assert not (out / "manifest.json").exists()
     assert main(["replay", str(out / "manifest.json")]) == 2
     assert "cannot read manifest" in capsys.readouterr().err
@@ -397,8 +404,8 @@ def test_failed_replay_keeps_its_recipe(tmp_path, capsys):
 
     with mock.patch.object(cli, "_write_csv", fail_on_counters):
         assert main(["replay", str(out / "manifest.json")]) == 1
-    capsys.readouterr()
     recipe = out / "manifest.json.tmp"
+    assert f"note: {recipe} is the recipe of" in capsys.readouterr().err
     assert main(["scenario", "usecase1", "--appends", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{recipe} is the recipe of the previous run" in err
@@ -722,3 +729,31 @@ def test_package_imports_only_the_standard_library():
             for module in modules:
                 top = module.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {module}"
+
+
+def test_tracer_patch_points_exist_and_are_restored():
+    """The benchmark's tracer patches package attributes by name; each
+    must exist, and ``restore`` must put every original back."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spans = ModuleType("spans")  # run from source: no bytecode cache is written
+    exec(compile(path.read_text(), str(path), "exec"), vars(spans))
+    names = ("names", "ndn", "scl", "topology", "overlay", "scenarios", "cli")
+    modules = [importlib.import_module(f"oscl_sim.{name}") for name in names]
+    mods = SimpleNamespace(**dict(zip(names, modules)))
+    classes = [v for m in modules for v in vars(m).values()
+               if isinstance(v, type) and v.__module__ == m.__name__]
+
+    def attributes():
+        return {(owner, k): v for owner in modules + classes for k, v in vars(owner).items()}
+
+    before = attributes()
+    tracer = spans.Tracer()
+    try:
+        spans.instrument(tracer, mods)
+        assert mods.overlay.on_interest is not mods.ndn.on_interest
+    finally:
+        tracer.restore()
+    after = attributes()
+    assert after.keys() == before.keys()
+    assert [key for key, v in before.items() if after[key] is not v] == []
+    assert mods.overlay.on_interest is mods.ndn.on_interest

@@ -28,7 +28,7 @@ from oscl_sim.scl import (
 )
 from oscl_sim.topology import ExperimentConfig, run_topology_experiment
 
-GOLDEN_SHA256 = "6a26e42db1fff23657f47576a54e64dc3b7f0d44bf2af068e5314ea2aa0d0748"
+GOLDEN_SHA256 = "289bde92a0d4d0560b31bc9541a2f78bc5242b73532f9cf00ca407d3d939aa6a"
 
 N_NODES = 48
 DELAYS_MS = (0.0, 0.0, 1.0, 2.5, 5.0)

@@ -72,11 +72,6 @@ def test_extend():
     assert str(base.extend("applications", "app")) == "Gscl1/applications/app"
 
 
-def test_ordering_is_by_components():
-    assert parse_name("a/b") < parse_name("a/c")
-    assert parse_name("a") < parse_name("a/b")
-
-
 def test_prefix_is_per_component_not_per_character():
     assert not is_prefix(parse_name("scl/meter"), parse_name("scl/meter_app"))
     assert is_prefix(parse_name("scl/meter"), parse_name("scl/meter/x"))

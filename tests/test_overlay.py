@@ -1,5 +1,4 @@
 import gc
-import json
 import math
 import random
 from collections import Counter
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oscl_sim.names import HierarchicalName, parse_name
+from oscl_sim.names import parse_name
 from oscl_sim.ndn import APP_FACE, DEFAULT_FRESHNESS_MS, DEFAULT_PIT_LIFETIME_MS, InterestPacket
 from oscl_sim.overlay import (
     MAX_PATH_HOPS,
@@ -20,10 +19,8 @@ from oscl_sim.overlay import (
     Overlay,
     QosMetrics,
     UnknownNode,
-    _notification,
 )
 from oscl_sim.scl import (
-    Locator,
     M2mSystem,
     NotFound,
     SclKind,
@@ -227,7 +224,7 @@ def test_local_fetch_body_matches_remote_answer(uri):
     assert trail == [producer.node_id]
     remote, _ = overlay.fetch_resource(consumer, parse_name(uri), scope=3)
     assert local == remote
-    assert local["locator"]["node_id"] == producer.node_id
+    assert local["locator"].node_id == producer.node_id
 
 
 def test_fetch_missing_resource_returns_none():
@@ -521,7 +518,7 @@ def test_container_interest_is_answered_not_subscribed(op):
     container = parse_name(CONTAINER_URI)
     if op == "fetch":
         body, _ = overlay.fetch_resource(consumer, container, scope=3)
-        answer = (body["uri"], Locator(**body["locator"]))
+        answer = (body["uri"], body["locator"])
     else:
         result = overlay.distributed_discover(consumer, container, scope=3)
         answer = (str(result.uri), result.locator)
@@ -626,21 +623,6 @@ def test_requests_from_an_scl_off_the_overlay_raise(owner):
     with pytest.raises(UnknownNode):
         overlay.p2p_subscribe(stray.node_id, container, 1)
     assert overlay._subs == {}
-
-
-@given(
-    st.lists(st.text(min_size=1).filter(lambda t: "/" not in t), min_size=1, max_size=4),
-    st.text(),
-    st.integers(min_value=0),
-)
-def test_notification_body_is_the_json_encoders(components, payload, index):
-    name = HierarchicalName(tuple(components))
-    expected = json.JSONEncoder(sort_keys=True).encode(
-        {"uri": str(name), "value": payload, "index": index}
-    )
-    packet = _notification(name, payload, index)
-    assert packet.payload == expected.encode()
-    assert packet.name == name
 
 
 # ===== conservation =====
