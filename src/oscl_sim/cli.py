@@ -12,12 +12,12 @@ and marks a finished run: before a command touches any output, an
 existing manifest.json is moved aside to manifest.json.tmp; the new
 manifest is written over that file and renamed to manifest.json once
 every output is written. A run that fails part way leaves no
-manifest.json, and its manifest.json.tmp, which its error names, is
-its recipe: the next command into that directory exits 2 rather than
-write over it, unless it replays that very file. Truncating an
-existing file and renaming over one are the two replace patterns that
-ext4's auto_da_alloc flushes; on an ext4 root mounted with discard
-each cost about ten times an in-place rewrite.
+manifest.json, and its manifest.json.tmp, the recipe of the last run
+that finished there, stays: the next command into that directory exits
+2 rather than write over it, unless it replays that very file.
+Truncating an existing file and renaming over one are the two replace
+patterns that ext4's auto_da_alloc flushes; on an ext4 root mounted
+with discard each cost about ten times an in-place rewrite.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 from . import __version__
 from .overlay import LinkMetrics
 from .scenarios import NSCL_ID, SCENARIO_NAMES, SCENARIOS, ScenarioConfig, run_scenario
+from .scl import MSG_DATA, MSG_NOTIFY, ROLE_RECEIVED, ROLE_RELAYED, MessageRecord
 from .topology import (
     ExperimentConfig,
     TopologyStats,
@@ -48,7 +49,7 @@ from .topology import (
 
 SERIES_HEADER = ["N", "D", "seed", "pair_index", "avg_degree"]
 SUMMARY_HEADER = ["N", "D", "seed", "final_degree", "predicted", "ratio", "saturated"]
-MESSAGES_HEADER = ["time_ms", "src", "dst", "relayer", "msg_type", "name"]
+MESSAGES_HEADER = [f.name for f in dataclasses.fields(MessageRecord)]
 COUNTERS_HEADER = ["node", "msg_type", "role", "count"]
 MANIFEST = "manifest.json"
 
@@ -158,9 +159,10 @@ def _ensure_out(path: str) -> str:
     renames it back. Outputs are then rewritten in place, and a
     directory holds a manifest.json only while the outputs beside it
     are the ones it describes. A manifest.json.tmp with no manifest.json
-    beside it is the recipe of a run that failed part way: rather than
-    write over it, this raises FlagError (exit 2). A replay of that
-    file into its own directory does not call this and goes ahead.
+    beside it is the recipe of the last run that finished there, moved
+    aside by one that failed: rather than write over it, this raises
+    FlagError (exit 2) with ``_recipe``. A replay of that file into its
+    own directory does not call this and goes ahead.
     """
     manifest = os.path.join(path, MANIFEST)
     try:
@@ -169,13 +171,16 @@ def _ensure_out(path: str) -> str:
             os.replace(manifest, manifest + ".tmp")
         except FileNotFoundError:  # a fresh directory, or one a run failed in
             if os.path.exists(manifest + ".tmp"):
-                raise FlagError(
-                    f"{manifest}.tmp is the recipe of the previous run into {path}, "
-                    "which failed: replay it or remove it"
-                ) from None
+                raise FlagError(_recipe(path)) from None
     except OSError as exc:
         raise FlagError(f"{path}: cannot use as output directory: {exc.strerror}") from None
     return path
+
+
+def _recipe(out_dir: str) -> str:
+    """What a manifest.json.tmp alone in ``out_dir`` is, and what to do with it."""
+    return (f"{os.path.join(out_dir, MANIFEST)}.tmp is the recipe of {out_dir}'s "
+            "last finished run: replay it or remove it")
 
 
 def _read_text(path: str, what: str) -> str:
@@ -481,13 +486,12 @@ def _run_scenario(config: Dict, out_dir: str) -> int:
     _write_csv(os.path.join(out_dir, "counters.csv"), COUNTERS_HEADER, system.counters.rows())
     _write_manifest(out_dir, "scenario", config, ["messages.csv", "counters.csv"], started)
 
-    relayed_notify = system.counters.get(NSCL_ID, "notify", "relayed")
-    received_data = system.counters.get(result.subscriber.node_id, "data", "received")
-    method = result.discovery.method if result.discovery else "-"
-    hops = result.discovery.path_hops if result.discovery else None
+    relayed_notify = system.counters.get(NSCL_ID, MSG_NOTIFY, ROLE_RELAYED)
+    received_data = system.counters.get(result.subscriber.node_id, MSG_DATA, ROLE_RECEIVED)
     print(
         f"{config['name']} oscl={config['oscl']} appends={config['appends']}: "
-        f"discovery={method} path_hops={hops} new_links={result.new_links} "
+        f"discovery={result.discovery.method} path_hops={result.discovery.path_hops} "
+        f"new_links={result.new_links} "
         f"nscl_relayed_notify={relayed_notify} subscriber_data_received={received_data}"
     )
     return 0
@@ -622,8 +626,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         manifest = os.path.join(args.out, MANIFEST)
         if os.path.exists(manifest + ".tmp") and not os.path.exists(manifest):
-            print(f"note: {manifest}.tmp is the recipe of {args.out}'s last finished run: "
-                  "replay it or remove it", file=sys.stderr)
+            print(f"note: {_recipe(args.out)}", file=sys.stderr)
         return 1
 
 

@@ -185,10 +185,9 @@ class BoundedNonceSet(OrderedDict):
 
 @dataclass
 class NdnNode:
-    """Forwarder state for one overlay node; its application answers
-    every name under ``prefix``."""
+    """Forwarder state for one overlay node, built from its prefix; its
+    application answers every name under ``prefix``."""
 
-    node_id: str
     prefix: HierarchicalName
     cs: ContentStore = field(default_factory=ContentStore)
     pit: Dict[str, PitEntry] = field(default_factory=dict)

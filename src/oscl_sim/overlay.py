@@ -31,7 +31,6 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -127,8 +126,10 @@ class QosMetrics:
 
 
 # the link-admission policy: an overlay path keeps serving traffic while
-# it is at most MAX_PATH_HOPS long and its measured QoS meets these bounds
+# it is at most MAX_PATH_HOPS long and its QoS, measured with PROBE_COUNT
+# probes, meets these bounds
 MAX_PATH_HOPS = 3
+PROBE_COUNT = 8
 MAX_LOSS = 0.05
 MAX_DELAY_MS = 200.0
 MIN_THROUGHPUT = 1.0
@@ -140,11 +141,6 @@ def _metrics_acceptable(metrics: QosMetrics) -> bool:
     if metrics.mean_delay_ms is None or metrics.mean_delay_ms > MAX_DELAY_MS:
         return False
     return metrics.throughput >= MIN_THROUGHPUT
-
-
-class LinkDecision(Enum):
-    REUSED_PATH = "reused-path"
-    NEW_LINK = "new-link"
 
 
 class Overlay:
@@ -418,10 +414,7 @@ class Overlay:
             return None
         body, trail = answer
         return DiscoveryResult(
-            uri=parse_name(body["uri"]),
-            locator=body["locator"],
-            method="distributed",
-            path=tuple(reversed(trail)),
+            uri=parse_name(body["uri"]), locator=body["locator"], path=tuple(reversed(trail))
         )
 
     def discover(
@@ -466,18 +459,14 @@ class Overlay:
         rows = self._inbox.get((origin, name.text), [])
         return [(dict(pkt.payload), list(trail)) for pkt, trail in rows]
 
-    def qos_monitor(
-        self, path: Sequence[str], probe_count: int = 8
-    ) -> QosMetrics:
-        """Estimate loss and delay over ``path`` with active probes.
+    def qos_monitor(self, path: Sequence[str]) -> QosMetrics:
+        """Estimate loss and delay over ``path`` with PROBE_COUNT probes.
 
         Each probe is one Bernoulli trial per link; a lost probe stops
         at the failing link. Throughput is read off the bottleneck
         capacity directly. Probes show up in the message log but are
         not billed to the traffic counters.
         """
-        if probe_count < 1:
-            raise ValueError("probe_count must be >= 1")
         if not path:
             raise BrokenPath("empty path")
         links: List[LinkMetrics] = []
@@ -489,7 +478,7 @@ class Overlay:
             links.append(link)
         delivered = 0
         total_delay = 0.0
-        for _ in range(probe_count):
+        for _ in range(PROBE_COUNT):
             delay = 0.0
             ok = True
             for m in links:
@@ -504,15 +493,16 @@ class Overlay:
                 (self.system.clock_ms, path[0], path[-1], "", MSG_PROBE,
                  "delivered" if ok else "lost")
             )
-        loss_ratio = (probe_count - delivered) / probe_count
+        loss_ratio = (PROBE_COUNT - delivered) / PROBE_COUNT
         mean_delay = (total_delay / delivered) if delivered else None
         throughput = min((m.capacity for m in links), default=math.inf)
-        return QosMetrics(loss_ratio, mean_delay, throughput, probe_count)
+        return QosMetrics(loss_ratio, mean_delay, throughput, PROBE_COUNT)
 
     def ensure_link(
         self, origin: str, result: DiscoveryResult, metrics: Optional[QosMetrics] = None
-    ) -> LinkDecision:
-        """Create a direct link to the discovered peer when needed.
+    ) -> bool:
+        """Create a direct link to the discovered peer when needed, and
+        return whether a link was made.
 
         Triggers on any of: the discovery had to fall back to the
         registry, the overlay path is longer than MAX_PATH_HOPS, or the
@@ -521,31 +511,28 @@ class Overlay:
         """
         target = result.locator.node_id
         if target == origin:
-            return LinkDecision.REUSED_PATH
+            return False
         trigger = result.method == "centralized"
         if result.path_hops is not None and result.path_hops > MAX_PATH_HOPS:
             trigger = True
         if metrics is not None and not _metrics_acceptable(metrics):
             trigger = True
         if not trigger:
-            return LinkDecision.REUSED_PATH
+            return False
         try:
             self.add_link(origin, target)
         except DuplicateLink:
-            return LinkDecision.REUSED_PATH
+            return False
         self.system.log.extend(
             (self.system.clock_ms, origin, target, "", MSG_LINK_UP, str(result.uri))
         )
-        return LinkDecision.NEW_LINK
+        return True
 
     def p2p_subscribe(
-        self,
-        origin: str,
-        target_uri: HierarchicalName,
-        expected_notifications: int,
-        scope: int = DEFAULT_SUBSCRIBE_SCOPE,
+        self, origin: str, target_uri: HierarchicalName, expected_notifications: int
     ) -> None:
-        """Subscribe to a container over the overlay, bypassing the hub.
+        """Subscribe to a container over the overlay, bypassing the hub,
+        with an Interest that may travel DEFAULT_SUBSCRIBE_SCOPE hops.
 
         The subscription is the Interest's pending entry at the producer:
         its solicit count pre-authorizes that many future Data messages
@@ -568,7 +555,7 @@ class Overlay:
         if expected_notifications < 1:
             raise ValueError("expected_notifications must be >= 1")
         subscribed, _ = self._request(
-            origin, target_uri, solicit=expected_notifications, scope=scope, subscribe=True
+            origin, target_uri, expected_notifications, DEFAULT_SUBSCRIBE_SCOPE, subscribe=True
         )
         if not subscribed:
             raise NoPath(str(target_uri))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .names import parse_name
-from .overlay import MAX_PATH_HOPS, LinkDecision, LinkMetrics, Overlay, QosMetrics
+from .overlay import MAX_PATH_HOPS, LinkMetrics, Overlay, QosMetrics
 from .scl import (
     DiscoveryResult,
     M2mSystem,
@@ -105,14 +105,9 @@ class ScenarioResult:
     overlay: Overlay
     subscriber: SclInstance
     container_uri: str
-    discovery: Optional[DiscoveryResult] = None
+    discovery: DiscoveryResult
     qos: Optional[QosMetrics] = None
-    link_decision: Optional[LinkDecision] = None
-
-    @property
-    def new_links(self) -> int:
-        """Overlay links the run added; ensure_link adds at most one."""
-        return int(self.link_decision is LinkDecision.NEW_LINK)
+    new_links: int = 0  # overlay links the run added; ensure_link adds at most one
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -140,26 +135,21 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         for u, v, delay_ms, loss, capacity in config.links:
             overlay.add_link(u, v, LinkMetrics(delay_ms, loss, capacity))
 
-    result = ScenarioResult(
-        config=config,
-        system=system,
-        overlay=overlay,
-        subscriber=dscl,
-        container_uri=str(container_uri),
-    )
     bare_app = parse_name(spec.app)
-
+    qos, new_links = None, 0
     if config.oscl_enabled:
         query = app_uri if spec.discover_by_uri else bare_app
-        result.discovery = overlay.discover(dscl.node_id, query, scope=MAX_PATH_HOPS, nscl=nscl)
-        if result.discovery.path_hops not in (None, 0):
-            result.qos = overlay.qos_monitor(result.discovery.path)
-        result.link_decision = overlay.ensure_link(dscl.node_id, result.discovery, result.qos)
+        discovery = overlay.discover(dscl.node_id, query, scope=MAX_PATH_HOPS, nscl=nscl)
+        if discovery.path_hops not in (None, 0):
+            qos = overlay.qos_monitor(discovery.path)
+        new_links = int(overlay.ensure_link(dscl.node_id, discovery, qos))
         overlay.p2p_subscribe(dscl.node_id, container_uri, expected_notifications=config.appends)
     else:
-        result.discovery = centralized_discover(dscl, nscl, bare_app)
+        discovery = centralized_discover(dscl, nscl, bare_app)
         subscribe_centralized(dscl, nscl, container_uri)
 
     for i in range(config.appends):
         create_content_instance(producer, spec.app, CONTAINER, f"reading-{i}")
-    return result
+    return ScenarioResult(
+        config, system, overlay, dscl, str(container_uri), discovery, qos, new_links
+    )

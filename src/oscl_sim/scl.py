@@ -29,7 +29,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .names import HierarchicalName, parse_name
+from .names import HierarchicalName, InvalidName, parse_name
 from .ndn import NdnNode
 
 CONTROL_LEG_MS = 1.0  # one infrastructure hop, fixed
@@ -97,18 +97,16 @@ class Locator:
 
 @dataclass(frozen=True)
 class DiscoveryResult:
-    """Answer of a discovery: where the resource lives and how we learned."""
+    """Answer of a discovery: where the resource lives, and the overlay
+    path the answer took, or None when the hub's registry answered."""
 
     uri: HierarchicalName
     locator: Locator
-    method: str  # "distributed" | "centralized"
     path: Optional[Tuple[str, ...]] = None  # overlay node ids, origin first
 
-    def __post_init__(self) -> None:
-        if self.method not in ("distributed", "centralized"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if (self.path is not None) != (self.method == "distributed"):
-            raise ValueError("path must be present exactly for distributed results")
+    @property
+    def method(self) -> str:
+        return "centralized" if self.path is None else "distributed"
 
     @property
     def path_hops(self) -> Optional[int]:
@@ -127,21 +125,33 @@ class Container:
 
 @dataclass
 class SclInstance:
+    """One SCL. Its node id, one name component, is also its base name,
+    its Locator, its key in the hub's registry and its neighbours' face id."""
+
     node_id: str
     kind: SclKind
-    base_name: HierarchicalName
-    locator: Locator
+    base_name: HierarchicalName = field(init=False)
+    locator: Locator = field(init=False)
     system: M2mSystem = field(repr=False, compare=False)
     ndn: NdnNode = field(init=False)
     # application name -> container name -> container
     applications: Dict[str, Dict[str, Container]] = field(default_factory=dict)
-    registered: bool = False
-    # NSCL only: base-name label -> locator, insertion order = registration order
-    registry: Dict[str, Locator] = field(default_factory=dict)
+    # NSCL only: node id -> registered SCL, insertion order = registration order
+    registry: Dict[str, SclInstance] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
+        self.base_name = parse_name(self.node_id)
+        if self.base_name.components != (self.node_id,):
+            raise InvalidName(f"node id {self.node_id!r} is not one name component")
+        self.locator = Locator(self.node_id)
         # a node always answers for its own subtree
-        self.ndn = NdnNode(self.node_id, self.base_name)
+        self.ndn = NdnNode(self.base_name)
+
+    @property
+    def registered(self) -> bool:
+        """True for the hub, and for an SCL in the hub's registry."""
+        hub = self.system.nscl
+        return hub is not None and (hub is self or hub.registry.get(self.node_id) is self)
 
 
 # ===== accounting =====
@@ -257,23 +267,17 @@ class M2mSystem:
         self.nscl: Optional[SclInstance] = None
         self.log: MessageLog = MessageLog()
         self.counters = MessageCounters()
-        self._base_names: Dict[str, str] = {}  # base label -> node id
 
     def add_scl(self, kind: SclKind, node_id: str) -> SclInstance:
+        """Add an SCL; its node id must be one name component (InvalidName)."""
         if node_id in self.scls:
             raise DuplicateResource(f"node id {node_id!r} taken")
         if kind is SclKind.NSCL and self.nscl is not None:
             raise SclError("system already has a network SCL")
-        base = parse_name(node_id)
-        label = base.components[0]
-        if label in self._base_names:
-            raise DuplicateResource(f"base name {label!r} taken")
-        scl = SclInstance(node_id, kind, base, Locator(node_id), self)
+        scl = SclInstance(node_id, kind, self)
         self.scls[node_id] = scl
-        self._base_names[label] = node_id
         if kind is SclKind.NSCL:
-            self.nscl = scl
-            scl.registered = True  # the hub registers with nobody
+            self.nscl = scl  # the hub registers with nobody
         return scl
 
     def scl(self, node_id: str) -> SclInstance:
@@ -305,8 +309,7 @@ def register_scl(scl: SclInstance, nscl: SclInstance) -> None:
     system = _shared_system(scl, nscl)
     system.send(scl.node_id, nscl.node_id, "", MSG_REGISTER, str(scl.base_name))
     system.send(nscl.node_id, scl.node_id, "", MSG_REGISTER, str(scl.base_name))
-    nscl.registry[scl.base_name.components[0]] = scl.locator
-    scl.registered = True
+    nscl.registry[scl.node_id] = scl
 
 
 def _shared_system(*scls: SclInstance) -> M2mSystem:
@@ -420,19 +423,17 @@ def _resolve_query(
 ) -> Tuple[SclInstance, HierarchicalName]:
     """Find the registered SCL that can answer ``query``.
 
-    Accepts full resource paths (first component = a registered base
-    name) and bare application names, which are expanded against each
+    Accepts full resource paths (first component = a registered SCL's
+    node id) and bare application names, which are expanded against each
     registered SCL in registration order.
     """
-    system = nscl.system
     head = query.components[0]
-    if head in nscl.registry:
-        owner = system.scl(nscl.registry[head].node_id)
+    owner = nscl.registry.get(head)
+    if owner is not None:
         resolve_resource(owner, query)  # raises NotFound if bogus
         return owner, query
     if len(query.components) == 1:
-        for label in nscl.registry:
-            owner = system.scl(nscl.registry[label].node_id)
+        for owner in nscl.registry.values():
             if head in owner.applications:
                 return owner, owner.base_name.extend("applications", head)
     raise NotFound(str(query))
@@ -458,7 +459,7 @@ def centralized_discover(
     system.send(owner.node_id, origin.node_id, relayer, MSG_DISCOVER_RESPONSE, str(owner.base_name))
     system.send(origin.node_id, owner.node_id, relayer, MSG_DISCOVER_QUERY, str(uri))
     system.send(owner.node_id, origin.node_id, relayer, MSG_DISCOVER_RESPONSE, str(uri))
-    return DiscoveryResult(uri=uri, locator=owner.locator, method="centralized")
+    return DiscoveryResult(uri=uri, locator=owner.locator)
 
 
 def subscribe_centralized(

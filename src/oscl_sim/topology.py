@@ -112,14 +112,18 @@ def default_pair_count(n_nodes: int) -> int:
 
 @dataclass
 class TopologyStats:
-    """Outcome of one run: final graph plus the degree trajectory."""
+    """Outcome of one run: final graph plus the degree trajectory. A run
+    is ``saturated`` when its last ``config.window`` draws made no link."""
 
     config: ExperimentConfig
     adjacency: List[Set[int]]
     degree_series: List[Tuple[int, float]]  # (pair index, average degree)
     links_created: int
     last_link_pair: int  # pair index of the final link, -1 if none
-    saturated: bool
+
+    @property
+    def saturated(self) -> bool:
+        return self.config.pairs - 1 - self.last_link_pair >= self.config.window
 
     @property
     def edge_count(self) -> int:
@@ -212,15 +216,12 @@ def run_topology_experiment(config: ExperimentConfig) -> TopologyStats:
             last_link = i
         series.append((block_end, 2.0 * links / n))
 
-    adjacency = [set(x_nbrs) for x_nbrs in nbrs]
-    saturated = (pairs - 1 - last_link) >= config.window
     return TopologyStats(
         config=config,
-        adjacency=adjacency,
+        adjacency=[set(x_nbrs) for x_nbrs in nbrs],
         degree_series=series,
         links_created=links,
         last_link_pair=last_link,
-        saturated=saturated,
     )
 
 

@@ -17,7 +17,7 @@ import pytest
 from oscl_sim.cli import main
 from oscl_sim.names import parse_name
 from oscl_sim.ndn import InterestPacket
-from oscl_sim.overlay import LinkDecision, LinkMetrics, Overlay
+from oscl_sim.overlay import LinkMetrics, Overlay
 from oscl_sim.scenarios import NSCL_ID, SUBSCRIBER_ID, ScenarioConfig, run_scenario
 from oscl_sim.scl import (
     M2mSystem,
@@ -251,7 +251,7 @@ def test_fallback_then_direct_link(report):
     second = overlay.discover(consumer.node_id, target, scope=3, nscl=nscl)
     ok = (
         first.method == "centralized"
-        and decision is LinkDecision.NEW_LINK
+        and decision is True
         and _edge_count(system) == 1
         and second.method == "distributed"
         and second.path == (consumer.node_id, producer.node_id)

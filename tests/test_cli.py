@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -25,7 +26,8 @@ from oscl_sim.topology import (
     seed_mean_spread,
 )
 
-RUNS = Path(__file__).resolve().parents[1] / "runs"
+ROOT = Path(__file__).resolve().parents[1]
+RUNS = ROOT / "runs"
 GOLDEN = RUNS / "usecases"
 
 
@@ -368,10 +370,8 @@ def test_manifest_over_a_longer_one_holds_only_the_new_json(tmp_path):
     assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
-def test_failed_rerun_leaves_no_manifest(tmp_path, capsys):
-    out = tmp_path / "run"
-    argv = ["scenario", "usecase1", "--appends", "3", "--out", str(out)]
-    assert main(argv) == 0
+def _counters_csv_fails():
+    """Make the next commands fail part way, on writing counters.csv."""
     write_csv = cli._write_csv
 
     def fail_on_counters(path, header, rows):
@@ -379,7 +379,14 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, capsys):
             raise OSError("disk full")
         write_csv(path, header, rows)
 
-    with mock.patch.object(cli, "_write_csv", fail_on_counters):
+    return mock.patch.object(cli, "_write_csv", fail_on_counters)
+
+
+def test_failed_rerun_leaves_no_manifest(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["scenario", "usecase1", "--appends", "3", "--out", str(out)]
+    assert main(argv) == 0
+    with _counters_csv_fails():
         assert main(argv) == 1
     err = capsys.readouterr().err
     assert "error: OSError: disk full" in err
@@ -395,20 +402,13 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, capsys):
 def test_failed_replay_keeps_its_recipe(tmp_path, capsys):
     out, fresh = tmp_path / "run", tmp_path / "fresh"
     assert main(["scenario", "usecase1", "--appends", "7", "--out", str(out)]) == 0
-    write_csv = cli._write_csv
-
-    def fail_on_counters(path, header, rows):
-        if os.path.basename(path) == "counters.csv":
-            raise OSError("disk full")
-        write_csv(path, header, rows)
-
-    with mock.patch.object(cli, "_write_csv", fail_on_counters):
+    with _counters_csv_fails():
         assert main(["replay", str(out / "manifest.json")]) == 1
     recipe = out / "manifest.json.tmp"
     assert f"note: {recipe} is the recipe of" in capsys.readouterr().err
     assert main(["scenario", "usecase1", "--appends", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"{recipe} is the recipe of the previous run" in err
+    assert f"{recipe} is the recipe of {out}'s last finished run: replay it or remove it" in err
     assert "replay it or remove it" in err
     assert json.loads(recipe.read_text())["config"]["appends"] == 7
     assert not (out / "manifest.json").exists()
@@ -419,6 +419,23 @@ def test_failed_replay_keeps_its_recipe(tmp_path, capsys):
     assert main(["scenario", "usecase1", "--appends", "7", "--out", str(fresh)]) == 0
     for name in ("messages.csv", "counters.csv"):
         assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_refusal_names_the_last_finished_run(tmp_path, capsys):
+    """A failed rerun over a finished run leaves that run's manifest as
+    the .tmp, and the refusal that follows says whose recipe it is."""
+    out = tmp_path / "run"
+    assert main(["scenario", "usecase1", "--appends", "7", "--out", str(out)]) == 0
+    rerun = ["scenario", "usecase1", "--appends", "3", "--out", str(out)]
+    with _counters_csv_fails():
+        assert main(rerun) == 1
+    capsys.readouterr()
+    assert main(rerun) == 2
+    recipe = out / "manifest.json.tmp"
+    assert capsys.readouterr().err == (
+        f"error: {recipe} is the recipe of {out}'s last finished run: replay it or remove it\n"
+    )
+    assert json.loads(recipe.read_text())["config"]["appends"] == 7
 
 
 # ===== topology outputs =====
@@ -731,12 +748,21 @@ def test_package_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names, f"{path.name} imports {module}"
 
 
-def test_tracer_patch_points_exist_and_are_restored():
+def _perfbench_module(name, monkeypatch):
+    """``perfbench/<name>.py`` run from source, so no bytecode cache is
+    written, and registered in ``sys.modules`` under a private name for
+    the test's length, since ``@dataclass`` looks its module up there."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    module = ModuleType(f"_perfbench_{name}")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    return module
+
+
+def test_tracer_patch_points_exist_and_are_restored(monkeypatch):
     """The benchmark's tracer patches package attributes by name; each
     must exist, and ``restore`` must put every original back."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spans = ModuleType("spans")  # run from source: no bytecode cache is written
-    exec(compile(path.read_text(), str(path), "exec"), vars(spans))
+    spans = _perfbench_module("spans", monkeypatch)
     names = ("names", "ndn", "scl", "topology", "overlay", "scenarios", "cli")
     modules = [importlib.import_module(f"oscl_sim.{name}") for name in names]
     mods = SimpleNamespace(**dict(zip(names, modules)))
@@ -757,3 +783,24 @@ def test_tracer_patch_points_exist_and_are_restored():
     assert after.keys() == before.keys()
     assert [key for key, v in before.items() if after[key] is not v] == []
     assert mods.overlay.on_interest is mods.ndn.on_interest
+
+
+def test_benchmark_digests_match_their_ci_pins(tmp_path, monkeypatch):
+    """One untraced seed-1 episode of each benchmark workload fails no
+    operation and gives the digest that CI's bench job pins, read from
+    the workflow file: a byte-identity claim is checked here first."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    pins = dict(re.findall(r"- workload: (\S+)\s+digest: ([0-9a-f]{64})", workflow))
+    spans = _perfbench_module("spans", monkeypatch)
+    workloads = _perfbench_module("workloads", monkeypatch)
+    assert sorted(pins) == sorted(workloads.WORKLOADS)
+    # the modules other tests already hold; fresh_import would replace them
+    mods = SimpleNamespace(
+        **{name: importlib.import_module(f"oscl_sim.{name}") for name in workloads.MODULES}
+    )
+    for name, workload_class in workloads.WORKLOADS.items():
+        workload, work_dir = workload_class(), tmp_path / name
+        work_dir.mkdir()
+        state = workload.setup(mods, 1, str(work_dir))
+        episode = workload.episode(mods, state, spans.NullTracer())
+        assert (name, episode.failed, episode.digest) == (name, 0, pins[name])

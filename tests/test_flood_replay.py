@@ -28,7 +28,7 @@ from oscl_sim.scl import (
 )
 from oscl_sim.topology import ExperimentConfig, run_topology_experiment
 
-GOLDEN_SHA256 = "289bde92a0d4d0560b31bc9541a2f78bc5242b73532f9cf00ca407d3d939aa6a"
+GOLDEN_SHA256 = "7066c00fbb20cfc69a5ec9e879341073e6b6db236ad0958db1f34b99b9673191"
 
 N_NODES = 48
 DELAYS_MS = (0.0, 0.0, 1.0, 2.5, 5.0)

@@ -25,8 +25,8 @@ PRODUCER = parse_name("Gscl1")  # the prefix NAME lives under
 ELSEWHERE = parse_name("Gscl9")  # a prefix that does not cover NAME
 
 
-def _node(node_id="n1", prefix=ELSEWHERE, faces=(), cs_capacity=64):
-    node = NdnNode(node_id, prefix, cs=ContentStore(cs_capacity))
+def _node(prefix=ELSEWHERE, faces=(), cs_capacity=64):
+    node = NdnNode(prefix, cs=ContentStore(cs_capacity))
     for face in faces:
         node.faces[face] = None
     return node
@@ -209,7 +209,7 @@ def test_interest_hop_budget_blocks_overlay_but_not_local_delivery():
     node = _node(faces=["a", "b"])
     assert on_interest(node, _interest(nonce=1, hop_limit=0), "a", 0.0) == [Drop("no-route")]
     # local producer delivery is free of hop budget
-    local = _node("n2", prefix=PRODUCER, faces=["a"])
+    local = _node(prefix=PRODUCER, faces=["a"])
     out = on_interest(local, _interest(nonce=2, hop_limit=0), "a", 0.0)
     assert out == [SendInterest((APP_FACE,), _interest(nonce=2, hop_limit=0))]
 

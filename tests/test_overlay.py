@@ -11,9 +11,9 @@ from oscl_sim.names import parse_name
 from oscl_sim.ndn import APP_FACE, DEFAULT_FRESHNESS_MS, DEFAULT_PIT_LIFETIME_MS, InterestPacket
 from oscl_sim.overlay import (
     MAX_PATH_HOPS,
+    PROBE_COUNT,
     BrokenPath,
     DuplicateLink,
-    LinkDecision,
     LinkMetrics,
     NoPath,
     Overlay,
@@ -337,11 +337,11 @@ def test_run_refuses_to_reenter_itself(monkeypatch):
 def test_qos_clean_path_metrics():
     _, overlay, consumer, relays, producer = _chain(n_relays=2)
     path = [consumer, *relays, producer.node_id]
-    metrics = overlay.qos_monitor(path, probe_count=10)
+    metrics = overlay.qos_monitor(path)
     assert metrics.loss_ratio == 0.0
     assert metrics.mean_delay_ms == pytest.approx(15.0)  # 3 links x 5 ms
     assert metrics.throughput == pytest.approx(100.0)
-    assert metrics.sample_count == 10
+    assert metrics.sample_count == PROBE_COUNT
 
 
 def test_qos_throughput_is_bottleneck_capacity():
@@ -354,7 +354,7 @@ def test_qos_throughput_is_bottleneck_capacity():
         overlay.add_node(scl)
     overlay.add_link("A", "B", LinkMetrics(capacity=50.0))
     overlay.add_link("B", "C", LinkMetrics(capacity=8.0))
-    metrics = overlay.qos_monitor(["A", "B", "C"], probe_count=4)
+    metrics = overlay.qos_monitor(["A", "B", "C"])
     assert metrics.throughput == pytest.approx(8.0)
 
 
@@ -366,12 +366,12 @@ def test_qos_total_loss_leaves_delay_undefined():
     overlay.add_node(a)
     overlay.add_node(b)
     overlay.add_link("A", "B", LinkMetrics(loss=1.0))
-    metrics = overlay.qos_monitor(["A", "B"], probe_count=5)
+    metrics = overlay.qos_monitor(["A", "B"])
     assert metrics.loss_ratio == 1.0
     assert metrics.mean_delay_ms is None
 
 
-def test_qos_loss_matches_per_link_survival_product():
+def test_qos_loss_matches_per_link_survival_product(monkeypatch):
     # survival through loss 0.1 then 0.2 is 0.9 * 0.8 = 0.72
     system = M2mSystem()
     a = system.add_scl(SclKind.GSCL, "A")
@@ -382,29 +382,28 @@ def test_qos_loss_matches_per_link_survival_product():
         overlay.add_node(scl)
     overlay.add_link("A", "B", LinkMetrics(loss=0.1))
     overlay.add_link("B", "C", LinkMetrics(loss=0.2))
-    metrics = overlay.qos_monitor(["A", "B", "C"], probe_count=100_000)
+    monkeypatch.setattr("oscl_sim.overlay.PROBE_COUNT", 100_000)
+    metrics = overlay.qos_monitor(["A", "B", "C"])
     assert metrics.loss_ratio == pytest.approx(0.28, abs=0.01)
 
 
 def test_qos_broken_path_and_bad_args():
     _, overlay, consumer, _, producer = _chain(n_relays=1)
     with pytest.raises(BrokenPath):
-        overlay.qos_monitor([consumer, producer.node_id], probe_count=1)
+        overlay.qos_monitor([consumer, producer.node_id])
     with pytest.raises(BrokenPath):
-        overlay.qos_monitor([consumer, "Ghost"], probe_count=1)
+        overlay.qos_monitor([consumer, "Ghost"])
     with pytest.raises(BrokenPath):
-        overlay.qos_monitor(["Ghost", consumer], probe_count=1)
+        overlay.qos_monitor(["Ghost", consumer])
     with pytest.raises(BrokenPath):  # the application face is no link
-        overlay.qos_monitor([consumer, APP_FACE], probe_count=1)
-    with pytest.raises(ValueError):
-        overlay.qos_monitor([consumer], probe_count=0)
+        overlay.qos_monitor([consumer, APP_FACE])
 
 
 def test_qos_probes_never_touch_counters():
     system, overlay, consumer, relays, producer = _chain(n_relays=2)
-    overlay.qos_monitor([consumer, *relays, producer.node_id], probe_count=7)
+    overlay.qos_monitor([consumer, *relays, producer.node_id])
     assert system.counters.total(msg_type="probe") == 0
-    assert sum(1 for r in system.log if r.msg_type == "probe") == 7
+    assert sum(1 for r in system.log if r.msg_type == "probe") == PROBE_COUNT
 
 
 # ===== ensure_link =====
@@ -425,7 +424,7 @@ def test_ensure_link_after_fallback_enables_distributed_discovery():
     first = overlay.discover(consumer.node_id, parse_name(APP_URI), scope=3)
     assert first.method == "centralized"
     decision = overlay.ensure_link(consumer.node_id, first)
-    assert decision is LinkDecision.NEW_LINK
+    assert decision is True
     assert _edge_count(system) == 1
     # link_up is logged but not billed
     assert sum(1 for r in system.log if r.msg_type == "link_up") == 1
@@ -434,13 +433,13 @@ def test_ensure_link_after_fallback_enables_distributed_discovery():
     second = overlay.discover(consumer.node_id, parse_name(APP_URI), scope=3)
     assert second.method == "distributed"
     assert second.path == (consumer.node_id, producer.node_id)
-    assert overlay.ensure_link(consumer.node_id, second) is LinkDecision.REUSED_PATH
+    assert overlay.ensure_link(consumer.node_id, second) is False
     assert _edge_count(system) == 1
 
 
 @pytest.mark.parametrize(
     "hops, decision",
-    [(MAX_PATH_HOPS, LinkDecision.REUSED_PATH), (MAX_PATH_HOPS + 1, LinkDecision.NEW_LINK)],
+    [(MAX_PATH_HOPS, False), (MAX_PATH_HOPS + 1, True)],
     ids=["3-hops-reused", "4-hops-new-link"],
 )
 def test_ensure_link_path_hop_boundary(hops, decision):
@@ -448,20 +447,20 @@ def test_ensure_link_path_hop_boundary(hops, decision):
     result = overlay.distributed_discover(consumer, parse_name(APP_URI), scope=hops)
     assert result.path_hops == hops
     assert overlay.ensure_link(consumer, result) is decision
-    assert _edge_count(system) == hops + (decision is LinkDecision.NEW_LINK)
+    assert _edge_count(system) == hops + decision
 
 
 def test_ensure_link_triggered_by_bad_metrics():
     _, overlay, consumer, _, _ = _chain(n_relays=2)
     result = overlay.distributed_discover(consumer, parse_name(APP_URI), scope=3)
     bad = QosMetrics(loss_ratio=0.5, mean_delay_ms=10.0, throughput=100.0, sample_count=8)
-    assert overlay.ensure_link(consumer, result, bad) is LinkDecision.NEW_LINK
+    assert overlay.ensure_link(consumer, result, bad) is True
 
 
 def test_ensure_link_self_result_is_noop():
     _, overlay, _, _, producer = _chain()
     result = overlay.distributed_discover(producer.node_id, parse_name(APP_URI), scope=3)
-    assert overlay.ensure_link(producer.node_id, result) is LinkDecision.REUSED_PATH
+    assert overlay.ensure_link(producer.node_id, result) is False
 
 
 # ===== p2p subscription =====
@@ -694,7 +693,10 @@ def test_counter_semantics_hold_on_random_overlays(run):
     operation: every dropped count has its entry in ``overlay.drops``,
     the log's clock never runs backwards, and every Data a node's
     application received sits in its inbox, or was handed back by the
-    discover/fetch/subscribe call that consumed it.
+    discover/fetch/subscribe call that consumed it. Copies are conserved
+    on links: a node sends a copy over a link as one arrival row in the
+    log or one ``loss`` drop, and a node that originated nothing sent
+    exactly the copies it counts as relayed (an origin sends more).
     """
     n, links, ops, seed = run
     system = M2mSystem()
@@ -751,6 +753,15 @@ def test_counter_semantics_hold_on_random_overlays(run):
         assert dropped == Counter(node for node, _, _ in overlay.drops)
         times = [rec.time_ms for rec in system.log]
         assert times == sorted(times)
+        sent = Counter(rec.src for rec in system.log if rec.msg_type in ("interest", "data"))
+        sent.update(node for node, reason, _ in overlay.drops if reason == "loss")
+        for node in ids:
+            relayed, originated = (
+                sum(system.counters.get(node, kind, role) for kind in ("interest", "data"))
+                for role in ("relayed", "originated")
+            )
+            assert relayed <= sent[node], (node, relayed, sent[node])
+            assert originated or relayed == sent[node], (node, relayed, sent[node])
 
     for op in ops:
         kind = op[0]
@@ -777,7 +788,7 @@ def test_counter_semantics_hold_on_random_overlays(run):
         else:
             _, _, _, expected, appends = op
             try:
-                overlay.p2p_subscribe(origin, name, expected, scope=4)
+                overlay.p2p_subscribe(origin, name, expected)
             except NoPath:
                 pass
             check(origin)

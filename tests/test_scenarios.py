@@ -1,7 +1,6 @@
 import pytest
 
 from oscl_sim.names import parse_name
-from oscl_sim.overlay import LinkDecision
 from oscl_sim.scenarios import CONTAINER, NSCL_ID, SUBSCRIBER_ID, ScenarioConfig, run_scenario
 from oscl_sim.scl import create_content_instance
 
@@ -33,7 +32,6 @@ def test_usecase1_overlay_path():
     r = run_scenario(ScenarioConfig("usecase1", appends=4))
     assert r.discovery.method == "centralized"  # no links yet, hub answers
     assert r.qos is None
-    assert r.link_decision is LinkDecision.NEW_LINK
     assert r.new_links == 1
     # budget spent: one more append delivers nothing, and the hook goes
     producer = r.system.scl("Gscl1")
@@ -51,7 +49,7 @@ def test_usecase1_overlay_path():
 def test_usecase1_baseline_routes_through_hub():
     r = run_scenario(ScenarioConfig("usecase1", oscl_enabled=False, appends=4))
     assert r.discovery.method == "centralized"
-    assert r.link_decision is None
+    assert r.new_links == 0
     assert _edge_count(r.system) == 0
     assert _nscl_relayed(r.system, "notify") == 4
     assert r.system.counters.get(SUBSCRIBER_ID, "notify", "received") == 4
@@ -70,7 +68,6 @@ def test_usecase2_overlay_reuses_existing_chain():
     assert r.qos.loss_ratio == 0.0
     assert r.qos.mean_delay_ms == pytest.approx(15.0)
     assert r.qos.throughput == pytest.approx(100.0)
-    assert r.link_decision is LinkDecision.REUSED_PATH
     assert r.new_links == 0
     assert _edge_count(r.system) == 3
 
@@ -149,7 +146,6 @@ def test_usecase1_custom_direct_link_is_reused():
     # a bare application name is an attribute search, which is the hub's
     # job either way; the existing link just spares a second edge
     assert r.discovery.method == "centralized"
-    assert r.link_decision is LinkDecision.REUSED_PATH
     assert r.new_links == 0
     assert _edge_count(r.system) == 1
     got = r.overlay.notifications(SUBSCRIBER_ID, parse_name(r.container_uri))
@@ -171,7 +167,7 @@ def test_usecase2_custom_links_replace_chain():
     assert r.discovery.path == (SUBSCRIBER_ID, "Gscl2", "Gscl1")
     assert r.qos.mean_delay_ms == pytest.approx(4.0)
     assert r.qos.throughput == pytest.approx(10.0)
-    assert r.link_decision is LinkDecision.REUSED_PATH
+    assert r.new_links == 0
 
 
 # ===== configuration =====

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oscl_sim.cli import MESSAGES_HEADER
-from oscl_sim.names import parse_name
+from oscl_sim.names import InvalidName, parse_name
 from oscl_sim.scl import (
     AlreadyRegistered,
     DuplicateResource,
@@ -51,7 +51,7 @@ def test_register_is_a_two_message_handshake():
     system, nscl, gscl, _ = _system()
     register_scl(gscl, nscl)
     assert gscl.registered
-    assert nscl.registry == {"Gscl1": gscl.locator}
+    assert nscl.registry == {"Gscl1": gscl}
     rows = [(r.src, r.dst, r.msg_type) for r in system.log]
     assert rows == [("Gscl1", "Nscl", "register"), ("Nscl", "Gscl1", "register")]
     assert system.clock_ms == 2.0
@@ -80,6 +80,15 @@ def test_base_names_unique():
     system, *_ = _system()
     with pytest.raises(DuplicateResource):
         system.add_scl(SclKind.GSCL, "Gscl1")
+
+
+@pytest.mark.parametrize("node_id", ["Gscl1/x", "/Gscl9"])
+def test_node_id_is_one_name_component(node_id):
+    """A node id is also the SCL's base name, so it is one component."""
+    system = M2mSystem()
+    with pytest.raises(InvalidName):
+        system.add_scl(SclKind.GSCL, node_id)
+    assert system.scls == {}
 
 
 # ===== resource tree =====
