@@ -75,16 +75,6 @@ def parse_name(text: str) -> HierarchicalName:
     return HierarchicalName(tuple(parts))
 
 
-def is_prefix(prefix: HierarchicalName, name: HierarchicalName) -> bool:
-    """True when every component of ``prefix`` leads ``name``.
-
-    Reflexive: a name is a prefix of itself.
-    """
-    if len(prefix.components) > len(name.components):
-        return False
-    return name.components[: len(prefix.components)] == prefix.components
-
-
 @dataclass
 class _TrieNode(Generic[V]):
     children: Dict[str, "_TrieNode[V]"] = field(default_factory=dict)

@@ -19,6 +19,12 @@ application neither checks nor spends budget.
 
 Tables looked up by name (PIT, Content Store, nonce set) key by its text:
 two names are equal exactly when their texts are, and a text hashes in C.
+Each is a dict, probed at C level, in the order of NFD's Interest
+pipeline (nonce, Content Store, PIT), before any Python-level call.
+Packets are frozen: one hop-spent copy serves every face. Emissions and
+PIT entries are slotted, not frozen: a frozen dataclass sets each field
+through ``object.__setattr__``, about 2.5 times the cost, and an
+emission lives only until the harness has read it.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
-from .names import HierarchicalName, is_prefix
+from .names import HierarchicalName
 
 APP_FACE = "app"
 
@@ -66,13 +72,13 @@ class DataPacket:
 # ===== emissions: what a handler asks the harness to do =====
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SendInterest:
     faces: Tuple[str, ...]
     packet: InterestPacket
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SendData:
     faces: Tuple[str, ...]
     packet: DataPacket
@@ -96,7 +102,7 @@ Emission = Union[SendInterest, SendData, Drop]
 # ===== tables =====
 
 
-@dataclass
+@dataclass(slots=True)
 class PitEntry:
     """Pending Interest, filed under its name: where answers must flow
     back to.
@@ -115,44 +121,45 @@ class PitEntry:
     expiry: float
 
 
-class ContentStore:
+class ContentStore(OrderedDict):
     """LRU cache of Data packets with freshness-based expiry.
 
     An entry goes stale DEFAULT_FRESHNESS_MS after its insertion. Stale
     entries are purged lazily when a lookup or insert touches them, so
     the store never serves an expired item but also never needs a timer.
+    An OrderedDict filed by name text with no overridden lookup, so a
+    forwarder probes it with a C-level ``in`` before calling ``lookup``.
     """
+
+    __slots__ = ("capacity",)
 
     def __init__(self, capacity: int = DEFAULT_CS_CAPACITY) -> None:
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
+        super().__init__()
         self.capacity = capacity
-        self._items: "OrderedDict[str, Tuple[DataPacket, float]]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def lookup(self, name: HierarchicalName, now: float) -> Optional[DataPacket]:
         key = name.text
-        hit = self._items.get(key)
+        hit = self.get(key)
         if hit is None:
             return None
         packet, inserted_at = hit
         if inserted_at + DEFAULT_FRESHNESS_MS <= now:
-            del self._items[key]
+            del self[key]
             return None
-        self._items.move_to_end(key)  # refresh recency
+        self.move_to_end(key)  # refresh recency
         return packet
 
     def insert(self, packet: DataPacket, now: float) -> None:
         if self.capacity == 0:
             return
         key = packet.name.text
-        if key in self._items:
-            self._items.move_to_end(key)
-        self._items[key] = (packet, now)
-        while len(self._items) > self.capacity:
-            self._items.popitem(last=False)  # evict least recent
+        if key in self:
+            self.move_to_end(key)
+        self[key] = (packet, now)
+        while len(self) > self.capacity:
+            self.popitem(last=False)  # evict least recent
 
 
 class BoundedNonceSet(OrderedDict):
@@ -160,8 +167,8 @@ class BoundedNonceSet(OrderedDict):
 
     An OrderedDict with no overridden lookup, so ``in`` and ``len`` run
     at C level: the loop check on a forwarder's hot path makes no
-    Python-level call. ``add`` evicts the oldest key once ``capacity``
-    are held; re-adding a held key does not refresh it.
+    Python-level call. ``on_interest`` inserts a new key, then evicts
+    the oldest past ``capacity``; a held key keeps its place.
     """
 
     __slots__ = ("capacity",)  # in a slot: an instance dict per forwarder adds up
@@ -174,13 +181,6 @@ class BoundedNonceSet(OrderedDict):
 
     def __repr__(self) -> str:
         return f"BoundedNonceSet(capacity={self.capacity}, held={len(self)})"
-
-    def add(self, key: Tuple[str, int]) -> None:
-        if key in self:
-            return
-        if len(self) >= self.capacity:
-            self.popitem(last=False)
-        self[key] = None
 
 
 @dataclass
@@ -223,41 +223,51 @@ def on_interest(
     """Process an arriving Interest.
 
     Order matters: the nonce check runs before any table can answer, so
-    a looped copy always dies regardless of cache state. Most flooded
-    copies die there, so the check is one C-level lookup of (name text,
-    nonce) with no Python-level call, and the copy's answer is the
-    shared loop Drop. A Content Store hit answers on the arrival face
-    without touching the PIT; a live PIT entry absorbs the Interest
-    (only the first copy of a request is ever forwarded onward);
-    otherwise a name under the node's prefix goes up to the
-    application, any other is flooded, as one hop-spent copy, to every
-    overlay face but the arrival one, and a PIT entry records the way
-    back.
+    a looped copy always dies regardless of cache state. A Content Store
+    hit answers on the arrival face without touching the PIT; a live PIT
+    entry absorbs the Interest (only the first copy of a request is ever
+    forwarded onward); otherwise a name under the node's prefix goes up
+    to the application, any other is flooded, as one hop-spent copy, to
+    every overlay face but the arrival one, and a PIT entry records the
+    way back.
+
+    Each check keeps that order and is a C-level dict or str probe;
+    ``lookup`` and ``pending``, the only code for freshness and expiry,
+    run only on a held name. Components hold no '/', so the text test
+    for the own prefix equals the component-wise one.
     """
     text = pkt.name.text
     key = (text, pkt.nonce)
-    if key in node.seen_nonces:
+    seen = node.seen_nonces
+    if key in seen:
         return [_LOOP]
-    node.seen_nonces.add(key)
+    seen[key] = None
+    if len(seen) > seen.capacity:
+        seen.popitem(last=False)  # FIFO: evict the oldest key
 
-    cached = node.cs.lookup(pkt.name, now)
-    if cached is not None:
-        return [SendData((in_face,), cached)]
+    if text in node.cs:
+        cached = node.cs.lookup(pkt.name, now)
+        if cached is not None:
+            return [SendData((in_face,), cached)]
 
-    entry = pending(node, text, now)
-    if entry is not None:
-        # aggregate: remember the extra consumer, do not re-forward
-        entry.downstream.add(in_face)
-        entry.remaining = max(entry.remaining, pkt.solicit_count)
-        entry.expiry = max(entry.expiry, now + DEFAULT_PIT_LIFETIME_MS)
-        return []
+    if text in node.pit:
+        entry = pending(node, text, now)
+        if entry is not None:
+            # aggregate: remember the extra consumer, do not re-forward
+            entry.downstream.add(in_face)
+            entry.remaining = max(entry.remaining, pkt.solicit_count)
+            entry.expiry = max(entry.expiry, now + DEFAULT_PIT_LIFETIME_MS)
+            return []
 
-    if is_prefix(node.prefix, pkt.name):
+    prefix = node.prefix.text
+    if text == prefix or text.startswith(prefix + "/"):
         send = SendInterest((APP_FACE,), pkt)
     elif pkt.hop_limit <= 0:
         return [_NO_ROUTE]
     else:
-        faces = sorted([f for f in node.faces if f != in_face])
+        faces = sorted(node.faces)
+        if in_face in node.faces:
+            faces.remove(in_face)
         if not faces:
             return [_NO_ROUTE]
         # packets are frozen: one hop-spent copy serves every face

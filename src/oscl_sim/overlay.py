@@ -209,9 +209,9 @@ class Overlay:
         has no delay, opens a fresh bucket that runs next. One pass per
         link traversal: log the arriving copy and hand it to the
         receiving forwarder. The packet's kind is read once, from its
-        type. A Drop, the fate of most flooded copies, is counted and
-        stored here; a send or an aggregation goes to ``_handle``, with
-        the receiver added to the copy's trail.
+        type. A Drop or an aggregation, the fate of most flooded copies,
+        is counted and stored here as ``_handle`` would; a send goes to
+        ``_handle``, with the receiver added to the copy's trail.
 
         Raises RuntimeError when called while it is already draining: a
         nested pass would run later buckets before the rest of the
@@ -237,9 +237,9 @@ class Overlay:
                     text = pkt.name.text
                     log_extend((now, u, v, "", kind, text))
                     emissions = handler(nodes[v], pkt, u, now)
-                    if emissions and type(emissions[0]) is Drop:
+                    if not emissions or type(emissions[0]) is Drop:
                         record(v, kind, ROLE_DROPPED)
-                        drop((v, emissions[0].reason, text))
+                        drop((v, emissions[0].reason if emissions else "aggregated", text))
                     else:
                         handle(v, kind, pkt, trail + (v,), emissions)
         finally:
@@ -267,7 +267,7 @@ class Overlay:
         ``trail`` lists the nodes the copy has visited, ``at_node`` last.
 
         No emission means the copy was absorbed into a pending entry; a
-        Drop ends the copy (``run`` handles its own Drops inline). A
+        Drop ends the copy (``run`` ends its own copies of both inline). A
         send goes out on its faces in their sorted order. Unless the
         copy starts its journey here, its link faces are counted as
         relayed at once, lost copies included. APP_FACE hands the packet

@@ -1,3 +1,5 @@
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from oscl_sim.ndn import (
     Drop,
     InterestPacket,
     NdnNode,
+    PitEntry,
     SendData,
     SendInterest,
     on_data,
@@ -139,23 +142,25 @@ def test_cs_matches_reference_model(capacity, ops):
 # ===== nonce set =====
 
 
+def _nonces_after(capacity, nonces):
+    """The nonce set of a forwarder after one Interest for NAME per nonce,
+    each on its only face, so each dies for want of a route."""
+    node = _node(faces=["peer"])
+    node.seen_nonces = BoundedNonceSet(capacity)
+    for nonce in nonces:
+        on_interest(node, _interest(nonce=nonce), "peer", 0.0)
+    return node.seen_nonces
+
+
 def test_nonce_set_fifo_eviction():
-    seen = BoundedNonceSet(2)
-    keys = [(NAME, i) for i in range(3)]
-    for key in keys:
-        seen.add(key)
-    assert keys[0] not in seen
-    assert keys[1] in seen and keys[2] in seen
+    seen = _nonces_after(2, [0, 1, 2])
+    assert list(seen) == [(NAME.text, 1), (NAME.text, 2)]
 
 
 def test_nonce_set_duplicate_add_keeps_position():
-    seen = BoundedNonceSet(2)
-    a, b, c = [(NAME, i) for i in range(3)]
-    seen.add(a)
-    seen.add(b)
-    seen.add(a)  # no refresh: still oldest
-    seen.add(c)
-    assert a not in seen
+    # the repeat of 0 is a looped copy: no refresh, so 0 is still oldest
+    seen = _nonces_after(2, [0, 1, 0, 2])
+    assert list(seen) == [(NAME.text, 1), (NAME.text, 2)]
 
 
 def test_nonce_set_fifo_through_the_handler():
@@ -369,7 +374,123 @@ def test_pit_expire_removes_only_dead_entries():
 
 @given(st.integers(1, 10), st.integers(0, 64))
 def test_nonce_capacity_respected(capacity, extra):
-    seen = BoundedNonceSet(capacity)
+    node = _node(faces=["peer"])
+    node.seen_nonces = BoundedNonceSet(capacity)
     for i in range(capacity + extra):
-        seen.add((NAME, i))
-        assert len(seen) <= capacity
+        on_interest(node, _interest(nonce=i), "peer", 0.0)
+        assert len(node.seen_nonces) <= capacity
+
+
+# ===== the handlers against a reference forwarder =====
+
+
+class _ReferenceForwarder:
+    """The handlers as written before their table probes became C-level:
+    a nonce-set ``add``, a Content Store ``lookup``, a ``pending`` PIT
+    read, a component-wise prefix test and filter-then-sort flood faces,
+    over tables of its own."""
+
+    def __init__(self, prefix, faces, nonce_capacity, cs_capacity):
+        self.prefix, self.faces = prefix, faces
+        self.nonces, self.nonce_capacity = OrderedDict(), nonce_capacity
+        self.cs = ReferenceStore(cs_capacity)
+        self.pit = {}
+
+    def add(self, key):
+        if key in self.nonces:
+            return
+        if len(self.nonces) >= self.nonce_capacity:
+            self.nonces.popitem(last=False)
+        self.nonces[key] = None
+
+    def pending(self, text, now):
+        entry = self.pit.get(text)
+        if entry is not None and entry.expiry <= now:
+            del self.pit[text]
+            return None
+        return entry
+
+    def on_interest(self, pkt, in_face, now):
+        text = pkt.name.text
+        if (text, pkt.nonce) in self.nonces:
+            return [Drop("loop")]
+        self.add((text, pkt.nonce))
+        cached = self.cs.lookup(pkt.name, now)
+        if cached is not None:
+            return [SendData((in_face,), cached)]
+        entry = self.pending(text, now)
+        if entry is not None:
+            entry.downstream.add(in_face)
+            entry.remaining = max(entry.remaining, pkt.solicit_count)
+            entry.expiry = max(entry.expiry, now + DEFAULT_PIT_LIFETIME_MS)
+            return []
+        depth = len(self.prefix.components)
+        if pkt.name.components[:depth] == self.prefix.components:
+            send = SendInterest((APP_FACE,), pkt)
+        elif pkt.hop_limit <= 0:
+            return [Drop("no-route")]
+        else:
+            faces = sorted([f for f in self.faces if f != in_face])
+            if not faces:
+                return [Drop("no-route")]
+            spent = InterestPacket(pkt.name, pkt.nonce, pkt.hop_limit - 1, pkt.solicit_count)
+            send = SendInterest(tuple(faces), spent)
+        self.pit[text] = PitEntry({in_face}, pkt.solicit_count, now + DEFAULT_PIT_LIFETIME_MS)
+        return [send]
+
+    def on_data(self, pkt, in_face, now):
+        text = pkt.name.text
+        entry = self.pending(text, now)
+        if entry is None:
+            return [Drop("unsolicited")]
+        faces = sorted(entry.downstream)
+        if in_face != APP_FACE and in_face in entry.downstream:
+            faces.remove(in_face)
+        entry.remaining -= 1
+        if entry.remaining <= 0:
+            del self.pit[text]
+        self.cs.insert(pkt, now)
+        return [SendData(tuple(faces), pkt)] if faces else []
+
+
+# labels that extend one another, so a bare character-prefix test errs;
+# the node's prefix is "a"; a step crosses the PIT lifetime or the
+# freshness boundary after a few draws
+_ref_names = st.lists(st.sampled_from(["a", "ab", "b"]), min_size=1, max_size=2).map(
+    lambda labels: parse_name("/".join(labels))
+)
+_ref_steps = st.sampled_from(
+    (0.0, 1.0, DEFAULT_PIT_LIFETIME_MS - 1.0, DEFAULT_PIT_LIFETIME_MS, DEFAULT_FRESHNESS_MS)
+)
+_ref_arrivals = st.lists(
+    st.tuples(
+        st.booleans(),  # an Interest, or else a Data
+        _ref_names,
+        st.integers(0, 3),  # nonce
+        st.integers(0, 2),  # hop limit
+        st.integers(1, 2),  # solicit count
+        st.sampled_from(["a", "b", "c", APP_FACE]),
+        _ref_steps,
+    ),
+    max_size=30,
+)
+
+
+@given(st.sets(st.sampled_from(["a", "b", "c"])), _ref_arrivals)
+def test_handlers_match_the_reference_forwarder(faces, arrivals):
+    prefix = parse_name("a")
+    node = _node(prefix=prefix, faces=sorted(faces), cs_capacity=1)
+    node.seen_nonces = BoundedNonceSet(2)
+    ref = _ReferenceForwarder(prefix, set(faces), nonce_capacity=2, cs_capacity=1)
+    now = 0.0
+    for i, (is_interest, name, nonce, hop_limit, solicit, in_face, step) in enumerate(arrivals):
+        now += step
+        if is_interest:
+            pkt = _interest(name=name, nonce=nonce, hop_limit=hop_limit, solicit=solicit)
+            assert on_interest(node, pkt, in_face, now) == ref.on_interest(pkt, in_face, now)
+        else:
+            pkt = _data(name=name, payload=f"{i}".encode())
+            assert on_data(node, pkt, in_face, now) == ref.on_data(pkt, in_face, now)
+        assert node.pit == ref.pit
+        assert list(node.cs.items()) == [(n.text, ref.cs.items[n]) for n in ref.cs.recency]
+        assert list(node.seen_nonces) == list(ref.nonces)
