@@ -21,16 +21,20 @@ Tables looked up by name (PIT, Content Store, nonce set) key by its text:
 two names are equal exactly when their texts are, and a text hashes in C.
 Each is a dict, probed at C level, in the order of NFD's Interest
 pipeline (nonce, Content Store, PIT), before any Python-level call.
-Packets are frozen: one hop-spent copy serves every face. Emissions and
-PIT entries are slotted, not frozen: a frozen dataclass sets each field
-through ``object.__setattr__``, about 2.5 times the cost, and an
-emission lives only until the harness has read it.
+Packets are frozen, so an Interest builds its hop-spent copy and its
+nonce key once, on first use: every forwarder at one hop of a request
+sends the same copy, on all of its faces, and every nonce set files the
+same key for it. Emissions and PIT entries are slotted, not frozen: a
+frozen dataclass sets each field through ``object.__setattr__``, about
+2.5 times the cost, and an emission lives only until the harness has
+read it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from .names import HierarchicalName
@@ -48,6 +52,15 @@ DEFAULT_NONCE_CAPACITY = 1 << 16
 
 @dataclass(frozen=True)
 class InterestPacket:
+    """A request for ``name``, identified by ``nonce``, that may cross
+    ``hop_limit`` more overlay links.
+
+    ``spent`` and ``key`` are built on first use and kept in the
+    instance dict, which leaves the frozen fields, equality and hash
+    alone: the forwarders that flood one packet all send its one
+    ``spent``, and all their nonce sets hold its one ``key``.
+    """
+
     name: HierarchicalName
     nonce: int
     hop_limit: int
@@ -58,6 +71,16 @@ class InterestPacket:
             raise ValueError("hop_limit must be >= 0")
         if self.solicit_count < 1:
             raise ValueError("solicit_count must be >= 1")
+
+    @cached_property
+    def spent(self) -> InterestPacket:
+        """This request one hop on: the copy a forwarder floods."""
+        return InterestPacket(self.name, self.nonce, self.hop_limit - 1, self.solicit_count)
+
+    @cached_property
+    def key(self) -> Tuple[str, int]:
+        """The nonce-set key: (name text, nonce)."""
+        return (self.name.text, self.nonce)
 
 
 @dataclass(frozen=True)
@@ -227,17 +250,18 @@ def on_interest(
     hit answers on the arrival face without touching the PIT; a live PIT
     entry absorbs the Interest (only the first copy of a request is ever
     forwarded onward); otherwise a name under the node's prefix goes up
-    to the application, any other is flooded, as one hop-spent copy, to
-    every overlay face but the arrival one, and a PIT entry records the
-    way back.
+    to the application, any other is flooded, as the packet's one
+    ``spent`` copy, to every overlay face but the arrival one, and a PIT
+    entry records the way back.
 
     Each check keeps that order and is a C-level dict or str probe;
     ``lookup`` and ``pending``, the only code for freshness and expiry,
     run only on a held name. Components hold no '/', so the text test
-    for the own prefix equals the component-wise one.
+    for the own prefix equals the component-wise one. The nonce set files
+    the packet's own ``key``, shared by every forwarder it reaches.
     """
     text = pkt.name.text
-    key = (text, pkt.nonce)
+    key = pkt.key
     seen = node.seen_nonces
     if key in seen:
         return [_LOOP]
@@ -270,9 +294,7 @@ def on_interest(
             faces.remove(in_face)
         if not faces:
             return [_NO_ROUTE]
-        # packets are frozen: one hop-spent copy serves every face
-        spent = InterestPacket(pkt.name, pkt.nonce, pkt.hop_limit - 1, pkt.solicit_count)
-        send = SendInterest(tuple(faces), spent)
+        send = SendInterest(tuple(faces), pkt.spent)
     node.pit[text] = PitEntry(
         downstream={in_face},
         remaining=pkt.solicit_count,

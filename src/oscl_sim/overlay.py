@@ -22,7 +22,8 @@ check, so a dropped copy costs one log row, one counter update and
 three slots in the flat drop store, and leaves nothing the garbage
 collector tracks: the forwarder's Drop is shared, and a copy's trail
 grows only where it lives on. A copy the forwarder sends on costs one
-emission and one relay count however many faces it goes out on.
+emission and one relay count however many faces it goes out on, and
+one queue entry for all of its link faces that fall due together.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import DefaultDict, Dict, List, Optional, Sequence, Tuple
 
 from .names import HierarchicalName, parse_name
 from .ndn import (
@@ -116,11 +118,8 @@ class QosMetrics:
     loss_ratio: float
     mean_delay_ms: Optional[float]
     throughput: float
-    sample_count: int
 
     def __post_init__(self) -> None:
-        if self.sample_count < 1:
-            raise ValueError("metrics need at least one sample")
         if not (0.0 <= self.loss_ratio <= 1.0):
             raise ValueError("loss_ratio out of range")
 
@@ -148,13 +147,14 @@ class Overlay:
 
     All randomness (nonces, loss draws) comes from one seeded RNG, so a
     given seed replays the same message sequence. The event queue holds
-    link traversals as plain data, ``(u, v, packet, trail)``: a copy of
-    ``packet`` arrives at ``v`` from ``u``, and ``trail`` lists the
-    nodes the copy visited before, origin first and ``u`` last; every
-    copy ``u`` sends in one go shares it, and ``v`` joins a trail of
-    its own only if the copy lives on there. Arrivals are bucketed by
-    due time, in the order they were sent, and ``_times`` is a heap of
-    the due times that have a bucket. ``drops`` keeps one
+    link traversals as plain data, one entry ``(u, faces, packet,
+    trail)`` per send and due time: a copy of ``packet`` arrives from
+    ``u`` at each node in ``faces``, in that order, and ``trail`` lists
+    the nodes the copies visited before, origin first and ``u`` last;
+    every copy ``u`` sends in one go shares it, and a receiver joins a
+    trail of its own only if its copy lives on there. Entries are
+    bucketed by due time, in the order they were sent, and ``_times``
+    is a heap of the due times that have a bucket. ``drops`` keeps one
     ``(node, reason, name)`` row per dropped copy, in drop order, as
     flat fields (a ``FlatRows``). The overlay moves packets; the
     application endpoints decide what an Interest means (see
@@ -164,13 +164,16 @@ class Overlay:
     def __init__(self, system: M2mSystem, seed: int = 0) -> None:
         self.system = system
         self.rng = random.Random(seed)
-        self._events: Dict[float, List[Tuple[str, str, Packet, Tuple[str, ...]]]] = {}
+        self._events: Dict[float, List[Tuple[str, Sequence[str], Packet, Tuple[str, ...]]]] = {}
         self._times: List[float] = []
         self._running = False
         # node id -> forwarder; its faces are the node's links
         self._nodes: Dict[str, NdnNode] = {}
-        # (consumer, name text) -> delivered (packet, trail) answers
-        self._inbox: Dict[Tuple[str, str], List[Tuple[DataPacket, List[str]]]] = {}
+        # (consumer, name text) -> delivered (packet, trail) answers; a
+        # trail is the delivering copy's own tuple, copied only when read
+        self._inbox: DefaultDict[Tuple[str, str], List[Tuple[DataPacket, Tuple[str, ...]]]] = (
+            defaultdict(list)
+        )
         # (origin, name text, nonce) of a subscribe Interest in flight ->
         # whether it has reached its producer, which bound a hook to it
         self._subs: Dict[Tuple[str, str, int], bool] = {}
@@ -206,12 +209,13 @@ class Overlay:
 
         Buckets run in due-time order, each in sending order. A send
         made while a bucket drains, due at that same time when its link
-        has no delay, opens a fresh bucket that runs next. One pass per
-        link traversal: log the arriving copy and hand it to the
-        receiving forwarder. The packet's kind is read once, from its
-        type. A Drop or an aggregation, the fate of most flooded copies,
-        is counted and stored here as ``_handle`` would; a send goes to
-        ``_handle``, with the receiver added to the copy's trail.
+        has no delay, opens a fresh bucket that runs next. An entry's
+        kind, handler and name text are read once, the kind from the
+        packet's type; then one pass per link traversal, in the entry's
+        face order: log the arriving copy and hand it to the receiving
+        forwarder. A Drop or an aggregation, the fate of most flooded
+        copies, is counted and stored here as ``_handle`` would; a send
+        goes to ``_handle``, with the receiver added to the copy's trail.
 
         Raises RuntimeError when called while it is already draining: a
         nested pass would run later buckets before the rest of the
@@ -229,19 +233,20 @@ class Overlay:
                 if at > system.clock_ms:
                     system.clock_ms = at
                 now = system.clock_ms
-                for u, v, pkt, trail in events.pop(at):
+                for u, faces, pkt, trail in events.pop(at):
                     if type(pkt) is InterestPacket:
                         kind, handler = MSG_INTEREST, on_interest
                     else:
                         kind, handler = MSG_DATA, on_data
                     text = pkt.name.text
-                    log_extend((now, u, v, "", kind, text))
-                    emissions = handler(nodes[v], pkt, u, now)
-                    if not emissions or type(emissions[0]) is Drop:
-                        record(v, kind, ROLE_DROPPED)
-                        drop((v, emissions[0].reason if emissions else "aggregated", text))
-                    else:
-                        handle(v, kind, pkt, trail + (v,), emissions)
+                    for v in faces:
+                        log_extend((now, u, v, "", kind, text))
+                        emissions = handler(nodes[v], pkt, u, now)
+                        if not emissions or type(emissions[0]) is Drop:
+                            record(v, kind, ROLE_DROPPED)
+                            drop((v, emissions[0].reason if emissions else "aggregated", text))
+                        else:
+                            handle(v, kind, pkt, trail + (v,), emissions)
         finally:
             self._running = False
 
@@ -273,7 +278,14 @@ class Overlay:
         relayed at once, lost copies included. APP_FACE hands the packet
         up to the node's application; any other face forwards it over
         the link behind it: a loss draw, then the arrival, carrying
-        this node's trail, appended to its due time's bucket. A Data
+        this node's trail. Consecutive link faces due at one time share
+        one queue entry, appended to its due time's bucket when its
+        first face is. A lost face does not end the entry; the
+        application face does, so anything the application sends is
+        queued after the copies before that face and ahead of those
+        after it, as it would be with one entry per copy. A send on a
+        single face files the emission's own tuple, so its entry costs
+        what a lone arrival would. A Data
         answer to an Interest is a Content Store hit, which ends the
         Interest and starts a Data journey at this node.
         """
@@ -299,8 +311,10 @@ class Overlay:
                 record(at_node, out_kind, ROLE_RELAYED, link_faces)
         links, events = self._nodes[at_node].faces, self._events
         now = self.system.clock_ms
+        due = -1.0  # the open entry's due time; the clock starts at 0, so none is open
         for face in faces:
             if face == APP_FACE:
+                due = -1.0
                 record(at_node, out_kind, ROLE_RECEIVED)
                 if out_kind == MSG_INTEREST:
                     self._app_interest(at_node, out, trail)
@@ -313,13 +327,18 @@ class Overlay:
                 self.drops.extend((at_node, "loss", out.name.text))
                 continue
             at = now + link.delay_ms
-            arrival = (at_node, face, out, trail)
+            if at == due:
+                run.append(face)
+                continue
+            due = at
+            run = faces if len(faces) == 1 else [face]
+            entry = (at_node, run, out, trail)
             bucket = events.get(at)
             if bucket is None:
-                events[at] = [arrival]
+                events[at] = [entry]
                 heapq.heappush(self._times, at)
             else:
-                bucket.append(arrival)
+                bucket.append(entry)
 
     # ----- application endpoints -----
 
@@ -369,12 +388,11 @@ class Overlay:
         return True
 
     def _app_data(self, node_id: str, pkt: DataPacket, trail: Tuple[str, ...]) -> None:
-        key = (node_id, pkt.name.text)
-        self._inbox.setdefault(key, []).append((pkt, list(trail)))
+        self._inbox[node_id, pkt.name.text].append((pkt, trail))
 
     def _request(
         self, origin: str, name: HierarchicalName, solicit: int, scope: int, subscribe: bool
-    ) -> Tuple[bool, List[Tuple[DataPacket, List[str]]]]:
+    ) -> Tuple[bool, List[Tuple[DataPacket, Tuple[str, ...]]]]:
         """Inject one Interest and run to quiescence; returns (whether a
         subscribe request reached its producer, answers).
 
@@ -452,7 +470,7 @@ class Overlay:
         if not answers:
             return None
         pkt, trail = answers[0]
-        return dict(pkt.payload), trail
+        return dict(pkt.payload), list(trail)
 
     def answers(self, origin: str, name: HierarchicalName) -> List[Tuple[dict, List[str]]]:
         """Copies of the Data answers delivered to ``origin`` for ``name``, with trails."""
@@ -496,7 +514,7 @@ class Overlay:
         loss_ratio = (PROBE_COUNT - delivered) / PROBE_COUNT
         mean_delay = (total_delay / delivered) if delivered else None
         throughput = min((m.capacity for m in links), default=math.inf)
-        return QosMetrics(loss_ratio, mean_delay, throughput, PROBE_COUNT)
+        return QosMetrics(loss_ratio, mean_delay, throughput)
 
     def ensure_link(
         self, origin: str, result: DiscoveryResult, metrics: Optional[QosMetrics] = None

@@ -1,4 +1,5 @@
 import gc
+import heapq
 import math
 import random
 from collections import Counter
@@ -8,7 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oscl_sim.names import parse_name
-from oscl_sim.ndn import APP_FACE, DEFAULT_FRESHNESS_MS, DEFAULT_PIT_LIFETIME_MS, InterestPacket
+from oscl_sim.ndn import (
+    APP_FACE,
+    DEFAULT_FRESHNESS_MS,
+    DEFAULT_PIT_LIFETIME_MS,
+    Drop,
+    InterestPacket,
+    SendInterest,
+    on_data,
+    on_interest,
+)
 from oscl_sim.overlay import (
     MAX_PATH_HOPS,
     PROBE_COUNT,
@@ -335,13 +345,13 @@ def test_run_refuses_to_reenter_itself(monkeypatch):
 
 
 def test_qos_clean_path_metrics():
-    _, overlay, consumer, relays, producer = _chain(n_relays=2)
+    system, overlay, consumer, relays, producer = _chain(n_relays=2)
     path = [consumer, *relays, producer.node_id]
     metrics = overlay.qos_monitor(path)
     assert metrics.loss_ratio == 0.0
     assert metrics.mean_delay_ms == pytest.approx(15.0)  # 3 links x 5 ms
     assert metrics.throughput == pytest.approx(100.0)
-    assert metrics.sample_count == PROBE_COUNT
+    assert [r.msg_type for r in system.log].count("probe") == PROBE_COUNT
 
 
 def test_qos_throughput_is_bottleneck_capacity():
@@ -453,7 +463,7 @@ def test_ensure_link_path_hop_boundary(hops, decision):
 def test_ensure_link_triggered_by_bad_metrics():
     _, overlay, consumer, _, _ = _chain(n_relays=2)
     result = overlay.distributed_discover(consumer, parse_name(APP_URI), scope=3)
-    bad = QosMetrics(loss_ratio=0.5, mean_delay_ms=10.0, throughput=100.0, sample_count=8)
+    bad = QosMetrics(loss_ratio=0.5, mean_delay_ms=10.0, throughput=100.0)
     assert overlay.ensure_link(consumer, result, bad) is True
 
 
@@ -665,26 +675,50 @@ MAX_NODES = 7
 
 
 @st.composite
-def _random_overlay_runs(draw):
+def _random_overlay_runs(draw, delays=(0.0, 0.5, 1.0, 3.0), losses=(0.0, 0.0, 0.3, 1.0), race=True):
     """A random connected overlay (a random tree plus extra links) with
-    mixed link delays and losses, and a mix of operations on it."""
+    link delays and losses drawn from ``delays`` and ``losses``, and a
+    mix of operations on it: discover, fetch, subscribe and, if ``race``,
+    fetches by several consumers drained together."""
     n = draw(st.integers(2, MAX_NODES))
     edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
     for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    delay_ms = st.sampled_from((0.0, 0.5, 1.0, 3.0))
-    loss = st.sampled_from((0.0, 0.0, 0.3, 1.0))
+    delay_ms, loss = st.sampled_from(delays), st.sampled_from(losses)
     links = [(u, v, draw(delay_ms), draw(loss)) for u, v in sorted(edges)]
     node = st.integers(0, n - 1)
     scope = st.integers(0, 4)
-    op = st.one_of(
+    ops = [
         st.tuples(st.just("discover"), node, st.integers(0, n), scope),  # index n: no owner
         st.tuples(st.just("fetch"), node, node, scope),
-        st.tuples(st.just("race"), st.lists(node, min_size=1, max_size=3, unique=True), node, scope),
         st.tuples(st.just("subscribe"), node, node, st.integers(1, 3), st.integers(0, 4)),
-    )
-    return n, links, draw(st.lists(op, min_size=1, max_size=8)), draw(st.integers(0, 2**16))
+    ]
+    if race:
+        consumers = st.lists(node, min_size=1, max_size=3, unique=True)
+        ops.append(st.tuples(st.just("race"), consumers, node, scope))
+    ops = draw(st.lists(st.one_of(ops), min_size=1, max_size=8))
+    return n, links, ops, draw(st.integers(0, 2**16))
+
+
+def _random_overlay(n, links, seed, cls=Overlay):
+    """(system, overlay, nscl, ids) for a ``_random_overlay_runs`` draw:
+    gateways N0..N{n-1}, each with one application, container and
+    instance, all registered to an NSCL that sits on no overlay link."""
+    system = M2mSystem()
+    nscl = system.add_scl(SclKind.NSCL, "Nscl")
+    overlay = cls(system, seed=seed)
+    ids = [f"N{i}" for i in range(n)]
+    for i, node_id in enumerate(ids):
+        scl = system.add_scl(SclKind.GSCL, node_id)
+        register_scl(scl, nscl)
+        create_application(scl, f"app{i}")
+        create_container(scl, f"app{i}", "data")
+        create_content_instance(scl, f"app{i}", "data", "v")
+        overlay.add_node(scl)
+    for u, v, delay_ms, loss in links:
+        overlay.add_link(ids[u], ids[v], LinkMetrics(delay_ms=delay_ms, loss=loss))
+    return system, overlay, nscl, ids
 
 
 @given(_random_overlay_runs())
@@ -699,19 +733,7 @@ def test_counter_semantics_hold_on_random_overlays(run):
     exactly the copies it counts as relayed (an origin sends more).
     """
     n, links, ops, seed = run
-    system = M2mSystem()
-    nscl = system.add_scl(SclKind.NSCL, "Nscl")
-    overlay = Overlay(system, seed=seed)
-    ids = [f"N{i}" for i in range(n)]
-    for i, node_id in enumerate(ids):
-        scl = system.add_scl(SclKind.GSCL, node_id)
-        register_scl(scl, nscl)
-        create_application(scl, f"app{i}")
-        create_container(scl, f"app{i}", "data")
-        create_content_instance(scl, f"app{i}", "data", "v")
-        overlay.add_node(scl)
-    for u, v, delay_ms, loss in links:
-        overlay.add_link(ids[u], ids[v], LinkMetrics(delay_ms=delay_ms, loss=loss))
+    system, overlay, nscl, ids = _random_overlay(n, links, seed)
 
     def app(t):
         return parse_name(f"N{t}/applications/app{t}")
@@ -795,6 +817,144 @@ def test_counter_semantics_hold_on_random_overlays(run):
             for k in range(appends):
                 create_content_instance(system.scl(ids[t]), f"app{t}", "data", f"r{k}")
                 check()
+
+
+# ===== event queue =====
+
+
+class _PerCopyOverlay(Overlay):
+    """Reference queue: one entry ``(u, v, packet, trail)`` per link
+    copy, run as the event loop ran before a send's copies were grouped
+    into one entry per due time. Everything else is the real Overlay."""
+
+    def run(self):
+        if self._running:
+            raise RuntimeError("Overlay.run called while the event queue is draining")
+        system, nodes = self.system, self._nodes
+        record = system.counters.record
+        self._running = True
+        try:
+            while self._times:
+                at = heapq.heappop(self._times)
+                if at > system.clock_ms:
+                    system.clock_ms = at
+                now = system.clock_ms
+                for u, v, pkt, trail in self._events.pop(at):
+                    if type(pkt) is InterestPacket:
+                        kind, handler = "interest", on_interest
+                    else:
+                        kind, handler = "data", on_data
+                    system.log.extend((now, u, v, "", kind, pkt.name.text))
+                    emissions = handler(nodes[v], pkt, u, now)
+                    if not emissions or type(emissions[0]) is Drop:
+                        record(v, kind, "dropped")
+                        reason = emissions[0].reason if emissions else "aggregated"
+                        self.drops.extend((v, reason, pkt.name.text))
+                    else:
+                        self._handle(v, kind, pkt, trail + (v,), emissions)
+        finally:
+            self._running = False
+
+    def _handle(self, at_node, kind, pkt, trail, emissions):
+        record = self.system.counters.record
+        if not emissions or type(emissions[0]) is Drop:
+            record(at_node, kind, "dropped")
+            reason = emissions[0].reason if emissions else "aggregated"
+            self.drops.extend((at_node, reason, pkt.name.text))
+            return
+        send = emissions[0]
+        out, faces = send.packet, send.faces
+        if type(send) is SendInterest:
+            out_kind = "interest"
+        else:
+            out_kind = "data"
+            if kind == "interest":  # Content Store hit
+                record(at_node, "interest", "received")
+                record(at_node, "data", "originated")
+                trail = (at_node,)
+        if at_node != trail[0]:
+            link_faces = len(faces) - (APP_FACE in faces)
+            if link_faces:
+                record(at_node, out_kind, "relayed", link_faces)
+        links = self._nodes[at_node].faces
+        for face in faces:
+            if face == APP_FACE:
+                record(at_node, out_kind, "received")
+                if out_kind == "interest":
+                    self._app_interest(at_node, out, trail)
+                else:
+                    self._app_data(at_node, out, trail)
+                continue
+            link = links[face]
+            if link.loss > 0.0 and self.rng.random() < link.loss:
+                record(at_node, out_kind, "dropped")
+                self.drops.extend((at_node, "loss", out.name.text))
+                continue
+            at = self.system.clock_ms + link.delay_ms
+            if at not in self._events:
+                self._events[at] = []
+                heapq.heappush(self._times, at)
+            self._events[at].append((at_node, face, out, trail))
+
+
+def _queue_state(overlay):
+    system = overlay.system
+    inbox = {key: [(p.payload, trail) for p, trail in rows] for key, rows in overlay._inbox.items()}
+    return (list(system.log.rows()), list(system.counters.rows()), list(overlay.drops), inbox,
+            system.clock_ms)
+
+
+@given(_random_overlay_runs(delays=(0.0, 1.0, 5.0), losses=(0.0, 0.3), race=False))
+def test_grouped_queue_matches_the_per_copy_queue(run):
+    """One entry per send and due time replays, step for step, the queue
+    that held one entry per copy: the same returns, log rows, counter
+    rows, drops, inbox answers and clock after every discover, fetch and
+    subscribe, on one seed."""
+    n, links, ops, seed = run
+    sides = [_random_overlay(n, links, seed, cls)[1:3] for cls in (Overlay, _PerCopyOverlay)]
+
+    def apply(overlay, nscl, op):
+        """What the operation returned or raised."""
+        kind, origin, t = op[0], f"N{op[1]}", op[2]
+        app = parse_name(f"N{t}/applications/app{t}")
+        container = app.extend("containers", "data")
+        instance = container.extend("content_instances", "latest")
+        try:
+            if kind == "discover":
+                return overlay.discover(origin, app, op[3], nscl)
+            if kind == "fetch":
+                return overlay.fetch_resource(origin, instance, op[3])
+            overlay.p2p_subscribe(origin, container, op[3])
+        except (NotFound, NoPath) as exc:
+            return type(exc).__name__
+        for k in range(op[4]):
+            create_content_instance(overlay.system.scl(f"N{t}"), f"app{t}", "data", f"r{k}")
+        return overlay.notifications(origin, container)
+
+    for op in ops:
+        got, want = (apply(overlay, nscl, op) for overlay, nscl in sides)
+        assert got == want, op
+        assert _queue_state(sides[0][0]) == _queue_state(sides[1][0]), op
+
+
+def test_a_request_files_one_nonce_key_per_hop_level():
+    """Every forwarder at one hop of a flood sends the same packet, so
+    the nonce sets of a 10-node mesh hold at most ``scope`` + 1 distinct
+    key objects for one request, however many forwarders it reached."""
+    system, overlay = _unlinked(*(f"N{i}" for i in range(10)))
+    rng = random.Random(3)
+    links = {frozenset((i, (i + 1) % 10)) for i in range(10)}  # a ring, then chords
+    while len(links) < 20:
+        links.add(frozenset(rng.sample(range(10), 2)))
+    for u, v in sorted(sorted(link) for link in links):
+        overlay.add_link(f"N{u}", f"N{v}")
+    name, scope = parse_name("Nobody/applications/x"), 3
+    assert overlay.fetch_resource("N0", name, scope) is None
+    keys = [
+        key for scl in system.scls.values() for key in scl.ndn.seen_nonces if key[0] == name.text
+    ]
+    assert len(keys) == 10  # the flood reached every forwarder once
+    assert len({id(key) for key in keys}) <= scope + 1
 
 
 # ===== memory =====
