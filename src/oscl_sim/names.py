@@ -1,8 +1,9 @@
 """Hierarchical content names and longest-prefix matching.
 
-Names are ordered component sequences ("Gscl1/applications/meter_app").
-Matching is per component, never per character, so "meter" is not a
-prefix of "meter_app".
+A name is its canonical text: '/'-separated, non-empty components with
+no leading slash ("Gscl1/applications/meter_app"), the form every table
+keys on. Matching is per component, never per character, so "meter" is
+not a prefix of "meter_app".
 """
 
 from __future__ import annotations
@@ -25,43 +26,11 @@ class EmptyComponent(InvalidName):
     """Name containing a zero-length component, e.g. "a//b"."""
 
 
-@dataclass(frozen=True)
-class HierarchicalName:
-    """Immutable component path, compared for equality only.
+def parse_name(text: str) -> str:
+    """Validate a '/'-separated textual name and return its canonical text.
 
-    ``text``, which ``str`` returns, is joined once at construction and
-    is not a field: equality, hash and repr see the components only.
-    Two names are equal exactly when their texts are.
-    """
-
-    components: Tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.components:
-            raise EmptyName("name needs at least one component")
-        for part in self.components:
-            if not isinstance(part, str) or not part:
-                raise EmptyComponent(f"empty component in {self.components!r}")
-            if "/" in part:
-                raise InvalidName(f"component may not contain '/': {part!r}")
-        object.__setattr__(self, "text", "/".join(self.components))
-
-    def __str__(self) -> str:
-        return self.text
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def extend(self, *parts: str) -> "HierarchicalName":
-        """Return a child name with ``parts`` appended."""
-        return HierarchicalName(self.components + tuple(parts))
-
-
-def parse_name(text: str) -> HierarchicalName:
-    """Parse a '/'-separated textual name.
-
-    One optional leading slash is tolerated; anything else empty is an
-    error rather than silently collapsed.
+    One optional leading slash is tolerated and dropped; anything else
+    empty is an error rather than silently collapsed.
     """
     if not isinstance(text, str):
         raise InvalidName(f"expected str, got {type(text).__name__}")
@@ -69,10 +38,9 @@ def parse_name(text: str) -> HierarchicalName:
         text = text[1:]
     if not text:
         raise EmptyName("empty name text")
-    parts = text.split("/")
-    if any(not p for p in parts):
+    if "" in text.split("/"):
         raise EmptyComponent(f"empty component in {text!r}")
-    return HierarchicalName(tuple(parts))
+    return text
 
 
 @dataclass
@@ -95,45 +63,42 @@ class PrefixTable(Generic[V]):
     def __len__(self) -> int:
         return self._size
 
-    def set(self, prefix: HierarchicalName, value: V) -> None:
+    def set(self, prefix: str, value: V) -> None:
         node = self._root
-        for part in prefix.components:
+        for part in prefix.split("/"):
             node = node.children.setdefault(part, _TrieNode())
         if not node.has_value:
             self._size += 1
         node.value = value
         node.has_value = True
 
-    def get(self, prefix: HierarchicalName) -> Optional[V]:
-        """Exact-prefix lookup; None when absent."""
+    def _find(self, prefix: str) -> Optional[_TrieNode[V]]:
         node = self._root
-        for part in prefix.components:
-            nxt = node.children.get(part)
-            if nxt is None:
+        for part in prefix.split("/"):
+            node = node.children.get(part)
+            if node is None:
                 return None
-            node = nxt
-        return node.value if node.has_value else None
+        return node
 
-    def __contains__(self, prefix: HierarchicalName) -> bool:
-        node = self._root
-        for part in prefix.components:
-            nxt = node.children.get(part)
-            if nxt is None:
-                return False
-            node = nxt
-        return node.has_value
+    def get(self, prefix: str) -> Optional[V]:
+        """Exact-prefix lookup; None when absent."""
+        node = self._find(prefix)
+        return node.value if node is not None and node.has_value else None
 
-    def longest_prefix_match(
-        self, name: HierarchicalName
-    ) -> Optional[Tuple[HierarchicalName, V]]:
+    def __contains__(self, prefix: str) -> bool:
+        node = self._find(prefix)
+        return node is not None and node.has_value
+
+    def longest_prefix_match(self, name: str) -> Optional[Tuple[str, V]]:
         """Deepest stored prefix of ``name``, or None.
 
         Walks the single root-to-name path, remembering the last node
         that carried a value.
         """
+        parts = name.split("/")
         node = self._root
         best: Optional[Tuple[int, V]] = None
-        for depth, part in enumerate(name.components, start=1):
+        for depth, part in enumerate(parts, start=1):
             nxt = node.children.get(part)
             if nxt is None:
                 break
@@ -143,17 +108,18 @@ class PrefixTable(Generic[V]):
         if best is None:
             return None
         depth, value = best
-        return HierarchicalName(name.components[:depth]), value
+        return "/".join(parts[:depth]), value
 
-    def items(self) -> Iterator[Tuple[HierarchicalName, V]]:
-        """All stored (prefix, value) pairs, shallow first."""
+    def items(self) -> Iterator[Tuple[str, V]]:
+        """All stored (prefix, value) pairs, shallow first, then by
+        components."""
         stack: List[Tuple[Tuple[str, ...], _TrieNode[V]]] = [((), self._root)]
-        out: List[Tuple[HierarchicalName, V]] = []
+        out: List[Tuple[Tuple[str, ...], V]] = []
         while stack:
             path, node = stack.pop()
             if node.has_value:
-                out.append((HierarchicalName(path), node.value))  # type: ignore[arg-type]
+                out.append((path, node.value))  # type: ignore[arg-type]
             for part in sorted(node.children, reverse=True):
                 stack.append((path + (part,), node.children[part]))
-        out.sort(key=lambda kv: (len(kv[0].components), kv[0].components))
-        return iter(out)
+        out.sort(key=lambda kv: (len(kv[0]), kv[0]))
+        return iter([("/".join(path), value) for path, value in out])

@@ -17,11 +17,11 @@ node-local application, is no link and so in no ``faces``. Hop limits
 meter overlay hops only, so handing a packet up to the local
 application neither checks nor spends budget.
 
-Tables looked up by name (PIT, Content Store, nonce set) key by its text:
-two names are equal exactly when their texts are, and a text hashes in C.
-Each is a dict, probed at C level, in the order of NFD's Interest
-pipeline (nonce, Content Store, PIT), before any Python-level call.
-Packets are frozen, so an Interest builds its hop-spent copy and its
+A name is its canonical text (see ``names``), so the tables looked up
+by name (PIT, Content Store, nonce set) key by the name itself, a str
+that hashes and compares in C. Each is a dict, probed at C level, in
+the order of NFD's Interest pipeline (nonce, Content Store, PIT),
+before any Python-level call. Packets are frozen, so an Interest builds its hop-spent copy and its
 nonce key once, on first use: every forwarder at one hop of a request
 sends the same copy, on all of its faces, and every nonce set files the
 same key for it. Emissions and PIT entries are slotted, not frozen: a
@@ -36,8 +36,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
-
-from .names import HierarchicalName
 
 APP_FACE = "app"
 
@@ -61,7 +59,7 @@ class InterestPacket:
     ``spent``, and all their nonce sets hold its one ``key``.
     """
 
-    name: HierarchicalName
+    name: str
     nonce: int
     hop_limit: int
     solicit_count: int = 1
@@ -79,8 +77,8 @@ class InterestPacket:
 
     @cached_property
     def key(self) -> Tuple[str, int]:
-        """The nonce-set key: (name text, nonce)."""
-        return (self.name.text, self.nonce)
+        """The nonce-set key: (name, nonce)."""
+        return (self.name, self.nonce)
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,7 @@ class DataPacket:
     """A named answer. The payload is the answer itself, a dict no
     forwarder reads; it leaves the packet unhashable, and nothing hashes one."""
 
-    name: HierarchicalName
+    name: str
     payload: Dict[str, Any]
 
 
@@ -150,7 +148,7 @@ class ContentStore(OrderedDict):
     An entry goes stale DEFAULT_FRESHNESS_MS after its insertion. Stale
     entries are purged lazily when a lookup or insert touches them, so
     the store never serves an expired item but also never needs a timer.
-    An OrderedDict filed by name text with no overridden lookup, so a
+    An OrderedDict filed by name with no overridden lookup, so a
     forwarder probes it with a C-level ``in`` before calling ``lookup``.
     """
 
@@ -162,22 +160,21 @@ class ContentStore(OrderedDict):
         super().__init__()
         self.capacity = capacity
 
-    def lookup(self, name: HierarchicalName, now: float) -> Optional[DataPacket]:
-        key = name.text
-        hit = self.get(key)
+    def lookup(self, name: str, now: float) -> Optional[DataPacket]:
+        hit = self.get(name)
         if hit is None:
             return None
         packet, inserted_at = hit
         if inserted_at + DEFAULT_FRESHNESS_MS <= now:
-            del self[key]
+            del self[name]
             return None
-        self.move_to_end(key)  # refresh recency
+        self.move_to_end(name)  # refresh recency
         return packet
 
     def insert(self, packet: DataPacket, now: float) -> None:
         if self.capacity == 0:
             return
-        key = packet.name.text
+        key = packet.name
         if key in self:
             self.move_to_end(key)
         self[key] = (packet, now)
@@ -186,7 +183,7 @@ class ContentStore(OrderedDict):
 
 
 class BoundedNonceSet(OrderedDict):
-    """FIFO set of recently seen (name text, nonce) pairs for loop pruning.
+    """FIFO set of recently seen (name, nonce) pairs for loop pruning.
 
     An OrderedDict with no overridden lookup, so ``in`` and ``len`` run
     at C level: the loop check on a forwarder's hot path makes no
@@ -211,7 +208,7 @@ class NdnNode:
     """Forwarder state for one overlay node, built from its prefix; its
     application answers every name under ``prefix``."""
 
-    prefix: HierarchicalName
+    prefix: str
     cs: ContentStore = field(default_factory=ContentStore)
     pit: Dict[str, PitEntry] = field(default_factory=dict)
     seen_nonces: BoundedNonceSet = field(default_factory=BoundedNonceSet)
@@ -223,19 +220,19 @@ class NdnNode:
 
 
 def pit_expire(node: NdnNode, now: float) -> List[str]:
-    """Drop every PIT entry whose lifetime has passed; returns their names' texts."""
-    dead = [text for text, e in node.pit.items() if e.expiry <= now]
-    for text in dead:
-        del node.pit[text]
+    """Drop every PIT entry whose lifetime has passed; returns their names."""
+    dead = [name for name, e in node.pit.items() if e.expiry <= now]
+    for name in dead:
+        del node.pit[name]
     return dead
 
 
-def pending(node: NdnNode, text: str, now: float) -> Optional[PitEntry]:
-    """The live PIT entry filed under ``text``, or None: an entry whose
+def pending(node: NdnNode, name: str, now: float) -> Optional[PitEntry]:
+    """The live PIT entry filed under ``name``, or None: an entry whose
     lifetime has passed is dropped here, so it never answers."""
-    entry = node.pit.get(text)
+    entry = node.pit.get(name)
     if entry is not None and entry.expiry <= now:
-        del node.pit[text]
+        del node.pit[name]
         return None
     return entry
 
@@ -260,7 +257,7 @@ def on_interest(
     for the own prefix equals the component-wise one. The nonce set files
     the packet's own ``key``, shared by every forwarder it reaches.
     """
-    text = pkt.name.text
+    name = pkt.name
     key = pkt.key
     seen = node.seen_nonces
     if key in seen:
@@ -269,13 +266,13 @@ def on_interest(
     if len(seen) > seen.capacity:
         seen.popitem(last=False)  # FIFO: evict the oldest key
 
-    if text in node.cs:
-        cached = node.cs.lookup(pkt.name, now)
+    if name in node.cs:
+        cached = node.cs.lookup(name, now)
         if cached is not None:
             return [SendData((in_face,), cached)]
 
-    if text in node.pit:
-        entry = pending(node, text, now)
+    if name in node.pit:
+        entry = pending(node, name, now)
         if entry is not None:
             # aggregate: remember the extra consumer, do not re-forward
             entry.downstream.add(in_face)
@@ -283,8 +280,8 @@ def on_interest(
             entry.expiry = max(entry.expiry, now + DEFAULT_PIT_LIFETIME_MS)
             return []
 
-    prefix = node.prefix.text
-    if text == prefix or text.startswith(prefix + "/"):
+    prefix = node.prefix
+    if name == prefix or name.startswith(prefix + "/"):
         send = SendInterest((APP_FACE,), pkt)
     elif pkt.hop_limit <= 0:
         return [_NO_ROUTE]
@@ -295,7 +292,7 @@ def on_interest(
         if not faces:
             return [_NO_ROUTE]
         send = SendInterest(tuple(faces), pkt.spent)
-    node.pit[text] = PitEntry(
+    node.pit[name] = PitEntry(
         downstream={in_face},
         remaining=pkt.solicit_count,
         expiry=now + DEFAULT_PIT_LIFETIME_MS,
@@ -311,8 +308,8 @@ def on_data(node: NdnNode, pkt: DataPacket, in_face: str, now: float) -> List[Em
     downstream face but the link it arrived on, in sorted face order,
     caches it, and consumes one unit of the entry's solicit budget.
     """
-    text = pkt.name.text
-    entry = pending(node, text, now)
+    name = pkt.name
+    entry = pending(node, name, now)
     if entry is None:
         return [_UNSOLICITED]
 
@@ -321,6 +318,6 @@ def on_data(node: NdnNode, pkt: DataPacket, in_face: str, now: float) -> List[Em
         faces.remove(in_face)
     entry.remaining -= 1
     if entry.remaining <= 0:
-        del node.pit[text]
+        del node.pit[name]
     node.cs.insert(pkt, now)
     return [SendData(tuple(faces), pkt)] if faces else []

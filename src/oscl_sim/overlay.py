@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import DefaultDict, Dict, List, Optional, Sequence, Tuple
 
-from .names import HierarchicalName, parse_name
+from .names import parse_name
 from .ndn import (
     APP_FACE,
     DataPacket,
@@ -169,12 +169,12 @@ class Overlay:
         self._running = False
         # node id -> forwarder; its faces are the node's links
         self._nodes: Dict[str, NdnNode] = {}
-        # (consumer, name text) -> delivered (packet, trail) answers; a
+        # (consumer, name) -> delivered (packet, trail) answers; a
         # trail is the delivering copy's own tuple, copied only when read
         self._inbox: DefaultDict[Tuple[str, str], List[Tuple[DataPacket, Tuple[str, ...]]]] = (
             defaultdict(list)
         )
-        # (origin, name text, nonce) of a subscribe Interest in flight ->
+        # (origin, name, nonce) of a subscribe Interest in flight ->
         # whether it has reached its producer, which bound a hook to it
         self._subs: Dict[Tuple[str, str, int], bool] = {}
         self.drops = FlatRows(3)  # (node, reason, name) per dropped copy
@@ -210,7 +210,7 @@ class Overlay:
         Buckets run in due-time order, each in sending order. A send
         made while a bucket drains, due at that same time when its link
         has no delay, opens a fresh bucket that runs next. An entry's
-        kind, handler and name text are read once, the kind from the
+        kind, handler and name are read once, the kind from the
         packet's type; then one pass per link traversal, in the entry's
         face order: log the arriving copy and hand it to the receiving
         forwarder. A Drop or an aggregation, the fate of most flooded
@@ -238,13 +238,13 @@ class Overlay:
                         kind, handler = MSG_INTEREST, on_interest
                     else:
                         kind, handler = MSG_DATA, on_data
-                    text = pkt.name.text
+                    name = pkt.name
                     for v in faces:
-                        log_extend((now, u, v, "", kind, text))
+                        log_extend((now, u, v, "", kind, name))
                         emissions = handler(nodes[v], pkt, u, now)
                         if not emissions or type(emissions[0]) is Drop:
                             record(v, kind, ROLE_DROPPED)
-                            drop((v, emissions[0].reason if emissions else "aggregated", text))
+                            drop((v, emissions[0].reason if emissions else "aggregated", name))
                         else:
                             handle(v, kind, pkt, trail + (v,), emissions)
         finally:
@@ -293,7 +293,7 @@ class Overlay:
         if not emissions or type(emissions[0]) is Drop:
             record(at_node, kind, ROLE_DROPPED)
             reason = emissions[0].reason if emissions else "aggregated"
-            self.drops.extend((at_node, reason, pkt.name.text))
+            self.drops.extend((at_node, reason, pkt.name))
             return
         send = emissions[0]
         out, faces = send.packet, send.faces
@@ -324,7 +324,7 @@ class Overlay:
             link = links[face]  # face ids double as neighbor ids
             if link.loss > 0.0 and self.rng.random() < link.loss:
                 record(at_node, out_kind, ROLE_DROPPED)
-                self.drops.extend((at_node, "loss", out.name.text))
+                self.drops.extend((at_node, "loss", out.name))
                 continue
             at = now + link.delay_ms
             if at == due:
@@ -356,52 +356,55 @@ class Overlay:
         answered immediately. Names this SCL cannot resolve are silently
         left to die in pending tables; the consumer's fallback handles it.
         """
-        scl = self.system.scl(node_id)
+        scl, name = self.system.scl(node_id), pkt.name
         try:
-            resolved = resolve_resource(scl, pkt.name)
+            resolved = resolve_resource(scl, name)
         except NotFound:
             return
-        key = (trail[0], pkt.name.text, pkt.nonce)
+        key = (trail[0], name, pkt.nonce)
         if resolved[0] == "container" and key in self._subs:
-            entry = self._nodes[node_id].pit[pkt.name.text]
-            resolved[1].subscriptions.append(partial(self._notify, node_id, pkt.name, entry))
+            entry = self._nodes[node_id].pit[name]
+            resolved[1].subscriptions.append(partial(self._notify, node_id, name, entry))
             self._subs[key] = True
             return
-        answer = {"uri": pkt.name.text, "locator": scl.locator}
+        answer = {"uri": name, "locator": scl.locator}
         if resolved[0] == "instance":
             answer["value"], answer["index"] = resolved[1], resolved[2]
-        self._inject(node_id, DataPacket(pkt.name, answer))
+        self._inject(node_id, DataPacket(name, answer))
 
     def _notify(
-        self, producer_id: str, name: HierarchicalName, entry: PitEntry, payload: str, index: int
+        self, producer_id: str, name: str, entry: PitEntry, payload: str, index: int
     ) -> bool:
         """Subscription hook: send one Data back along ``entry``, the
         subscribe Interest's pending entry at the producer, and say that
         the subscription stands. Once that entry is no longer the live
         one under ``name`` the subscription has lapsed: send nothing,
         and return False."""
-        if pending(self._nodes[producer_id], name.text, self.system.clock_ms) is not entry:
+        if pending(self._nodes[producer_id], name, self.system.clock_ms) is not entry:
             return False
-        note = {"uri": name.text, "value": payload, "index": index}
+        note = {"uri": name, "value": payload, "index": index}
         self._inject(producer_id, DataPacket(name, note))
         self.run()
         return True
 
     def _app_data(self, node_id: str, pkt: DataPacket, trail: Tuple[str, ...]) -> None:
-        self._inbox[node_id, pkt.name.text].append((pkt, trail))
+        self._inbox[node_id, pkt.name].append((pkt, trail))
 
     def _request(
-        self, origin: str, name: HierarchicalName, solicit: int, scope: int, subscribe: bool
+        self, origin: str, name: str, solicit: int, scope: int, subscribe: bool
     ) -> Tuple[bool, List[Tuple[DataPacket, Tuple[str, ...]]]]:
-        """Inject one Interest and run to quiescence; returns (whether a
-        subscribe request reached its producer, answers).
+        """Inject one Interest for ``name``, the caller's name text, and
+        run to quiescence; returns (whether a subscribe request reached
+        its producer, answers). Raises InvalidName when ``name`` is no
+        name: this is where a request's name is checked, once.
 
         A subscribe request's key is filed in ``_subs`` before the
         Interest is injected, because a request for the origin's own
         name reaches its application inside ``_inject``; the key leaves
         ``_subs`` however the request ends.
         """
-        key = (origin, name.text)
+        name = parse_name(name)
+        key = (origin, name)
         self._inbox.pop(key, None)
         pkt = InterestPacket(name, self.rng.getrandbits(62), scope, solicit)
         sub_key = key + (pkt.nonce,)
@@ -417,7 +420,7 @@ class Overlay:
     # ----- operations -----
 
     def distributed_discover(
-        self, origin: str, target_name: HierarchicalName, scope: int
+        self, origin: str, target_name: str, scope: int
     ) -> Optional[DiscoveryResult]:
         """Name-based discovery over the overlay, None on no answer.
 
@@ -431,36 +434,35 @@ class Overlay:
         if answer is None or "locator" not in answer[0]:
             return None
         body, trail = answer
-        return DiscoveryResult(
-            uri=parse_name(body["uri"]), locator=body["locator"], path=tuple(reversed(trail))
-        )
+        return DiscoveryResult(body["uri"], body["locator"], path=tuple(reversed(trail)))
 
     def discover(
         self,
         origin: str,
-        target_name: HierarchicalName,
+        target_name: str,
         scope: int,
         nscl: Optional[SclInstance] = None,
     ) -> DiscoveryResult:
         """Distributed discovery with centralized fallback.
 
-        Raises NotFound only when the overlay is silent and the network
-        SCL's registry cannot resolve the name either.
+        Raises InvalidName when ``target_name`` is no name, and NotFound
+        only when the overlay is silent and the network SCL's registry
+        cannot resolve the name either.
         """
         result = self.distributed_discover(origin, target_name, scope)
         if result is not None:
             return result
         hub = nscl if nscl is not None else self.system.nscl
         if hub is None:
-            raise NotFound(str(target_name))
+            raise NotFound(target_name)
         return centralized_discover(self.system.scl(origin), hub, target_name)
 
     def fetch_resource(
-        self, origin: str, name: HierarchicalName, scope: int
+        self, origin: str, name: str, scope: int
     ) -> Optional[Tuple[dict, List[str]]]:
         """One-shot content retrieval; (answer, trail) or None.
 
-        The answer is a copy of the Data's payload: the name's text, its
+        The answer is a copy of the Data's payload: the canonical name, its
         SCL's Locator and an instance's value and index. Any Content Store
         on the way may answer, not only the producer; a name the origin
         owns is answered by its own application, with a trail of the
@@ -472,9 +474,9 @@ class Overlay:
         pkt, trail = answers[0]
         return dict(pkt.payload), list(trail)
 
-    def answers(self, origin: str, name: HierarchicalName) -> List[Tuple[dict, List[str]]]:
+    def answers(self, origin: str, name: str) -> List[Tuple[dict, List[str]]]:
         """Copies of the Data answers delivered to ``origin`` for ``name``, with trails."""
-        rows = self._inbox.get((origin, name.text), [])
+        rows = self._inbox.get((origin, parse_name(name)), [])
         return [(dict(pkt.payload), list(trail)) for pkt, trail in rows]
 
     def qos_monitor(self, path: Sequence[str]) -> QosMetrics:
@@ -542,12 +544,12 @@ class Overlay:
         except DuplicateLink:
             return False
         self.system.log.extend(
-            (self.system.clock_ms, origin, target, "", MSG_LINK_UP, str(result.uri))
+            (self.system.clock_ms, origin, target, "", MSG_LINK_UP, result.uri)
         )
         return True
 
     def p2p_subscribe(
-        self, origin: str, target_uri: HierarchicalName, expected_notifications: int
+        self, origin: str, target_uri: str, expected_notifications: int
     ) -> None:
         """Subscribe to a container over the overlay, bypassing the hub,
         with an Interest that may travel DEFAULT_SUBSCRIBE_SCOPE hops.
@@ -576,9 +578,9 @@ class Overlay:
             origin, target_uri, expected_notifications, DEFAULT_SUBSCRIBE_SCOPE, subscribe=True
         )
         if not subscribed:
-            raise NoPath(str(target_uri))
+            raise NoPath(target_uri)
 
-    def notifications(self, consumer: str, container_uri: HierarchicalName) -> List[dict]:
+    def notifications(self, consumer: str, container_uri: str) -> List[dict]:
         """Copies of the notifications delivered to ``consumer`` so far, each
         {uri, value, index}; ``answers`` gives each one's path too."""
         return [payload for payload, _ in self.answers(consumer, container_uri)]

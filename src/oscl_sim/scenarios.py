@@ -150,6 +150,4 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     for i in range(config.appends):
         create_content_instance(producer, spec.app, CONTAINER, f"reading-{i}")
-    return ScenarioResult(
-        config, system, overlay, dscl, str(container_uri), discovery, qos, new_links
-    )
+    return ScenarioResult(config, system, overlay, dscl, container_uri, discovery, qos, new_links)

@@ -1,7 +1,7 @@
 """Service capability layers and the centralized resource model.
 
 An M2mSystem holds one network SCL plus any number of gateway and
-device SCLs. Every SCL keeps its resources under its base name as
+device SCLs. Every SCL keeps its resources under its node id as
 plain dicts, application name -> container name -> Container, and
 embeds a forwarder for the overlay side.
 
@@ -29,7 +29,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .names import HierarchicalName, InvalidName, parse_name
+from .names import InvalidName, parse_name
 from .ndn import NdnNode
 
 CONTROL_LEG_MS = 1.0  # one infrastructure hop, fixed
@@ -97,10 +97,11 @@ class Locator:
 
 @dataclass(frozen=True)
 class DiscoveryResult:
-    """Answer of a discovery: where the resource lives, and the overlay
-    path the answer took, or None when the hub's registry answered."""
+    """Answer of a discovery: the resource's name, where it lives, and
+    the overlay path the answer took, or None when the hub's registry
+    answered."""
 
-    uri: HierarchicalName
+    uri: str
     locator: Locator
     path: Optional[Tuple[str, ...]] = None  # overlay node ids, origin first
 
@@ -125,12 +126,12 @@ class Container:
 
 @dataclass
 class SclInstance:
-    """One SCL. Its node id, one name component, is also its base name,
-    its Locator, its key in the hub's registry and its neighbours' face id."""
+    """One SCL. Its node id, one name component, is also the name its
+    resources live under and its forwarder's prefix, its Locator, its key
+    in the hub's registry and its neighbours' face id."""
 
     node_id: str
     kind: SclKind
-    base_name: HierarchicalName = field(init=False)
     locator: Locator = field(init=False)
     system: M2mSystem = field(repr=False, compare=False)
     ndn: NdnNode = field(init=False)
@@ -140,12 +141,10 @@ class SclInstance:
     registry: Dict[str, SclInstance] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        self.base_name = parse_name(self.node_id)
-        if self.base_name.components != (self.node_id,):
-            raise InvalidName(f"node id {self.node_id!r} is not one name component")
+        _check_component(self.node_id)
         self.locator = Locator(self.node_id)
         # a node always answers for its own subtree
-        self.ndn = NdnNode(self.base_name)
+        self.ndn = NdnNode(self.node_id)
 
     @property
     def registered(self) -> bool:
@@ -300,6 +299,13 @@ class M2mSystem:
 # ===== operations =====
 
 
+def _check_component(part: str) -> None:
+    """Raise InvalidName unless ``part`` is one name component."""
+    parse_name(part)  # a non-str or empty part
+    if "/" in part:
+        raise InvalidName(f"{part!r} is not one name component")
+
+
 def register_scl(scl: SclInstance, nscl: SclInstance) -> None:
     """Two-message registration handshake with the network SCL."""
     if nscl.kind is not SclKind.NSCL:
@@ -307,8 +313,8 @@ def register_scl(scl: SclInstance, nscl: SclInstance) -> None:
     if scl.registered:
         raise AlreadyRegistered(scl.node_id)
     system = _shared_system(scl, nscl)
-    system.send(scl.node_id, nscl.node_id, "", MSG_REGISTER, str(scl.base_name))
-    system.send(nscl.node_id, scl.node_id, "", MSG_REGISTER, str(scl.base_name))
+    system.send(scl.node_id, nscl.node_id, "", MSG_REGISTER, scl.node_id)
+    system.send(nscl.node_id, scl.node_id, "", MSG_REGISTER, scl.node_id)
     nscl.registry[scl.node_id] = scl
 
 
@@ -320,22 +326,24 @@ def _shared_system(*scls: SclInstance) -> M2mSystem:
     return system
 
 
-def create_application(scl: SclInstance, app_name: str) -> HierarchicalName:
+def create_application(scl: SclInstance, app_name: str) -> str:
     """Local registration of an application resource; no wire traffic."""
+    _check_component(app_name)
     if app_name in scl.applications:
         raise DuplicateResource(app_name)
     scl.applications[app_name] = {}
-    return scl.base_name.extend("applications", app_name)
+    return f"{scl.node_id}/applications/{app_name}"
 
 
-def create_container(scl: SclInstance, app_name: str, container_name: str) -> HierarchicalName:
+def create_container(scl: SclInstance, app_name: str, container_name: str) -> str:
     containers = scl.applications.get(app_name)
     if containers is None:
         raise NotFound(f"application {app_name!r}")
+    _check_component(container_name)
     if container_name in containers:
         raise DuplicateResource(container_name)
     containers[container_name] = Container()
-    return scl.base_name.extend("applications", app_name, "containers", container_name)
+    return f"{scl.node_id}/applications/{app_name}/containers/{container_name}"
 
 
 def create_content_instance(
@@ -365,10 +373,10 @@ def _container(scl: SclInstance, app_name: str, container_name: str) -> Containe
     return container
 
 
-def resolve_resource(scl: SclInstance, name: HierarchicalName):
-    """Walk ``name`` through the SCL's resources.
+def resolve_resource(scl: SclInstance, name: str):
+    """Walk ``name``, a canonical name text, through the SCL's resources.
 
-    Returns ("scl", scl) for the bare base name, ("application",
+    Returns ("scl", scl) for the SCL's own node id, ("application",
     containers) with the application's container dict, ("container",
     container), or ("instance", payload, index). An instance is named
     "latest", "oldest" or by its index in canonical ASCII decimal ("0",
@@ -376,33 +384,32 @@ def resolve_resource(scl: SclInstance, name: HierarchicalName):
     Raises NotFound when any step is missing, EmptyContainer when a
     virtual instance is asked of an empty container.
     """
-    base = scl.base_name.components
-    parts = name.components
-    if parts[: len(base)] != base:
-        raise NotFound(f"{name} is outside {scl.base_name}")
-    rest = parts[len(base):]
+    parts = name.split("/")
+    if parts[0] != scl.node_id:
+        raise NotFound(f"{name} is outside {scl.node_id}")
+    rest = parts[1:]
     if not rest:
         return ("scl", scl)
     if rest[0] != "applications" or len(rest) < 2:
-        raise NotFound(str(name))
+        raise NotFound(name)
     containers = scl.applications.get(rest[1])
     if containers is None:
-        raise NotFound(str(name))
+        raise NotFound(name)
     if len(rest) == 2:
         return ("application", containers)
     if rest[2] != "containers" or len(rest) < 4:
-        raise NotFound(str(name))
+        raise NotFound(name)
     container = containers.get(rest[3])
     if container is None:
-        raise NotFound(str(name))
+        raise NotFound(name)
     if len(rest) == 4:
         return ("container", container)
     if rest[4] != "content_instances" or len(rest) != 6:
-        raise NotFound(str(name))
+        raise NotFound(name)
     selector = rest[5]
     if selector in (LATEST, OLDEST):
         if not container.instances:
-            raise EmptyContainer(str(name))
+            raise EmptyContainer(name)
         index = len(container.instances) - 1 if selector == LATEST else 0
     else:
         # one name per instance: not "010", "+10", "1_0" or " 10",
@@ -411,43 +418,42 @@ def resolve_resource(scl: SclInstance, name: HierarchicalName):
             selector == "0" or selector[0] != "0"
         )
         if not canonical:
-            raise NotFound(str(name))
+            raise NotFound(name)
         index = int(selector)
         if index >= len(container.instances):
-            raise NotFound(str(name))
+            raise NotFound(name)
     return ("instance", container.instances[index], index)
 
 
-def _resolve_query(
-    nscl: SclInstance, query: HierarchicalName
-) -> Tuple[SclInstance, HierarchicalName]:
-    """Find the registered SCL that can answer ``query``.
+def _resolve_query(nscl: SclInstance, query: str) -> Tuple[SclInstance, str]:
+    """Find the registered SCL that can answer ``query``, a canonical
+    name text, and the resource's full name.
 
     Accepts full resource paths (first component = a registered SCL's
     node id) and bare application names, which are expanded against each
     registered SCL in registration order.
     """
-    head = query.components[0]
+    head, sep, _ = query.partition("/")
     owner = nscl.registry.get(head)
     if owner is not None:
         resolve_resource(owner, query)  # raises NotFound if bogus
         return owner, query
-    if len(query.components) == 1:
+    if not sep:
         for owner in nscl.registry.values():
             if head in owner.applications:
-                return owner, owner.base_name.extend("applications", head)
-    raise NotFound(str(query))
+                return owner, f"{owner.node_id}/applications/{head}"
+    raise NotFound(query)
 
 
-def centralized_discover(
-    origin: SclInstance, nscl: SclInstance, query: HierarchicalName
-) -> DiscoveryResult:
+def centralized_discover(origin: SclInstance, nscl: SclInstance, query: str) -> DiscoveryResult:
     """Resource discovery through the network SCL's registry.
 
     Two query/response exchanges, both relayed: one to locate the
     hosting SCL, one to confirm the resource itself. This is the
-    fallback when no overlay answer arrives.
+    fallback when no overlay answer arrives. Raises InvalidName when
+    ``query`` is no name.
     """
+    query = parse_name(query)
     if nscl.kind is not SclKind.NSCL:
         raise NotAnNscl(nscl.node_id)
     if not origin.registered:
@@ -455,18 +461,18 @@ def centralized_discover(
     system = _shared_system(origin, nscl)
     owner, uri = _resolve_query(nscl, query)
     relayer = nscl.node_id
-    system.send(origin.node_id, owner.node_id, relayer, MSG_DISCOVER_QUERY, str(query))
-    system.send(owner.node_id, origin.node_id, relayer, MSG_DISCOVER_RESPONSE, str(owner.base_name))
-    system.send(origin.node_id, owner.node_id, relayer, MSG_DISCOVER_QUERY, str(uri))
-    system.send(owner.node_id, origin.node_id, relayer, MSG_DISCOVER_RESPONSE, str(uri))
+    system.send(origin.node_id, owner.node_id, relayer, MSG_DISCOVER_QUERY, query)
+    system.send(owner.node_id, origin.node_id, relayer, MSG_DISCOVER_RESPONSE, owner.node_id)
+    system.send(origin.node_id, owner.node_id, relayer, MSG_DISCOVER_QUERY, uri)
+    system.send(owner.node_id, origin.node_id, relayer, MSG_DISCOVER_RESPONSE, uri)
     return DiscoveryResult(uri=uri, locator=owner.locator)
 
 
-def subscribe_centralized(
-    origin: SclInstance, nscl: SclInstance, target: HierarchicalName
-) -> None:
+def subscribe_centralized(origin: SclInstance, nscl: SclInstance, target: str) -> None:
     """Register interest in a container; notifications will transit the
-    network SCL on every future append, named by the instance's URI."""
+    network SCL on every future append, named by the instance's URI.
+    Raises InvalidName when ``target`` is no name."""
+    target = parse_name(target)
     if nscl.kind is not SclKind.NSCL:
         raise NotAnNscl(nscl.node_id)
     if not origin.registered:
@@ -478,18 +484,14 @@ def subscribe_centralized(
         raise NotFound(f"{target} is not a container")
     hook = partial(_relay_notification, system, owner.node_id, origin.node_id, nscl.node_id, uri)
     resolved[1].subscriptions.append(hook)
-    system.send(origin.node_id, owner.node_id, nscl.node_id, MSG_SUBSCRIBE, str(uri))
+    system.send(origin.node_id, owner.node_id, nscl.node_id, MSG_SUBSCRIBE, uri)
 
 
 def _relay_notification(
     system: M2mSystem, owner: str, subscriber: str, hub: str,
-    container_uri: HierarchicalName, payload: str, index: int,
+    container_uri: str, payload: str, index: int,
 ) -> bool:
     """Hook of a hub subscription: one notify message through the hub,
-    named by the instance's URI; a hub subscription never lapses. The
-    name is only logged, so its text is built directly: ``container_uri``
-    is valid, and so is a decimal index."""
-    system.send(
-        owner, subscriber, hub, MSG_NOTIFY, f"{container_uri.text}/content_instances/{index}"
-    )
+    named by the instance's URI; a hub subscription never lapses."""
+    system.send(owner, subscriber, hub, MSG_NOTIFY, f"{container_uri}/content_instances/{index}")
     return True

@@ -393,7 +393,7 @@ def _chain_fetch_successes(hops: int, loss: float, fetches: int, seed: int) -> i
     for u, v in zip(ids, ids[1:]):
         overlay.add_link(u, v, LinkMetrics(loss=loss))
     return sum(
-        overlay.fetch_resource(ids[-1], container.extend("content_instances", str(i)), hops)
+        overlay.fetch_resource(ids[-1], f"{container}/content_instances/{i}", hops)
         is not None
         for i in range(fetches)
     )

@@ -28,7 +28,7 @@ from oscl_sim.scl import (
 )
 from oscl_sim.topology import ExperimentConfig, run_topology_experiment
 
-GOLDEN_SHA256 = "7066c00fbb20cfc69a5ec9e879341073e6b6db236ad0958db1f34b99b9673191"
+GOLDEN_SHA256 = "cd8944e154f69d9f472103f9e95d4395d52a63eb3cadd406df56591a82d67011"
 
 N_NODES = 48
 DELAYS_MS = (0.0, 0.0, 1.0, 2.5, 5.0)
@@ -65,7 +65,7 @@ def _flood_run():
         results.append(("discover", found))
     for origin, target in ((3, 9), (4, 9), (3, 9), (20, 9), (7, 30)):
         name = parse_name(f"Gscl{target}/applications/app{target}/containers/data")
-        name = name.extend("content_instances", "latest")
+        name = f"{name}/content_instances/latest"
         results.append(("fetch", overlay.fetch_resource(ids[origin], name, 4)))
 
     container = parse_name("Gscl30/applications/app30/containers/data")

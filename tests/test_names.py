@@ -1,8 +1,3 @@
-import os
-import pickle
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +5,6 @@ from hypothesis import strategies as st
 from oscl_sim.names import (
     EmptyComponent,
     EmptyName,
-    HierarchicalName,
     InvalidName,
     PrefixTable,
     parse_name,
@@ -21,7 +15,7 @@ COMPONENT = st.text(
     min_size=1,
     max_size=8,
 )
-NAME = st.builds(HierarchicalName, st.lists(COMPONENT, min_size=1, max_size=6).map(tuple))
+NAME = st.lists(COMPONENT, min_size=1, max_size=6).map("/".join)
 
 
 def _is_prefix(prefix, name):
@@ -29,22 +23,19 @@ def _is_prefix(prefix, name):
 
     Reflexive: a name is a prefix of itself.
     """
-    if len(prefix.components) > len(name.components):
-        return False
-    return name.components[: len(prefix.components)] == prefix.components
+    prefix_parts, name_parts = prefix.split("/"), name.split("/")
+    return name_parts[: len(prefix_parts)] == prefix_parts
 
 
 def test_parse_resource_uri():
-    name = parse_name(
-        "Gscl1/applications/meter_app/containers/meter_data/content_instances/latest"
-    )
-    assert len(name) == 7
-    assert name.components[0] == "Gscl1"
-    assert name.components[-1] == "latest"
+    text = "Gscl1/applications/meter_app/containers/meter_data/content_instances/latest"
+    name = parse_name(text)
+    assert name == text
+    assert len(name.split("/")) == 7
 
 
 def test_parse_tolerates_one_leading_slash():
-    assert parse_name("/a/b") == parse_name("a/b")
+    assert parse_name("/a/b") == parse_name("a/b") == "a/b"
 
 
 def test_str_round_trip():
@@ -64,21 +55,10 @@ def test_parse_empty_component(bad):
         parse_name(bad)
 
 
-def test_constructor_rejects_slash_in_component():
+@pytest.mark.parametrize("bad", [None, b"a/b", ("a", "b"), 7])
+def test_parse_rejects_a_non_str(bad):
     with pytest.raises(InvalidName):
-        HierarchicalName(("a/b",))
-
-
-def test_constructor_rejects_empty():
-    with pytest.raises(EmptyName):
-        HierarchicalName(())
-    with pytest.raises(EmptyComponent):
-        HierarchicalName(("a", ""))
-
-
-def test_extend():
-    base = parse_name("Gscl1")
-    assert str(base.extend("applications", "app")) == "Gscl1/applications/app"
+        parse_name(bad)
 
 
 def test_prefix_is_per_component_not_per_character():
@@ -96,55 +76,8 @@ def test_prefix_reflexive_and_proper():
 
 @given(NAME)
 def test_parse_round_trip_property(name):
-    assert parse_name(str(name)) == name
-
-
-def _uncached_text_and_hash(name):
-    return "/".join(name.components), hash((name.components,))
-
-
-@given(st.lists(COMPONENT, min_size=1, max_size=6), st.lists(COMPONENT, max_size=3))
-def test_cached_text_and_hash_match_definitions(parts, extra):
-    """The text joined at construction is the components' join, and the
-    hash is the dataclass's, however the name was built."""
-    direct = HierarchicalName(tuple(parts))
-    parsed = parse_name("/".join(parts))
-    extended = direct.extend(*extra)
-    for name in (direct, parsed, extended):
-        assert (str(name), hash(name)) == _uncached_text_and_hash(name)
-    assert hash(direct) == hash(parsed) and {direct: 1}[parsed] == 1
-
-
-def test_unpickled_name_hashes_in_another_process():
-    """String hashes differ between processes, so a name unpickled in
-    another process must hash by that process's string hashes."""
-    script = (
-        "import pickle, sys; from oscl_sim.names import parse_name; "
-        "name = pickle.loads(sys.stdin.buffer.read()); "
-        "assert {parse_name('a/b/c'): 1}[name] == 1"
-    )
-    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
-    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        input=pickle.dumps(parse_name("a/b/c")),
-        env=env,
-        capture_output=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-
-
-# few components, so that two drawn names are often equal
-SHORT_NAME = st.builds(
-    HierarchicalName, st.lists(st.sampled_from(["a", "b", "ab"]), min_size=1, max_size=3).map(tuple)
-)
-
-
-@given(NAME | SHORT_NAME, NAME | SHORT_NAME)
-def test_names_are_equal_exactly_when_their_texts_are(a, b):
-    """Tables looked up by name key by the text, so they rest on this."""
-    assert (a == b) == (a.text == b.text)
+    assert parse_name(name) == name
+    assert parse_name("/" + name) == name
 
 
 @given(NAME, NAME, NAME)
@@ -155,7 +88,7 @@ def test_prefix_transitive(a, b, c):
 
 @given(NAME, st.lists(COMPONENT, max_size=3))
 def test_prefix_of_own_extension(name, extra):
-    assert _is_prefix(name, HierarchicalName(name.components + tuple(extra)))
+    assert _is_prefix(name, "/".join([name, *extra]))
 
 
 # ===== PrefixTable =====
@@ -166,7 +99,7 @@ def _brute_force_lpm(entries, query):
     best = None
     for prefix, value in entries.items():
         if _is_prefix(prefix, query):
-            if best is None or len(prefix) > len(best[0]):
+            if best is None or len(prefix.split("/")) > len(best[0].split("/")):
                 best = (prefix, value)
     return best
 
@@ -203,6 +136,8 @@ def test_items_enumerates_everything():
     for i, n in enumerate(names):
         table.set(n, i)
     assert dict(table.items()) == {n: i for i, n in enumerate(names)}
+    # shallow first, then by components
+    assert list(table.items()) == [("a", 2), ("b", 0), ("a/b", 1), ("a/b/c", 3)]
 
 
 @given(

@@ -154,13 +154,13 @@ def _nonces_after(capacity, nonces):
 
 def test_nonce_set_fifo_eviction():
     seen = _nonces_after(2, [0, 1, 2])
-    assert list(seen) == [(NAME.text, 1), (NAME.text, 2)]
+    assert list(seen) == [(NAME, 1), (NAME, 2)]
 
 
 def test_nonce_set_duplicate_add_keeps_position():
     # the repeat of 0 is a looped copy: no refresh, so 0 is still oldest
     seen = _nonces_after(2, [0, 1, 0, 2])
-    assert list(seen) == [(NAME.text, 1), (NAME.text, 2)]
+    assert list(seen) == [(NAME, 1), (NAME, 2)]
 
 
 def test_nonce_set_fifo_through_the_handler():
@@ -194,20 +194,20 @@ def test_interest_cache_hit_answers_arrival_face():
     packet = _data()
     node.cs.insert(packet, 0.0)
     assert on_interest(node, _interest(), "peer", 1.0) == [SendData(("peer",), packet)]
-    assert NAME.text not in node.pit  # no pending state for answered Interests
+    assert NAME not in node.pit  # no pending state for answered Interests
 
 
 def test_interest_no_route_drop():
     node = _node(faces=["peer"])
     assert on_interest(node, _interest(), "peer", 0.0) == [Drop("no-route")]
-    assert NAME.text not in node.pit
+    assert NAME not in node.pit
 
 
 def test_interest_forwarded_decrements_hop_limit():
     node = _node(faces=["a", "b"])
     out = on_interest(node, _interest(hop_limit=4), "a", 0.0)
     assert out == [SendInterest(("b",), _interest(hop_limit=3))]
-    assert node.pit[NAME.text].downstream == {"a"}
+    assert node.pit[NAME].downstream == {"a"}
 
 
 def test_interest_hop_budget_blocks_overlay_but_not_local_delivery():
@@ -226,7 +226,7 @@ def test_interest_aggregated_into_live_entry():
     assert first == [SendInterest(("b", "up"), _interest(nonce=1, hop_limit=3))]
     second = on_interest(node, _interest(nonce=2, solicit=5), "b", 1.0)
     assert second == []  # suppressed: only the first copy went upstream
-    entry = node.pit[NAME.text]
+    entry = node.pit[NAME]
     assert entry.downstream == {"a", "b"}
     assert entry.remaining == 5  # solicit budget grows to the max seen
     assert entry.expiry == 1.0 + DEFAULT_PIT_LIFETIME_MS
@@ -250,7 +250,7 @@ def test_interest_pit_expiry_allows_refresh():
     lifetime = DEFAULT_PIT_LIFETIME_MS
     out = on_interest(node, _interest(nonce=2), "a", lifetime + 1.0)
     assert out == [SendInterest(("up",), _interest(nonce=2, hop_limit=3))]
-    assert node.pit[NAME.text].downstream == {"a"}
+    assert node.pit[NAME].downstream == {"a"}
 
 
 _labels = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3)
@@ -294,20 +294,19 @@ def test_data_fans_out_and_consumes_entry():
     packet = _data()
     out = on_data(node, packet, "up", 1.0)
     assert out == [SendData(("f1", "f2"), packet)]
-    assert NAME.text not in node.pit
+    assert NAME not in node.pit
     assert node.cs.lookup(NAME, 1.0) == packet
 
 
 def test_separately_parsed_copies_of_one_name_meet_in_every_table():
-    # the Interest, the Data and the lookups each carry their own object
-    text = NAME.text
-    copies = [parse_name(text) for _ in range(4)]
+    # the Interest, the Data and the lookups each carry their own str object
+    copies = ["/".join(NAME.split("/")) for _ in range(4)]
     assert len({id(name) for name in copies}) == 4
     node = _node(faces=["a", "up"])
     on_interest(node, _interest(name=copies[0], nonce=1), "a", 0.0)
     packet = _data(name=copies[1])
     assert on_data(node, packet, "up", 1.0) == [SendData(("a",), packet)]
-    assert text not in node.pit
+    assert NAME not in node.pit
     assert node.cs.lookup(copies[2], 1.0) is packet
     answer = on_interest(node, _interest(name=copies[3], nonce=2), "a", 2.0)
     assert answer == [SendData(("a",), packet)]
@@ -324,7 +323,7 @@ def test_data_not_reflected_to_arrival_face():
     node = _node(faces=["up"])
     on_interest(node, _interest(), APP_FACE, 0.0)
     # entry's only other downstream is the arrival face itself
-    node.pit[NAME.text].downstream = {"up"}
+    node.pit[NAME].downstream = {"up"}
     assert on_data(node, _data(), "up", 1.0) == []
 
 
@@ -334,9 +333,9 @@ def test_application_answer_goes_back_up_to_the_application():
     node = _node(prefix=PRODUCER, faces=["peer"])
     assert node.faces == {"peer": None}  # the application face is no link
     assert on_interest(node, _interest(), APP_FACE, 0.0) == [SendInterest((APP_FACE,), _interest())]
-    node.pit[NAME.text].downstream.add("peer")  # a neighbor's copy aggregated
+    node.pit[NAME].downstream.add("peer")  # a neighbor's copy aggregated
     assert on_data(node, _data(), APP_FACE, 1.0) == [SendData((APP_FACE, "peer"), _data())]
-    assert NAME.text not in node.pit
+    assert NAME not in node.pit
 
 
 def test_data_after_entry_expiry_is_unsolicited():
@@ -351,10 +350,10 @@ def test_data_solicit_budget_consumed_one_per_message(solicit):
     node = _node(faces=["a", "up"])
     on_interest(node, _interest(solicit=solicit), "a", 0.0)
     for i in range(solicit):
-        assert NAME.text in node.pit
+        assert NAME in node.pit
         packet = _data(payload=f"v{i}".encode())
         assert on_data(node, packet, "up", float(i)) == [SendData(("a",), packet)]
-    assert NAME.text not in node.pit
+    assert NAME not in node.pit
     assert on_data(node, _data(), "up", float(solicit)) == [Drop("unsolicited")]
 
 
@@ -368,8 +367,8 @@ def test_pit_expire_removes_only_dead_entries():
     on_interest(node, _interest(name=other, nonce=2), "a", 100.0)
     lifetime = DEFAULT_PIT_LIFETIME_MS
     dead = pit_expire(node, lifetime + 1.0)
-    assert dead == [NAME.text]
-    assert other.text in node.pit and NAME.text not in node.pit
+    assert dead == [NAME]
+    assert other in node.pit and NAME not in node.pit
 
 
 @given(st.integers(1, 10), st.integers(0, 64))
@@ -411,7 +410,7 @@ class _ReferenceForwarder:
         return entry
 
     def on_interest(self, pkt, in_face, now):
-        text = pkt.name.text
+        text = pkt.name
         if (text, pkt.nonce) in self.nonces:
             return [Drop("loop")]
         self.add((text, pkt.nonce))
@@ -424,8 +423,8 @@ class _ReferenceForwarder:
             entry.remaining = max(entry.remaining, pkt.solicit_count)
             entry.expiry = max(entry.expiry, now + DEFAULT_PIT_LIFETIME_MS)
             return []
-        depth = len(self.prefix.components)
-        if pkt.name.components[:depth] == self.prefix.components:
+        prefix_parts = self.prefix.split("/")
+        if pkt.name.split("/")[: len(prefix_parts)] == prefix_parts:
             send = SendInterest((APP_FACE,), pkt)
         elif pkt.hop_limit <= 0:
             return [Drop("no-route")]
@@ -439,7 +438,7 @@ class _ReferenceForwarder:
         return [send]
 
     def on_data(self, pkt, in_face, now):
-        text = pkt.name.text
+        text = pkt.name
         entry = self.pending(text, now)
         if entry is None:
             return [Drop("unsolicited")]
@@ -492,5 +491,5 @@ def test_handlers_match_the_reference_forwarder(faces, arrivals):
             pkt = _data(name=name, payload=f"{i}".encode())
             assert on_data(node, pkt, in_face, now) == ref.on_data(pkt, in_face, now)
         assert node.pit == ref.pit
-        assert list(node.cs.items()) == [(n.text, ref.cs.items[n]) for n in ref.cs.recency]
+        assert list(node.cs.items()) == [(n, ref.cs.items[n]) for n in ref.cs.recency]
         assert list(node.seen_nonces) == list(ref.nonces)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oscl_sim.names import parse_name
+from oscl_sim.names import InvalidName, parse_name
 from oscl_sim.ndn import (
     APP_FACE,
     DEFAULT_FRESHNESS_MS,
@@ -144,7 +144,7 @@ def test_discover_over_chain():
     result = overlay.distributed_discover(consumer, parse_name(APP_URI), scope=3)
     assert result is not None
     assert result.method == "distributed"
-    assert str(result.uri) == APP_URI
+    assert result.uri == APP_URI
     assert result.locator == producer.locator
     assert result.path == (consumer, *relays, producer.node_id)
     assert result.path_hops == 3
@@ -315,8 +315,8 @@ def test_data_fan_out_reaches_faces_sorted_after_the_application():
     assert c.total("interest", "originated") == 2
     assert c.total("interest", "received") == 1  # the producer's
     assert sorted(overlay.drops) == [
-        ("zed1", "aggregated", name.text),
-        ("zed2", "aggregated", name.text),
+        ("zed1", "aggregated", name),
+        ("zed2", "aggregated", name),
     ]
     assert c.total(role="dropped") == len(overlay.drops)
 
@@ -530,7 +530,7 @@ def test_container_interest_is_answered_not_subscribed(op):
         answer = (body["uri"], body["locator"])
     else:
         result = overlay.distributed_discover(consumer, container, scope=3)
-        answer = (str(result.uri), result.locator)
+        answer = (result.uri, result.locator)
     assert answer == (CONTAINER_URI, producer.locator)
     assert overlay._subs == {}
     create_content_instance(producer, "meter_app", "meter_data", "v0")
@@ -634,6 +634,50 @@ def test_requests_from_an_scl_off_the_overlay_raise(owner):
     assert overlay._subs == {}
 
 
+# ===== names from the caller =====
+
+
+def _name_run(spell):
+    """An overlay discovery, a fetch, a subscription, an append and a
+    discovery only the hub answers, on a fresh chain, each name written
+    by ``spell``; returns the results and everything the run leaves."""
+    system, overlay, consumer, _, producer = _chain(instances=1)
+    results = [
+        overlay.discover(consumer, spell(APP_URI), scope=3),
+        overlay.fetch_resource(consumer, spell(INSTANCE_URI), scope=3),
+    ]
+    overlay.p2p_subscribe(consumer, spell(CONTAINER_URI), 2)
+    create_content_instance(producer, "meter_app", "meter_data", "v1")
+    results.append(overlay.notifications(consumer, spell(CONTAINER_URI)))
+    results.append(overlay.discover(consumer, spell("meter_app"), scope=3))
+    return results, list(system.log.rows()), system.counters.rows(), list(overlay.drops)
+
+
+def test_a_leading_slash_name_runs_as_its_canonical_text():
+    canonical = _name_run(lambda uri: uri)
+    assert _name_run(lambda uri: "/" + uri) == canonical
+    found, fetched, notes, fallback = canonical[0]
+    assert (found.method, found.uri) == ("distributed", APP_URI)
+    assert fetched[0]["uri"] == INSTANCE_URI
+    assert [note["value"] for note in notes] == ["v1"]
+    assert (fallback.method, fallback.uri) == ("centralized", APP_URI)
+
+
+@pytest.mark.parametrize("bad", ["a//b", "", "/", b"Gscl1/applications/meter_app"])
+@pytest.mark.parametrize("op", ["discover", "fetch", "subscribe"])
+def test_a_request_for_no_name_raises_invalid_name_and_sends_nothing(op, bad):
+    system, overlay, consumer, _, _ = _chain()
+    requests = {
+        "discover": lambda: overlay.discover(consumer, bad, scope=3),
+        "fetch": lambda: overlay.fetch_resource(consumer, bad, scope=3),
+        "subscribe": lambda: overlay.p2p_subscribe(consumer, bad, 1),
+    }
+    before = len(system.log)
+    with pytest.raises(InvalidName):
+        requests[op]()
+    assert len(system.log) == before
+
+
 # ===== conservation =====
 
 
@@ -664,9 +708,9 @@ def test_relay_counts_every_link_face_lost_copies_included():
     assert c.get("R", "interest", "relayed") == 3
     assert c.get("R", "interest", "dropped") == 2
     assert list(overlay.drops) == [
-        ("R", "loss", name.text),
-        ("R", "loss", name.text),
-        ("K", "no-route", name.text),  # K's only link leads back
+        ("R", "loss", name),
+        ("R", "loss", name),
+        ("K", "no-route", name),  # K's only link leads back
     ]
     assert [(r.src, r.dst) for r in system.log] == [("O", "R"), ("R", "K")]
 
@@ -739,10 +783,10 @@ def test_counter_semantics_hold_on_random_overlays(run):
         return parse_name(f"N{t}/applications/app{t}")
 
     def container(t):
-        return app(t).extend("containers", "data")
+        return f"{app(t)}/containers/data"
 
     def instance(t):
-        return container(t).extend("content_instances", "latest")
+        return f"{container(t)}/content_instances/latest"
 
     names = [f(t) for t in range(n + 1) for f in (app, container, instance)]
     consumed = Counter()  # Data rows handed back to callers, per node
@@ -844,12 +888,12 @@ class _PerCopyOverlay(Overlay):
                         kind, handler = "interest", on_interest
                     else:
                         kind, handler = "data", on_data
-                    system.log.extend((now, u, v, "", kind, pkt.name.text))
+                    system.log.extend((now, u, v, "", kind, pkt.name))
                     emissions = handler(nodes[v], pkt, u, now)
                     if not emissions or type(emissions[0]) is Drop:
                         record(v, kind, "dropped")
                         reason = emissions[0].reason if emissions else "aggregated"
-                        self.drops.extend((v, reason, pkt.name.text))
+                        self.drops.extend((v, reason, pkt.name))
                     else:
                         self._handle(v, kind, pkt, trail + (v,), emissions)
         finally:
@@ -860,7 +904,7 @@ class _PerCopyOverlay(Overlay):
         if not emissions or type(emissions[0]) is Drop:
             record(at_node, kind, "dropped")
             reason = emissions[0].reason if emissions else "aggregated"
-            self.drops.extend((at_node, reason, pkt.name.text))
+            self.drops.extend((at_node, reason, pkt.name))
             return
         send = emissions[0]
         out, faces = send.packet, send.faces
@@ -888,7 +932,7 @@ class _PerCopyOverlay(Overlay):
             link = links[face]
             if link.loss > 0.0 and self.rng.random() < link.loss:
                 record(at_node, out_kind, "dropped")
-                self.drops.extend((at_node, "loss", out.name.text))
+                self.drops.extend((at_node, "loss", out.name))
                 continue
             at = self.system.clock_ms + link.delay_ms
             if at not in self._events:
@@ -917,8 +961,8 @@ def test_grouped_queue_matches_the_per_copy_queue(run):
         """What the operation returned or raised."""
         kind, origin, t = op[0], f"N{op[1]}", op[2]
         app = parse_name(f"N{t}/applications/app{t}")
-        container = app.extend("containers", "data")
-        instance = container.extend("content_instances", "latest")
+        container = f"{app}/containers/data"
+        instance = f"{container}/content_instances/latest"
         try:
             if kind == "discover":
                 return overlay.discover(origin, app, op[3], nscl)
@@ -951,7 +995,7 @@ def test_a_request_files_one_nonce_key_per_hop_level():
     name, scope = parse_name("Nobody/applications/x"), 3
     assert overlay.fetch_resource("N0", name, scope) is None
     keys = [
-        key for scl in system.scls.values() for key in scl.ndn.seen_nonces if key[0] == name.text
+        key for scl in system.scls.values() for key in scl.ndn.seen_nonces if key[0] == name
     ]
     assert len(keys) == 10  # the flood reached every forwarder once
     assert len({id(key) for key in keys}) <= scope + 1

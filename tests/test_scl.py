@@ -148,6 +148,17 @@ def test_tree_duplicates_rejected():
         create_container(gscl, "meter_app", "meter_data")
 
 
+@pytest.mark.parametrize("label", ["a/b", "/a", "", None])
+def test_a_resource_label_is_one_name_component_or_nothing_is_stored(label):
+    _, _, gscl, _ = _populated()
+    with pytest.raises(InvalidName):
+        create_application(gscl, label)
+    with pytest.raises(InvalidName):
+        create_container(gscl, "meter_app", label)
+    assert list(gscl.applications) == ["meter_app"]
+    assert list(gscl.applications["meter_app"]) == ["meter_data"]
+
+
 def test_container_under_missing_application():
     _, _, gscl, _ = _populated()
     with pytest.raises(NotFound):
@@ -174,7 +185,7 @@ def test_resolve_shapes():
 def test_discover_by_application_name():
     system, nscl, gscl, dscl = _populated()
     result = centralized_discover(dscl, nscl, parse_name("meter_app"))
-    assert str(result.uri) == "Gscl1/applications/meter_app"
+    assert result.uri == "Gscl1/applications/meter_app"
     assert result.locator == gscl.locator
     assert result.method == "centralized"
     assert result.path is None and result.path_hops is None
@@ -247,6 +258,37 @@ def test_append_without_subscribers_is_silent():
     system, _, gscl, _ = _populated()
     before = len(system.log)
     create_content_instance(gscl, "meter_app", "meter_data", "v0")
+    assert len(system.log) == before
+
+
+# ===== names from the caller =====
+
+
+def _hub_name_run(spell):
+    """A centralized discovery, a subscription and an append, each name
+    written by ``spell``; returns the discovery and the message rows."""
+    system, nscl, gscl, dscl = _populated()
+    found = centralized_discover(dscl, nscl, spell("Gscl1/applications/meter_app"))
+    subscribe_centralized(dscl, nscl, spell("Gscl1/applications/meter_app/containers/meter_data"))
+    create_content_instance(gscl, "meter_app", "meter_data", "v0")
+    return found, list(system.log.rows())
+
+
+def test_hub_operations_take_a_leading_slash_name_as_its_canonical_text():
+    canonical = _hub_name_run(lambda uri: uri)
+    assert _hub_name_run(lambda uri: "/" + uri) == canonical
+    assert canonical[0].uri == "Gscl1/applications/meter_app"
+    instance = "Gscl1/applications/meter_app/containers/meter_data/content_instances/0"
+    assert canonical[1][-1][4:] == ("notify", instance)
+
+
+@pytest.mark.parametrize("bad", ["a//b", "", "/", b"meter_app"])
+@pytest.mark.parametrize("op", [centralized_discover, subscribe_centralized])
+def test_hub_operations_raise_invalid_name_and_send_nothing(op, bad):
+    system, nscl, _, dscl = _populated()
+    before = len(system.log)
+    with pytest.raises(InvalidName):
+        op(dscl, nscl, bad)
     assert len(system.log) == before
 
 
