@@ -32,7 +32,7 @@ import os
 import sys
 import time
 from itertools import chain, islice
-from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from . import __version__
 from .overlay import LinkMetrics
@@ -193,19 +193,10 @@ def _read_text(path: str, what: str) -> str:
         raise FlagError(f"{path}: cannot read {what}: not UTF-8 text") from None
 
 
-# Each command checks its config in one function, whether the config
-# came from the command line or from a manifest being replayed.
-
-
 def _check_int(value, flag: str, low: Optional[int] = None) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or (low is not None and value < low):
         bound = "" if low is None else f" >= {low}"
         raise FlagError(f"{flag} must be an integer{bound}, got {value!r}")
-
-
-def _check_choice(value, flag: str, choices: Sequence[str]) -> None:
-    if value not in choices:
-        raise FlagError(f"{flag} must be one of {', '.join(choices)}, got {value!r}")
 
 
 # ===== topology =====
@@ -237,25 +228,6 @@ def _run_topology(config: Dict, out_dir: str) -> int:
     if not stats.saturated:
         print("warning: run ended before saturation; increase --pairs", file=sys.stderr)
     return 0
-
-
-def _check_topology(config: Dict) -> None:
-    _check_int(config["n"], "--n", 2)
-    _check_int(config["d"], "--d", 1)
-    _check_int(config["seed"], "--seed")
-    if config["pairs"] is not None:
-        _check_int(config["pairs"], "--pairs", 1)
-
-
-def cmd_topology(args: argparse.Namespace) -> int:
-    config = {
-        "n": args.n,
-        "d": args.d,
-        "seed": args.seed,
-        "pairs": args.pairs,
-    }
-    _check_topology(config)
-    return _run_topology(config, _ensure_out(args.out))
 
 
 # ===== sweep =====
@@ -322,75 +294,33 @@ def _run_sweep(config: Dict, out_dir: str) -> int:
     return 0
 
 
-def _parse_int_list(text: str, flag: str) -> List[int]:
-    try:
-        return [int(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise FlagError(f"{flag}: {exc}") from None
-
-
-def _check_int_list(values, flag: str, low: int) -> None:
-    if not isinstance(values, list):
-        raise FlagError(f"{flag} must be a list of integers, got {values!r}")
-    if not values:
-        raise FlagError(f"{flag} needs at least one value")
-    for i, value in enumerate(values):
-        _check_int(value, f"{flag} values", low)
-        if value in values[:i]:
-            raise FlagError(f"{flag} repeats the value {value}")
-
-
-def _check_sweep(config: Dict) -> None:
-    _check_int_list(config["n"], "--n", 2)
-    _check_int_list(config["d"], "--d", 1)
-    _check_int(config["seeds"], "--seeds", 1)
-    budget = config["budget_secs"]  # None: no budget
-    if budget is not None and (
-        isinstance(budget, bool)
-        or not isinstance(budget, (int, float))
-        or not 0 <= budget < math.inf  # NaN and infinity fail too
-    ):
-        raise FlagError(f"--time-budget must be a finite number >= 0, got {budget!r}")
-    jobs = config.get("jobs")  # a replayed manifest's record of the jobs that ran
-    if jobs is not None:
-        if not isinstance(jobs, list):
-            raise FlagError(f"jobs must be a list of [n, d, seed], got {jobs!r}")
-        named = set(_sweep_jobs(config))
-        for i, job in enumerate(jobs):
-            if not isinstance(job, list) or len(job) != 3:
-                raise FlagError(f"jobs[{i}] must be [n, d, seed], got {job!r}")
-            for value, what, low in zip(job, ("n", "d", "seed"), (2, 1, 0)):
-                _check_int(value, f"jobs[{i}] {what}", low)
-            if tuple(job) not in named:
-                raise FlagError(f"jobs[{i}] {job!r} is not a job of --n, --d and --seeds")
-            if job in jobs[:i]:
-                raise FlagError(f"jobs[{i}] repeats the job {job!r}")
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    sizes = _parse_int_list(args.n, "--n")
-    hops = _parse_int_list(args.d, "--d")
-    config = {
-        "n": sizes,
-        "d": hops,
-        "seeds": args.seeds,
-        "seed": None,
-        "budget_secs": args.time_budget,
-    }
-    _check_sweep(config)
-    return _run_sweep(config, _ensure_out(args.out))
+def _check_jobs(jobs, config: Dict) -> None:
+    """A replayed sweep's record of the jobs that ran: each one a job
+    of the sweep's sizes, hop budgets and seeds, none twice."""
+    if not isinstance(jobs, list):
+        raise FlagError(f"jobs must be a list of [n, d, seed], got {jobs!r}")
+    named = set(_sweep_jobs(config))
+    for i, job in enumerate(jobs):
+        if not isinstance(job, list) or len(job) != 3:
+            raise FlagError(f"jobs[{i}] must be [n, d, seed], got {job!r}")
+        for value, what, low in zip(job, ("n", "d", "seed"), (2, 1, 0)):
+            _check_int(value, f"jobs[{i}] {what}", low)
+        if tuple(job) not in named:
+            raise FlagError(f"jobs[{i}] {job!r} is not a job of --n, --d and --seeds")
+        if job in jobs[:i]:
+            raise FlagError(f"jobs[{i}] repeats the job {job!r}")
 
 
 # ===== scenario =====
 
 
-def _parse_links_file(path: str) -> Tuple[List[List], List[int]]:
+def _parse_links_file(path: str) -> Tuple[List[List], Tuple[str, List[int]]]:
     """key=value escape hatch for custom overlay links.
 
     Each non-comment line: `link <u> <v> [delay_ms=X] [loss=X] [capacity=X]`.
     Omitted keys take the LinkMetrics defaults. Returns the links as
-    [u, v, delay_ms, loss, capacity] lists, for ``_check_links``, and
-    the line number of each.
+    [u, v, delay_ms, loss, capacity] lists and, for ``_check_links``,
+    ``path`` with the line number of each.
     """
     links: List[List] = []
     lines: List[int] = []
@@ -418,16 +348,17 @@ def _parse_links_file(path: str) -> Tuple[List[List], List[int]]:
                 raise FlagError(f"{path}:{lineno}: {exc}") from None
         links.append([parts[1], parts[2], *spec.values()])
         lines.append(lineno)
-    return links, lines
+    return links, (path, lines)
 
 
-def _check_links(links, nodes: Sequence[str], source: Optional[Tuple[str, List[int]]]) -> None:
+def _check_links(links, config: Dict, source: Optional[Tuple[str, List[int]]]) -> None:
     """Each link must make a valid LinkMetrics and join two distinct
-    ``nodes`` that no earlier link joined. Messages name a link
-    `links[i]`, or `path:line` when ``source`` gives the links file and
-    each link's line in it."""
+    nodes of the config's scenario that no earlier link joined.
+    Messages name a link `links[i]`, or `path:line` when ``source``
+    gives the links file and each link's line in it."""
     if not isinstance(links, list):
         raise FlagError(f"links must be a list, got {links!r}")
+    nodes = SCENARIOS[config["name"]].nodes
     if source is None:
         where = names = [f"links[{i}]" for i in range(len(links))]
     else:
@@ -460,15 +391,6 @@ def _check_links(links, nodes: Sequence[str], source: Optional[Tuple[str, List[i
         seen[pair] = i
 
 
-def _check_scenario(config: Dict, links_source: Optional[Tuple[str, List[int]]] = None) -> None:
-    _check_choice(config["name"], "scenario", SCENARIO_NAMES)
-    _check_choice(config["oscl"], "--oscl", ("on", "off"))
-    _check_int(config["appends"], "--appends", 1)
-    _check_int(config["seed"], "--seed")
-    if config.get("links") is not None:
-        _check_links(config["links"], SCENARIOS[config["name"]].nodes, links_source)
-
-
 def _run_scenario(config: Dict, out_dir: str) -> int:
     started = time.monotonic()
     links = config.get("links")
@@ -497,33 +419,104 @@ def _run_scenario(config: Dict, out_dir: str) -> int:
     return 0
 
 
-def cmd_scenario(args: argparse.Namespace) -> int:
-    links, lines = _parse_links_file(args.links) if args.links else (None, None)
-    config = {
-        "name": args.name,
-        "oscl": args.oscl,
-        "appends": args.appends,
-        "seed": args.seed,
-        "links": links,
-    }
-    _check_scenario(config, (args.links, lines))
-    return _run_scenario(config, _ensure_out(args.out))
+# ===== parameter tables =====
+
+INTS, LINKS, JOBS, FIXED = "int list", "links", "jobs", "fixed"
 
 
-# ===== replay =====
+class Param(NamedTuple):
+    """One config key of a command: the one place it is named.
+
+    ``flag`` sets it on the command line: an option, or a positional
+    argument's name (shown as the key), or None. ``kind`` is int; float,
+    a finite number; INTS, comma-separated on the command line; LINKS, a
+    links file there and its links in the config; JOBS, the jobs a sweep
+    ran, which its runner records; FIXED, the default alone; or a tuple
+    of strings to choose from. ``low`` is the least int or float, or
+    INTS value. ``default`` is MISSING when the command line requires
+    the key, and a key whose default is None may be null. A replayed
+    manifest may leave out an ``optional`` key.
+    """
+
+    key: str
+    flag: Optional[str]
+    kind: Any
+    low: Optional[int] = None
+    default: Any = dataclasses.MISSING
+    optional: bool = False
+    help: Optional[str] = None
 
 
-# command -> (config check, runner, the config keys both read
-# unconditionally, the keys they read when present)
-REPLAYABLE = {
-    "topology": (_check_topology, _run_topology, ("n", "d", "seed", "pairs"), ()),
-    "sweep": (_check_sweep, _run_sweep, ("n", "d", "seeds", "budget_secs"), ("seed", "jobs")),
-    "scenario": (_check_scenario, _run_scenario, ("name", "oscl", "appends", "seed"), ("links",)),
+class Command(NamedTuple):
+    help: str
+    params: Tuple[Param, ...]
+    runner: Callable[[Dict, str], int]
+
+
+COMMANDS = {
+    "topology": Command("one topology-formation experiment", (
+        Param("n", "--n", int, 2, help="node count (>= 2)"),
+        Param("d", "--d", int, 1, help="hop budget (>= 1)"),
+        Param("seed", "--seed", int, default=ExperimentConfig.seed),
+        Param("pairs", "--pairs", int, 1, ExperimentConfig.pair_count, help="override pair draws"),
+    ), _run_topology),
+    "sweep": Command("degree scaling sweep over n and d", (
+        Param("n", "--n", INTS, 2, help="comma-separated node counts"),
+        Param("d", "--d", INTS, 1, help="comma-separated hop budgets"),
+        Param("seeds", "--seeds", int, 1, 3, help="seeds 0..k-1 per point"),
+        Param("seed", None, FIXED, default=None, optional=True),
+        Param("budget_secs", "--time-budget", float, 0, None,
+              help="seconds; skip jobs projected past it"),
+        Param("jobs", None, JOBS, default=None, optional=True),
+    ), _run_sweep),
+    "scenario": Command("replay a smart-metering use case", (
+        Param("name", "scenario", SCENARIO_NAMES, help=f"one of: {', '.join(SCENARIO_NAMES)}"),
+        Param("oscl", "--oscl", ("on", "off"),
+              default="on" if ScenarioConfig.oscl_enabled else "off"),
+        Param("appends", "--appends", int, 1, ScenarioConfig.appends,
+              help="content instances to append"),
+        Param("seed", "--seed", int, default=ScenarioConfig.seed),
+        Param("links", "--links", LINKS, default=ScenarioConfig.links, optional=True,
+              help="custom overlay links file"),
+    ), _run_scenario),
 }
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
-    path = args.manifest
+def _check(params: Sequence[Param], config: Dict, links_file=None) -> None:
+    """Check each key of ``config`` by its row, in table order, so a key
+    checked against others comes after them. ``links_file`` is the links
+    file and each link's line in it, when the links came from one."""
+    for param in params:
+        value, kind, label = config.get(param.key), param.kind, param.flag or param.key
+        if value is None and param.default is None:
+            continue
+        if kind is int:
+            _check_int(value, label, param.low)
+        elif kind is float:  # a bool's type is bool; NaN and infinity fail the bounds
+            if type(value) not in (int, float) or not param.low <= value < math.inf:
+                raise FlagError(f"{label} must be a finite number >= {param.low}, got {value!r}")
+        elif kind == INTS:
+            if not isinstance(value, list):
+                raise FlagError(f"{label} must be a list of integers, got {value!r}")
+            if not value:
+                raise FlagError(f"{label} needs at least one value")
+            for i, item in enumerate(value):
+                _check_int(item, f"{label} values", param.low)
+                if item in value[:i]:
+                    raise FlagError(f"{label} repeats the value {item}")
+        elif kind == LINKS:
+            _check_links(value, config, links_file)
+        elif kind == JOBS:
+            _check_jobs(value, config)
+        elif kind == FIXED:
+            if value != param.default:
+                raise FlagError(f"{label} must be {json.dumps(param.default)}, got {value!r}")
+        elif value not in kind:
+            raise FlagError(f"{label} must be one of {', '.join(kind)}, got {value!r}")
+
+
+def _from_manifest(path: str) -> Tuple[str, Dict]:
+    """The command and checked config of the manifest at ``path``."""
     try:
         manifest = json.loads(_read_text(path, "manifest"))
     except json.JSONDecodeError as exc:
@@ -531,34 +524,27 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if not isinstance(manifest, dict):
         raise FlagError(f"{path}: manifest must be a JSON object, got {type(manifest).__name__}")
     command = manifest.get("command")
-    if not isinstance(command, str) or command not in REPLAYABLE:
+    if not isinstance(command, str) or command not in COMMANDS:
         raise FlagError(f"{path}: manifest command {command!r} is not replayable")
-    check, runner, keys, optional = REPLAYABLE[command]
     config = manifest.get("config", {})
     if not isinstance(config, dict):
         raise FlagError(f"{path}: manifest config must be a JSON object")
-    missing = [key for key in keys if key not in config]
+    params = COMMANDS[command].params
+    missing = [param.key for param in params if not param.optional and param.key not in config]
     if missing:
         raise FlagError(f"{path}: manifest config lacks {', '.join(map(repr, missing))}")
     # a key no runner reads would be ignored, and copied into the new manifest
-    unknown = [key for key in config if key not in keys and key not in optional]
+    unknown = [key for key in config if key not in {param.key for param in params}]
     if unknown:
         raise FlagError(
             f"{path}: manifest config has {', '.join(map(repr, unknown))}, "
             f"which {command} does not read"
         )
     try:
-        check(config)
+        _check(params, config)
     except FlagError as exc:
         raise FlagError(f"{path}: {exc}") from None
-    if os.path.abspath(path) == os.path.abspath(os.path.join(args.out, MANIFEST + ".tmp")):
-        # a failed run's recipe, replayed over what it left: it already
-        # lies where _ensure_out moves a manifest aside
-        return runner(config, args.out)
-    return runner(config, _ensure_out(args.out))
-
-
-# ===== parser =====
+    return command, config
 
 
 @functools.lru_cache(maxsize=None)
@@ -570,64 +556,77 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate an information-centric overlay for M2M service layers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_topo = sub.add_parser("topology", help="one topology-formation experiment")
-    p_topo.add_argument("--n", type=int, required=True, help="node count (>= 2)")
-    p_topo.add_argument("--d", type=int, required=True, help="hop budget (>= 1)")
-    p_topo.add_argument("--seed", type=int, default=0)
-    p_topo.add_argument("--pairs", type=int, default=None, help="override pair draws")
-    p_topo.add_argument("--out", required=True, help="output directory")
-    p_topo.set_defaults(func=cmd_topology)
-
-    p_sweep = sub.add_parser("sweep", help="degree scaling sweep over n and d")
-    p_sweep.add_argument("--n", required=True, help="comma-separated node counts")
-    p_sweep.add_argument("--d", required=True, help="comma-separated hop budgets")
-    p_sweep.add_argument("--seeds", type=int, default=3, help="seeds 0..k-1 per point")
-    p_sweep.add_argument(
-        "--time-budget",
-        type=float,
-        default=None,
-        help="seconds; skip jobs projected past it",
-    )
-    p_sweep.add_argument("--out", required=True, help="output directory")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_scen = sub.add_parser("scenario", help="replay a smart-metering use case")
-    p_scen.add_argument("name", help=f"one of: {', '.join(SCENARIO_NAMES)}")
-    p_scen.add_argument("--oscl", choices=("on", "off"), default="on")
-    p_scen.add_argument("--appends", type=int, default=5, help="content instances to append")
-    p_scen.add_argument("--seed", type=int, default=0)
-    p_scen.add_argument("--links", default=None, help="custom overlay links file")
-    p_scen.add_argument("--out", required=True, help="output directory")
-    p_scen.set_defaults(func=cmd_scenario)
+    for command, (summary, params, _) in COMMANDS.items():
+        p_command = sub.add_parser(command, help=summary)
+        for param in (param for param in params if param.flag is not None):
+            options = {"type": param.kind} if isinstance(param.kind, type) else {}
+            if not param.flag.startswith("-"):  # a positional, whose choice is checked later
+                options["metavar"] = param.key
+            elif param.default is dataclasses.MISSING:
+                options["required"] = True
+            else:
+                options["default"] = param.default
+                if isinstance(param.kind, tuple):
+                    options["choices"] = param.kind
+            p_command.add_argument(param.flag, help=param.help, **options)
+        p_command.add_argument("--out", required=True, help="output directory")
 
     p_replay = sub.add_parser("replay", help="re-run a command from its manifest")
     p_replay.add_argument("manifest", help="path to manifest.json")
     p_replay.add_argument("--out", default=None, help="output directory (default: manifest's)")
-    p_replay.set_defaults(func=cmd_replay)
-
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+def _run(args: argparse.Namespace) -> int:
+    """Run a parsed command line and return its exit code: build the
+    config from the command's flags by its table, or read it from a
+    replayed manifest, check it by the table's rows either way, make the
+    output directory and call the runner."""
+    # only replay's --out may be left out: a replay then writes beside its manifest
+    out = os.path.dirname(os.path.abspath(args.manifest)) if args.out is None else args.out
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.command == "replay" and not args.out:  # a replay writes beside its manifest
-        args.out = os.path.dirname(os.path.abspath(args.manifest))
-    try:
-        return args.func(args)
+        if args.command == "replay":
+            command, config = _from_manifest(args.manifest)
+            # a failed run's recipe, replayed over what it left, already
+            # lies where _ensure_out moves a manifest aside
+            recipe = os.path.join(out, MANIFEST + ".tmp")
+            if os.path.abspath(args.manifest) != os.path.abspath(recipe):
+                _ensure_out(out)
+        else:
+            command, config, links_file = args.command, {}, None
+            params = COMMANDS[command].params
+            for param in params:
+                value = param.default
+                if param.flag is not None:  # the attribute argparse stores the flag's value in
+                    value = getattr(args, param.flag.lstrip("-").replace("-", "_"))
+                if param.kind == INTS:
+                    try:
+                        value = [int(t) for t in value.split(",") if t.strip()]
+                    except ValueError as exc:
+                        raise FlagError(f"{param.flag}: {exc}") from None
+                elif param.kind == LINKS and value is not None:
+                    value, links_file = _parse_links_file(value)
+                config[param.key] = value
+            _check(params, config, links_file)
+            _ensure_out(out)
+        return COMMANDS[command].runner(config, out)
     except FlagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure, not a usage problem
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        manifest = os.path.join(args.out, MANIFEST)
+        manifest = os.path.join(out, MANIFEST)
         if os.path.exists(manifest + ".tmp") and not os.path.exists(manifest):
-            print(f"note: {_recipe(args.out)}", file=sys.stderr)
+            print(f"note: {_recipe(out)}", file=sys.stderr)
         return 1
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return _run(args)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import ast
 import csv
+import functools
 import importlib
 import json
 import math
@@ -13,7 +14,7 @@ from types import ModuleType, SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oscl_sim
@@ -237,6 +238,69 @@ def test_replay_checks_config_values(tmp_path, capsys, command, config, message)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "seed",
+    [math.nan, math.inf, "x", 3.5, [], {}],
+    ids=["nan", "inf", "str", "float", "list", "dict"],
+)
+def test_replayed_sweep_seed_must_be_null(tmp_path, capsys, seed):
+    """sweep takes no --seed: its manifest's seed is null, and a replay
+    refuses any other value before a job runs."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "sweep", "config": {**_SWEEP, "seed": seed}}))
+    assert main(["replay", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    assert f"{manifest}: seed must be null, got {seed!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# small valid runs of each command, whose manifests the property below spoils
+_SMALL_RUNS = {
+    "topology": ["topology", "--n", "6", "--d", "2"],
+    "sweep": ["sweep", "--n", "4,6", "--d", "1,2", "--seeds", "2"],
+    "scenario": ["scenario", "usecase2", "--appends", "3"],
+}
+_CONFIG_KEYS = sorted({"n", "d", "seed", "pairs", "seeds", "budget_secs", "jobs", "name", "oscl",
+                       "appends", "links", "unread"})
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 40), st.floats(), st.text(max_size=4)
+)
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_manifest(command):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main([*_SMALL_RUNS[command], "--out", tmp]) == 0
+        return Path(tmp, "manifest.json").read_text()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@example("sweep", "seed", math.nan)
+@given(st.sampled_from(sorted(_SMALL_RUNS)), st.sampled_from(_CONFIG_KEYS), _JSON_VALUES)
+def test_a_spoilt_manifest_replays_or_exits_2(command, key, value):
+    """One config key of a valid manifest, one it has or a new one, set
+    to any JSON value: the replay runs (exit 0) and writes standard JSON,
+    or is refused (exit 2) before it makes --out; it never fails (1)."""
+    manifest = json.loads(_small_manifest(command))
+    manifest["config"][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "manifest.json"), Path(tmp, "out")
+        path.write_text(json.dumps(manifest))
+        code = main(["replay", str(path), "--out", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()
+        else:
+            json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+
+
 @pytest.mark.parametrize("command", ["topology", "sweep", "scenario", "replay"])
 @pytest.mark.parametrize("kind", ["file", "under-file"])
 def test_unusable_out_is_flag_error(tmp_path, capsys, command, kind):
@@ -266,6 +330,19 @@ def test_unreadable_links_file_is_flag_error(tmp_path, capsys, kind):
     code = main(["scenario", "usecase1", "--links", str(links), "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"{links}: cannot read links file: " in capsys.readouterr().err
+
+
+def test_an_empty_flag_value_is_given_not_absent(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["scenario", "usecase2", "--links", "", "--out", str(out)]) == 2
+    assert "error: : cannot read links file: " in capsys.readouterr().err
+    assert not out.exists()
+    run = tmp_path / "run"
+    assert main(["scenario", "usecase1", "--appends", "3", "--out", str(run)]) == 0
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
+    assert main(["replay", str(run / "manifest.json"), "--out", ""]) == 2
+    assert "error: : cannot use as output directory: " in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 
 def test_bad_links_file_reports_line(tmp_path, capsys):
@@ -630,6 +707,38 @@ def test_standard_sweep_matches_committed_summary(tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert _read(tmp_path / "summary.csv") == _read(RUNS / "degree_sweep" / "summary.csv")
+
+
+def _sans_duration(text):
+    """A manifest's text without its duration_secs line."""
+    kept = re.sub(r'\n  "duration_secs": [^\n]*', "", text)
+    assert kept != text
+    return kept
+
+
+def _assert_committed_run_replays(committed, out):
+    """The committed manifest in ``committed``, written by earlier code,
+    replays into ``out`` to the committed outputs, byte for byte, and to
+    the same manifest text, key order included, but for its duration."""
+    manifest = committed / "manifest.json"
+    assert main(["replay", str(manifest), "--out", str(out)]) == 0
+    for name in json.loads(manifest.read_text())["outputs"]:
+        assert _read(out / name) == _read(committed / name)
+    assert _sans_duration((out / "manifest.json").read_text()) == _sans_duration(
+        manifest.read_text()
+    )
+
+
+@pytest.mark.parametrize("variant", sorted(p.parent.name for p in GOLDEN.glob("*/manifest.json")))
+def test_committed_usecase_manifests_replay(tmp_path, capsys, variant):
+    _assert_committed_run_replays(GOLDEN / variant, tmp_path)
+    capsys.readouterr()
+
+
+@pytest.mark.slow
+def test_committed_sweep_manifest_replays(tmp_path, capsys):
+    _assert_committed_run_replays(RUNS / "degree_sweep", tmp_path)
+    capsys.readouterr()
 
 
 def test_scenario_with_overlay_prints_summary(tmp_path, capsys):
