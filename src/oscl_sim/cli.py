@@ -521,6 +521,8 @@ def _from_manifest(path: str) -> Tuple[str, Dict]:
         manifest = json.loads(_read_text(path, "manifest"))
     except json.JSONDecodeError as exc:
         raise FlagError(f"{path}:{exc.lineno}: not JSON: {exc.msg}") from None
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise FlagError(f"{path}: not JSON: nested too deeply") from None
     if not isinstance(manifest, dict):
         raise FlagError(f"{path}: manifest must be a JSON object, got {type(manifest).__name__}")
     command = manifest.get("command")

@@ -21,7 +21,12 @@ A name is its canonical text (see ``names``), so the tables looked up
 by name (PIT, Content Store, nonce set) key by the name itself, a str
 that hashes and compares in C. Each is a dict, probed at C level, in
 the order of NFD's Interest pipeline (nonce, Content Store, PIT),
-before any Python-level call. Packets are frozen, so an Interest builds its hop-spent copy and its
+before any Python-level call. The tables have one fixed size on every
+forwarder: a Content Store holds DEFAULT_CS_CAPACITY Data packets and
+a nonce set DEFAULT_NONCE_CAPACITY keys, module constants read at each
+insertion; no constructor takes a size.
+
+Packets are frozen, so an Interest builds its hop-spent copy and its
 nonce key once, on first use: every forwarder at one hop of a request
 sends the same copy, on all of its faces, and every nonce set files the
 same key for it. Emissions and PIT entries are slotted, not frozen: a
@@ -143,7 +148,8 @@ class PitEntry:
 
 
 class ContentStore(OrderedDict):
-    """LRU cache of Data packets with freshness-based expiry.
+    """LRU cache of Data packets with freshness-based expiry, holding at
+    most DEFAULT_CS_CAPACITY of them.
 
     An entry goes stale DEFAULT_FRESHNESS_MS after its insertion. Stale
     entries are purged lazily when a lookup or insert touches them, so
@@ -152,13 +158,7 @@ class ContentStore(OrderedDict):
     forwarder probes it with a C-level ``in`` before calling ``lookup``.
     """
 
-    __slots__ = ("capacity",)
-
-    def __init__(self, capacity: int = DEFAULT_CS_CAPACITY) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        super().__init__()
-        self.capacity = capacity
+    __slots__ = ()
 
     def lookup(self, name: str, now: float) -> Optional[DataPacket]:
         hit = self.get(name)
@@ -172,46 +172,26 @@ class ContentStore(OrderedDict):
         return packet
 
     def insert(self, packet: DataPacket, now: float) -> None:
-        if self.capacity == 0:
-            return
         key = packet.name
         if key in self:
             self.move_to_end(key)
         self[key] = (packet, now)
-        while len(self) > self.capacity:
+        while len(self) > DEFAULT_CS_CAPACITY:
             self.popitem(last=False)  # evict least recent
-
-
-class BoundedNonceSet(OrderedDict):
-    """FIFO set of recently seen (name, nonce) pairs for loop pruning.
-
-    An OrderedDict with no overridden lookup, so ``in`` and ``len`` run
-    at C level: the loop check on a forwarder's hot path makes no
-    Python-level call. ``on_interest`` inserts a new key, then evicts
-    the oldest past ``capacity``; a held key keeps its place.
-    """
-
-    __slots__ = ("capacity",)  # in a slot: an instance dict per forwarder adds up
-
-    def __init__(self, capacity: int = DEFAULT_NONCE_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        super().__init__()
-        self.capacity = capacity
-
-    def __repr__(self) -> str:
-        return f"BoundedNonceSet(capacity={self.capacity}, held={len(self)})"
 
 
 @dataclass
 class NdnNode:
     """Forwarder state for one overlay node, built from its prefix; its
-    application answers every name under ``prefix``."""
+    application answers every name under ``prefix``. ``seen_nonces``
+    holds the (name, nonce) keys of recent Interests, oldest first; it
+    and ``cs`` have the fixed sizes DEFAULT_NONCE_CAPACITY and
+    DEFAULT_CS_CAPACITY on every node."""
 
     prefix: str
     cs: ContentStore = field(default_factory=ContentStore)
     pit: Dict[str, PitEntry] = field(default_factory=dict)
-    seen_nonces: BoundedNonceSet = field(default_factory=BoundedNonceSet)
+    seen_nonces: OrderedDict = field(default_factory=OrderedDict, repr=False)
     # neighbor id -> the harness's record of the link to it
     faces: Dict[str, Any] = field(default_factory=dict)
 
@@ -263,7 +243,7 @@ def on_interest(
     if key in seen:
         return [_LOOP]
     seen[key] = None
-    if len(seen) > seen.capacity:
+    if len(seen) > DEFAULT_NONCE_CAPACITY:
         seen.popitem(last=False)  # FIFO: evict the oldest key
 
     if name in node.cs:

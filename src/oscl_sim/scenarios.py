@@ -8,9 +8,13 @@ overlay variant discovers the producer, brings up one direct link and
 subscribes peer to peer. In the second, the meter sits three gateway
 domains away and the pre-seeded overlay chain is no longer than the
 overlay's MAX_PATH_HOPS, so discovery succeeds without the hub and no
-new link is needed. The link-admission policy lives in the overlay
-module alone: discovery searches MAX_PATH_HOPS deep, and ensure_link
-decides on the link.
+new link is needed. Link admission is split between two modules.
+run_scenario decides when to measure: it probes the path's QoS only
+when discovery found the producer over the overlay, at least one hop
+away, and never after a hub answer or on the subscriber's own node.
+The overlay module decides the rest: discovery searches MAX_PATH_HOPS
+deep, and ensure_link decides from the discovery and the measurement,
+if any, whether to bring up a direct link.
 """
 
 from __future__ import annotations

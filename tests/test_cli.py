@@ -137,6 +137,15 @@ def test_replay_bad_manifest_is_flag_error(tmp_path, capsys, body, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_replay_of_a_too_deeply_nested_manifest_is_flag_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    depth = 100_000
+    manifest.write_text('{"command": "scenario", "config": ' + "[" * depth + "]" * depth + "}")
+    assert main(["replay", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    assert f"{manifest}: not JSON: nested too deeply" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 _TOPOLOGY = {"n": 16, "d": 3, "seed": 0, "pairs": None}
 _SWEEP = {"n": [8], "d": [1], "seeds": 1, "budget_secs": None}
 _SCENARIO = {"name": "usecase1", "oscl": "on", "appends": 3, "seed": 0}

@@ -1,15 +1,16 @@
 from collections import OrderedDict
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oscl_sim import ndn
 from oscl_sim.names import parse_name
 from oscl_sim.ndn import (
     APP_FACE,
     DEFAULT_FRESHNESS_MS,
     DEFAULT_PIT_LIFETIME_MS,
-    BoundedNonceSet,
     ContentStore,
     DataPacket,
     Drop,
@@ -28,8 +29,8 @@ PRODUCER = parse_name("Gscl1")  # the prefix NAME lives under
 ELSEWHERE = parse_name("Gscl9")  # a prefix that does not cover NAME
 
 
-def _node(prefix=ELSEWHERE, faces=(), cs_capacity=64):
-    node = NdnNode(prefix, cs=ContentStore(cs_capacity))
+def _node(prefix=ELSEWHERE, faces=()):
+    node = NdnNode(prefix)
     for face in faces:
         node.faces[face] = None
     return node
@@ -79,37 +80,41 @@ class ReferenceStore:
 
 
 def test_cs_lru_eviction():
-    cs = ContentStore(2)
-    for i, text in enumerate(("a", "b", "c")):
-        cs.insert(_data(parse_name(text), payload=b"v"), now=float(i))
-    assert cs.lookup(parse_name("a"), 3.0) is None
-    assert cs.lookup(parse_name("b"), 3.0) is not None
-    assert cs.lookup(parse_name("c"), 3.0) is not None
+    cs = ContentStore()
+    with mock.patch.object(ndn, "DEFAULT_CS_CAPACITY", 2):
+        for i, text in enumerate(("a", "b", "c")):
+            cs.insert(_data(parse_name(text), payload=b"v"), now=float(i))
+        assert cs.lookup(parse_name("a"), 3.0) is None
+        assert cs.lookup(parse_name("b"), 3.0) is not None
+        assert cs.lookup(parse_name("c"), 3.0) is not None
 
 
 def test_cs_lookup_refreshes_recency():
-    cs = ContentStore(2)
-    cs.insert(_data(parse_name("a")), 0.0)
-    cs.insert(_data(parse_name("b")), 1.0)
-    assert cs.lookup(parse_name("a"), 2.0) is not None
-    cs.insert(_data(parse_name("c")), 3.0)  # should evict b, not a
-    assert cs.lookup(parse_name("b"), 4.0) is None
-    assert cs.lookup(parse_name("a"), 4.0) is not None
+    cs = ContentStore()
+    with mock.patch.object(ndn, "DEFAULT_CS_CAPACITY", 2):
+        cs.insert(_data(parse_name("a")), 0.0)
+        cs.insert(_data(parse_name("b")), 1.0)
+        assert cs.lookup(parse_name("a"), 2.0) is not None
+        cs.insert(_data(parse_name("c")), 3.0)  # should evict b, not a
+        assert cs.lookup(parse_name("b"), 4.0) is None
+        assert cs.lookup(parse_name("a"), 4.0) is not None
 
 
 def test_cs_freshness_expiry():
-    cs = ContentStore(4)
-    cs.insert(_data(), 0.0)
-    assert cs.lookup(NAME, DEFAULT_FRESHNESS_MS - 1.0) is not None
-    assert cs.lookup(NAME, DEFAULT_FRESHNESS_MS) is None  # stale exactly at the boundary
-    assert len(cs) == 0  # purged on encounter
+    cs = ContentStore()
+    with mock.patch.object(ndn, "DEFAULT_CS_CAPACITY", 4):
+        cs.insert(_data(), 0.0)
+        assert cs.lookup(NAME, DEFAULT_FRESHNESS_MS - 1.0) is not None
+        assert cs.lookup(NAME, DEFAULT_FRESHNESS_MS) is None  # stale exactly at the boundary
+        assert len(cs) == 0  # purged on encounter
 
 
 def test_cs_capacity_zero_stores_nothing():
-    cs = ContentStore(0)
-    cs.insert(_data(), 0.0)
-    assert len(cs) == 0
-    assert cs.lookup(NAME, 0.0) is None
+    cs = ContentStore()
+    with mock.patch.object(ndn, "DEFAULT_CS_CAPACITY", 0):
+        cs.insert(_data(), 0.0)
+        assert len(cs) == 0
+        assert cs.lookup(NAME, 0.0) is None
 
 
 # time steps that land on, just short of and past the freshness boundary
@@ -124,19 +129,20 @@ _cs_ops = st.lists(
 
 @given(st.integers(0, 5), _cs_ops)
 def test_cs_matches_reference_model(capacity, ops):
-    cs = ContentStore(capacity)
+    cs = ContentStore()
     ref = ReferenceStore(capacity)
     now = 0.0
-    for kind, key, step in ops:
-        now += step
-        name = parse_name(f"n{key}")
-        if kind == "insert":
-            packet = _data(name, payload=f"{key}@{now}".encode())
-            cs.insert(packet, now)
-            ref.insert(packet, now)
-        else:
-            assert cs.lookup(name, now) == ref.lookup(name, now)
-        assert len(cs) <= max(capacity, 0)
+    with mock.patch.object(ndn, "DEFAULT_CS_CAPACITY", capacity):
+        for kind, key, step in ops:
+            now += step
+            name = parse_name(f"n{key}")
+            if kind == "insert":
+                packet = _data(name, payload=f"{key}@{now}".encode())
+                cs.insert(packet, now)
+                ref.insert(packet, now)
+            else:
+                assert cs.lookup(name, now) == ref.lookup(name, now)
+            assert len(cs) <= max(capacity, 0)
 
 
 # ===== nonce set =====
@@ -146,9 +152,9 @@ def _nonces_after(capacity, nonces):
     """The nonce set of a forwarder after one Interest for NAME per nonce,
     each on its only face, so each dies for want of a route."""
     node = _node(faces=["peer"])
-    node.seen_nonces = BoundedNonceSet(capacity)
-    for nonce in nonces:
-        on_interest(node, _interest(nonce=nonce), "peer", 0.0)
+    with mock.patch.object(ndn, "DEFAULT_NONCE_CAPACITY", capacity):
+        for nonce in nonces:
+            on_interest(node, _interest(nonce=nonce), "peer", 0.0)
     return node.seen_nonces
 
 
@@ -165,15 +171,15 @@ def test_nonce_set_duplicate_add_keeps_position():
 
 def test_nonce_set_fifo_through_the_handler():
     node = _node(faces=["peer"])
-    node.seen_nonces = BoundedNonceSet(2)
-    for nonce in (1, 2, 3):
-        on_interest(node, _interest(name=parse_name(f"Gscl2/x{nonce}"), nonce=nonce), "peer", 0.0)
-    # the first key was evicted: its repeat passes the loop check and, with
-    # no other face to flood to, dies for want of a route instead
-    repeat_first = on_interest(node, _interest(name=parse_name("Gscl2/x1"), nonce=1), "peer", 1.0)
-    assert repeat_first == [Drop("no-route")]
-    repeat_third = on_interest(node, _interest(name=parse_name("Gscl2/x3"), nonce=3), "peer", 1.0)
-    assert repeat_third == [Drop("loop")]
+    with mock.patch.object(ndn, "DEFAULT_NONCE_CAPACITY", 2):
+        for nonce in (1, 2, 3):
+            on_interest(node, _interest(name=parse_name(f"Gscl2/x{nonce}"), nonce=nonce), "peer", 0.0)
+        # the first key was evicted: its repeat passes the loop check and, with
+        # no other face to flood to, dies for want of a route instead
+        repeat_first = on_interest(node, _interest(name=parse_name("Gscl2/x1"), nonce=1), "peer", 1.0)
+        assert repeat_first == [Drop("no-route")]
+        repeat_third = on_interest(node, _interest(name=parse_name("Gscl2/x3"), nonce=3), "peer", 1.0)
+        assert repeat_third == [Drop("loop")]
 
 
 # ===== on_interest =====
@@ -374,10 +380,10 @@ def test_pit_expire_removes_only_dead_entries():
 @given(st.integers(1, 10), st.integers(0, 64))
 def test_nonce_capacity_respected(capacity, extra):
     node = _node(faces=["peer"])
-    node.seen_nonces = BoundedNonceSet(capacity)
-    for i in range(capacity + extra):
-        on_interest(node, _interest(nonce=i), "peer", 0.0)
-        assert len(node.seen_nonces) <= capacity
+    with mock.patch.object(ndn, "DEFAULT_NONCE_CAPACITY", capacity):
+        for i in range(capacity + extra):
+            on_interest(node, _interest(nonce=i), "peer", 0.0)
+            assert len(node.seen_nonces) <= capacity
 
 
 # ===== the handlers against a reference forwarder =====
@@ -478,18 +484,21 @@ _ref_arrivals = st.lists(
 @given(st.sets(st.sampled_from(["a", "b", "c"])), _ref_arrivals)
 def test_handlers_match_the_reference_forwarder(faces, arrivals):
     prefix = parse_name("a")
-    node = _node(prefix=prefix, faces=sorted(faces), cs_capacity=1)
-    node.seen_nonces = BoundedNonceSet(2)
+    node = _node(prefix=prefix, faces=sorted(faces))
     ref = _ReferenceForwarder(prefix, set(faces), nonce_capacity=2, cs_capacity=1)
     now = 0.0
-    for i, (is_interest, name, nonce, hop_limit, solicit, in_face, step) in enumerate(arrivals):
-        now += step
-        if is_interest:
-            pkt = _interest(name=name, nonce=nonce, hop_limit=hop_limit, solicit=solicit)
-            assert on_interest(node, pkt, in_face, now) == ref.on_interest(pkt, in_face, now)
-        else:
-            pkt = _data(name=name, payload=f"{i}".encode())
-            assert on_data(node, pkt, in_face, now) == ref.on_data(pkt, in_face, now)
-        assert node.pit == ref.pit
-        assert list(node.cs.items()) == [(n, ref.cs.items[n]) for n in ref.cs.recency]
-        assert list(node.seen_nonces) == list(ref.nonces)
+    with (
+        mock.patch.object(ndn, "DEFAULT_CS_CAPACITY", 1),
+        mock.patch.object(ndn, "DEFAULT_NONCE_CAPACITY", 2),
+    ):
+        for i, (is_interest, name, nonce, hop_limit, solicit, in_face, step) in enumerate(arrivals):
+            now += step
+            if is_interest:
+                pkt = _interest(name=name, nonce=nonce, hop_limit=hop_limit, solicit=solicit)
+                assert on_interest(node, pkt, in_face, now) == ref.on_interest(pkt, in_face, now)
+            else:
+                pkt = _data(name=name, payload=f"{i}".encode())
+                assert on_data(node, pkt, in_face, now) == ref.on_data(pkt, in_face, now)
+            assert node.pit == ref.pit
+            assert list(node.cs.items()) == [(n, ref.cs.items[n]) for n in ref.cs.recency]
+            assert list(node.seen_nonces) == list(ref.nonces)

@@ -62,7 +62,7 @@ def _edge_count(system):
     return sum(len(scl.ndn.faces) for scl in system.scls.values()) // 2
 
 
-def _chain(n_relays=2, seed=0, instances=1, consumer_cs=64):
+def _chain(n_relays=2, seed=0, instances=1):
     """Consumer -- relay* -- producer chain with one populated container.
 
     Returns (system, overlay, consumer_id, relay_ids, producer scl).
@@ -72,7 +72,6 @@ def _chain(n_relays=2, seed=0, instances=1, consumer_cs=64):
     producer = system.add_scl(SclKind.GSCL, "Gscl1")
     relays = [system.add_scl(SclKind.GSCL, f"Relay{i+1}") for i in range(n_relays)]
     consumer = system.add_scl(SclKind.DSCL, "Dscl1")
-    consumer.ndn.cs.capacity = consumer_cs
     for scl in (producer, *relays, consumer):
         register_scl(scl, nscl)
     create_application(producer, "meter_app")
@@ -169,6 +168,23 @@ def test_discover_falls_back_to_hub_when_overlay_fails():
     assert system.counters.get("Nscl", "discover_query", "relayed") == 2
 
 
+def test_origin_pending_entry_absorbs_a_wider_retry():
+    """The defect as it stands: a failed discovery leaves a pending entry
+    at its own origin, which absorbs a wider retry from that origin
+    before it leaves the node, so the retry falls back to the hub too.
+    ROADMAP item 2 must flip the second discovery's assertion to
+    "distributed": the origin's own entry is a case its fix has to
+    cover, not only the relays'."""
+    system, overlay, consumer, _, _ = _chain(n_relays=2)
+    name = parse_name(APP_URI)
+    assert overlay.discover(consumer, name, scope=1).method == "centralized"
+    assert name in system.scl(consumer).ndn.pit  # no Data will ever consume it
+    assert overlay.discover(consumer, name, scope=3).method == "centralized"
+    assert system.clock_ms == 29.0  # well inside the entry's 4 s lifetime
+    _, fresh, fresh_consumer, _, _ = _chain(n_relays=2)
+    assert fresh.discover(fresh_consumer, name, scope=3).method == "distributed"
+
+
 @pytest.mark.parametrize("own", [False, True], ids=["remote", "own"])
 def test_subscriber_discovering_its_container_falls_back_to_the_hub(own):
     # the notification cached under the container's name answers the
@@ -216,10 +232,11 @@ def test_second_fetch_served_by_consumer_cache():
 
 
 def test_intermediate_cache_serves_other_consumers():
-    # consumer's own store disabled, so the second request must leave it
-    system, overlay, consumer, relays, producer = _chain(n_relays=2, consumer_cs=0)
+    # consumer's own store emptied, so the second request must leave it
+    system, overlay, consumer, relays, producer = _chain(n_relays=2)
     overlay.fetch_resource(consumer, parse_name(INSTANCE_URI), scope=3)
     assert system.counters.get(producer.node_id, "interest", "received") == 1
+    system.scl(consumer).ndn.cs.clear()
     body, trail = overlay.fetch_resource(consumer, parse_name(INSTANCE_URI), scope=3)
     assert body["value"] == "v0"
     assert trail == [relays[0], consumer]  # nearest relay's cache answered
