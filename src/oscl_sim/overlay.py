@@ -18,12 +18,14 @@ through the origin's own forwarder and is counted alike. Probe and
 link_up rows appear in the message log but never in the counters.
 
 Most link traversals of a flood end in a drop, chiefly at the loop
-check, so a dropped copy costs one log row, one counter update and
-three slots in the flat drop store, and leaves nothing the garbage
+check, so a dropped copy costs one counter update, three slots in the
+flat drop store and its log row, and leaves nothing the garbage
 collector tracks: the forwarder's Drop is shared, and a copy's trail
 grows only where it lives on. A copy the forwarder sends on costs one
 emission and one relay count however many faces it goes out on, and
-one queue entry for all of its link faces that fall due together.
+one queue entry for all of its link faces that fall due together; the
+log stores that entry's arrivals as one row plus one slot per copy
+(see MessageLog), and reads them back as one row each.
 """
 
 from __future__ import annotations
@@ -211,11 +213,19 @@ class Overlay:
         made while a bucket drains, due at that same time when its link
         has no delay, opens a fresh bucket that runs next. An entry's
         kind, handler and name are read once, the kind from the
-        packet's type; then one pass per link traversal, in the entry's
-        face order: log the arriving copy and hand it to the receiving
-        forwarder. A Drop or an aggregation, the fate of most flooded
-        copies, is counted and stored here as ``_handle`` would; a send
-        goes to ``_handle``, with the receiver added to the copy's trail.
+        packet's type, and its arrivals are logged at once: one row for
+        a single face, else one grouped row (``extend_copies``) that
+        reads back as one row per face in face order. That log is the
+        one a row per traversal would write, because nothing between two
+        copies of one entry writes the log: the handlers, ``_handle``
+        and the application endpoints it calls only queue, count, store
+        drops and fill inboxes (a raise from one of them would leave the
+        entry's later copies logged but not handed on). Then one pass
+        per link traversal, in the entry's face order: hand the copy to
+        the receiving forwarder. A Drop or an aggregation, the fate of
+        most flooded copies, is counted and stored here as ``_handle``
+        would; a send goes to ``_handle``, with the receiver added to the
+        copy's trail.
 
         Raises RuntimeError when called while it is already draining: a
         nested pass would run later buckets before the rest of the
@@ -224,7 +234,8 @@ class Overlay:
         if self._running:
             raise RuntimeError("Overlay.run called while the event queue is draining")
         events, times, system, nodes = self._events, self._times, self.system, self._nodes
-        log_extend, pop, handle = system.log.extend, heapq.heappop, self._handle
+        log_extend, log_copies = system.log.extend, system.log.extend_copies
+        pop, handle = heapq.heappop, self._handle
         record, drop = system.counters.record, self.drops.extend
         self._running = True
         try:
@@ -239,8 +250,11 @@ class Overlay:
                     else:
                         kind, handler = MSG_DATA, on_data
                     name = pkt.name
+                    if len(faces) == 1:
+                        log_extend((now, u, faces[0], "", kind, name))
+                    else:
+                        log_copies(now, u, faces, "", kind, name)
                     for v in faces:
-                        log_extend((now, u, v, "", kind, name))
                         emissions = handler(nodes[v], pkt, u, now)
                         if not emissions or type(emissions[0]) is Drop:
                             record(v, kind, ROLE_DROPPED)

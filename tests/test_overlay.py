@@ -20,6 +20,7 @@ from oscl_sim.ndn import (
     on_interest,
 )
 from oscl_sim.overlay import (
+    DEFAULT_SUBSCRIBE_SCOPE,
     MAX_PATH_HOPS,
     PROBE_COUNT,
     BrokenPath,
@@ -878,6 +879,89 @@ def test_counter_semantics_hold_on_random_overlays(run):
             for k in range(appends):
                 create_content_instance(system.scl(ids[t]), f"app{t}", "data", f"r{k}")
                 check()
+
+
+def _logged_requests(run):
+    """Run a ``_random_overlay_runs`` draw; returns its system, the
+    overlay's hop distances (node -> node -> hops, by BFS) and, per
+    operation, the nodes that sent its Interests, their scope and the
+    log rows the operation added, read as one slice."""
+    n, links, ops, seed = run
+    system, overlay, nscl, ids = _random_overlay(n, links, seed)
+    neighbours = {node: set() for node in ids}
+    for u, v, _, _ in links:
+        neighbours[ids[u]].add(ids[v])
+        neighbours[ids[v]].add(ids[u])
+    hops = {}
+    for source in ids:
+        hops[source] = dist = {source: 0}
+        frontier = [source]
+        while frontier:
+            reached = []
+            for u in frontier:
+                for w in neighbours[u] - dist.keys():
+                    dist[w] = dist[u] + 1
+                    reached.append(w)
+            frontier = reached
+    requests = []
+    for op in ops:
+        kind, t, before = op[0], op[2], len(system.log)
+        app = f"N{t}/applications/app{t}"
+        instance = f"{app}/containers/data/content_instances/latest"
+        if kind == "race":
+            _, consumers, _, scope = op
+            for c in consumers:
+                _begin_fetch(overlay, ids[c], instance, scope)
+            overlay.run()
+            origins = [ids[c] for c in consumers]
+        else:
+            origins = [ids[op[1]]]
+            if kind == "discover":
+                scope = op[3]
+                try:
+                    overlay.discover(origins[0], app, scope, nscl)
+                except NotFound:
+                    pass
+            elif kind == "fetch":
+                scope = op[3]
+                overlay.fetch_resource(origins[0], instance, scope)
+            else:
+                scope = DEFAULT_SUBSCRIBE_SCOPE
+                try:
+                    overlay.p2p_subscribe(origins[0], f"{app}/containers/data", op[3])
+                except NoPath:
+                    pass
+                for k in range(op[4]):
+                    create_content_instance(system.scl(ids[t]), f"app{t}", "data", f"r{k}")
+        requests.append((origins, scope, system.log[before:]))
+    return system, hops, requests
+
+
+@given(_random_overlay_runs())
+def test_every_data_row_retraces_an_interest_row(run):
+    """Flow balance: a Data copy crosses a link u -> v only after an
+    Interest for its name crossed v -> u, read from the log alone; a
+    flood's copies are stored as one grouped row and read back here one
+    row per copy."""
+    system, _, _ = _logged_requests(run)
+    crossed = set()
+    for rec in system.log:
+        if rec.msg_type == "interest":
+            crossed.add((rec.src, rec.dst, rec.name))
+        elif rec.msg_type == "data":
+            assert (rec.dst, rec.src, rec.name) in crossed, rec
+
+
+@given(_random_overlay_runs())
+def test_interests_stay_within_their_scope(run):
+    """Scope: within the log slice of one operation, every node that an
+    Interest row reaches is at most ``scope`` hops, by BFS, from one of
+    the operation's origins."""
+    _, hops, requests = _logged_requests(run)
+    for origins, scope, rows in requests:
+        for rec in rows:
+            if rec.msg_type == "interest":
+                assert min(hops[o].get(rec.dst, math.inf) for o in origins) <= scope, rec
 
 
 # ===== event queue =====

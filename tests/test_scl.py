@@ -311,17 +311,15 @@ def test_message_records_are_immutable_values():
     assert tuple(getattr(record, name) for name in MESSAGES_HEADER) == values
 
 
-_LOG_ROWS = st.lists(
-    st.tuples(
-        st.floats(allow_nan=False),
-        st.text(max_size=3),
-        st.text(max_size=3),
-        st.sampled_from(["", "Nscl"]),
-        st.sampled_from(["interest", "data", "notify"]),
-        st.text(max_size=5),
-    ),
-    max_size=12,
+_LOG_ROW = st.tuples(
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.text(max_size=3),
+    st.sampled_from(["", "Nscl"]),
+    st.sampled_from(["interest", "data", "notify"]),
+    st.text(max_size=5),
 )
+_LOG_ROWS = st.lists(_LOG_ROW, max_size=12)
 _BOUND = st.none() | st.integers(-15, 15)
 
 
@@ -343,6 +341,47 @@ def test_message_log_reads_like_a_list_of_records(rows, start, stop):
     assert list(log.rows()) == [
         tuple(getattr(r, name) for name in MESSAGES_HEADER) for r in records
     ]
+
+
+# one batch of writes, each a row or, with a list of destinations, one
+# row per destination; then a slice to read
+_LOG_DSTS = st.none() | st.lists(st.text(max_size=3), max_size=4)
+_LOG_BATCH = st.tuples(
+    st.lists(st.tuples(_LOG_ROW, _LOG_DSTS), max_size=6),
+    _BOUND,
+    _BOUND,
+    st.none() | st.integers(-4, 4).filter(bool),
+)
+
+
+@given(st.lists(_LOG_BATCH, min_size=1, max_size=4))
+def test_grouped_log_reads_like_the_per_copy_log(batches):
+    """Rows added with ``extend_copies`` read back, by every kind of
+    read, as the rows ``extend`` adds one copy at a time, mixed with
+    rows added with ``extend``; every batch of writes is read whole, so
+    the index each read extends is checked after every batch."""
+    log, records = MessageLog(), []
+    for writes, start, stop, step in batches:
+        for row, dsts in writes:
+            if dsts is None:
+                log.extend(row)
+                records.append(MessageRecord(*row))
+                continue
+            time_ms, src, _, relayer, msg_type, name = row
+            log.extend_copies(time_ms, src, dsts, relayer, msg_type, name)
+            records += [MessageRecord(time_ms, src, dst, relayer, msg_type, name) for dst in dsts]
+        assert log[start:stop:step] == records[start:stop:step]
+        assert len(log) == len(records)
+        assert list(log) == records
+        assert list(log.rows()) == [
+            tuple(getattr(r, name) for name in MESSAGES_HEADER) for r in records
+        ]
+        for i in range(-len(records) - 2, len(records) + 2):
+            if -len(records) <= i < len(records):
+                assert log[i] == records[i]
+            else:
+                with pytest.raises(IndexError):
+                    log[i]
 
 
 def test_clock_is_monotone_and_relay_costs_two_legs():
