@@ -299,16 +299,18 @@ def _check_jobs(jobs, config: Dict) -> None:
     of the sweep's sizes, hop budgets and seeds, none twice."""
     if not isinstance(jobs, list):
         raise FlagError(f"jobs must be a list of [n, d, seed], got {jobs!r}")
-    named = set(_sweep_jobs(config))
+    seen = set()
     for i, job in enumerate(jobs):
         if not isinstance(job, list) or len(job) != 3:
             raise FlagError(f"jobs[{i}] must be [n, d, seed], got {job!r}")
         for value, what, low in zip(job, ("n", "d", "seed"), (2, 1, 0)):
             _check_int(value, f"jobs[{i}] {what}", low)
-        if tuple(job) not in named:
+        n, d, seed = job
+        if n not in config["n"] or d not in config["d"] or seed >= config["seeds"]:
             raise FlagError(f"jobs[{i}] {job!r} is not a job of --n, --d and --seeds")
-        if job in jobs[:i]:
+        if (n, d, seed) in seen:
             raise FlagError(f"jobs[{i}] repeats the job {job!r}")
+        seen.add((n, d, seed))
 
 
 # ===== scenario =====
@@ -500,10 +502,12 @@ def _check(params: Sequence[Param], config: Dict, links_file=None) -> None:
                 raise FlagError(f"{label} must be a list of integers, got {value!r}")
             if not value:
                 raise FlagError(f"{label} needs at least one value")
-            for i, item in enumerate(value):
+            seen = set()
+            for item in value:
                 _check_int(item, f"{label} values", param.low)
-                if item in value[:i]:
+                if item in seen:
                     raise FlagError(f"{label} repeats the value {item}")
+                seen.add(item)
         elif kind == LINKS:
             _check_links(value, config, links_file)
         elif kind == JOBS:

@@ -21,18 +21,18 @@ FlatRows, whose one list is the only object the garbage collector
 tracks however many rows it holds, and builds a MessageRecord only when
 a row is read; the copies of one overlay send that arrive together are
 stored as one row and its destinations, and read back one row per copy.
+An index or a slice is found by walking on from where the last read
+began, so reads in sending order walk the log once.
 The overlay keeps its dropped copies in a FlatRows too.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import starmap
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice, starmap
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .names import InvalidName, parse_name
 from .ndn import NdnNode
@@ -230,20 +230,20 @@ class MessageLog(FlatRows):
     ``MessageRecord``s and ``rows()`` plain tuples; while no grouped row
     is stored both are a C-level walk of the flat list. An int index or
     a slice builds ``MessageRecord``s from the stored rows that hold
-    them, found by bisecting an index of the grouped rows' positions
-    (two ``array('q')``s), which a read extends over the rows stored
-    since the last one.
+    them, walking the rows' ``dst`` fields on from where the last read
+    began (from the first row if the key is before it), so reads in
+    order, like one slice per discovery, walk each stored row about once.
     """
 
-    __slots__ = ("_dsts", "_groups", "_scanned", "_first", "_at")
+    __slots__ = ("_dsts", "_groups", "_mark")
 
     def __init__(self) -> None:
         super().__init__(_STRIDE)
         self._dsts: list = []  # every grouped row's destinations, in order
         self._groups = 0  # grouped rows stored
-        self._scanned = 0  # stored rows the index covers
-        self._first = array("q")  # per indexed group: expanded index of its first copy
-        self._at = array("q")  # per indexed group: its stored row
+        # the stored row the last read began in: (its first row, its
+        # index, side list position of its or the next group's destinations)
+        self._mark = (0, 0, 0)
 
     def extend_copies(
         self, time_ms: float, src: str, dsts: Sequence[str], relayer: str, msg_type: str,
@@ -280,7 +280,7 @@ class MessageLog(FlatRows):
             rows = self._span(picked[-1], picked.start + 1)[::-1][:: -picked.step]
         return list(starmap(MessageRecord, rows))
 
-    def _expand(self, fields: list, d: int) -> Iterator[Tuple]:
+    def _expand(self, fields: Iterable, d: int) -> Iterator[Tuple]:
         """The rows of ``fields``, whole stored rows whose first grouped
         row's destinations start at ``d`` in the side list, one per copy."""
         dsts = self._dsts
@@ -295,39 +295,21 @@ class MessageLog(FlatRows):
                 yield row
 
     def _span(self, lo: int, hi: int) -> List[Tuple]:
-        """Rows ``lo`` to ``hi - 1`` as plain tuples, 0 <= lo < hi <= len(self)."""
-        self._index()
-        r0, o0, d0 = self._locate(lo)
-        r1 = self._locate(hi - 1)[0] + 1
-        rows = list(self._expand(self._fields[r0 * _STRIDE : r1 * _STRIDE], d0))
-        return rows[o0 : o0 + hi - lo]
-
-    def _index(self) -> None:
-        """Extend the group index over the rows stored since the last read."""
-        fields, first, at = self._fields, self._first, self._at
-        if len(first) < self._groups:  # a grouped row among the new ones
-            # expanded minus stored rows up to the last indexed group's end
-            extra = first[-1] - at[-1] + fields[at[-1] * _STRIDE + 2] - 1 if first else 0
-            column = fields[self._scanned * _STRIDE + 2 :: _STRIDE]
-            for r, k in enumerate(column, self._scanned):
-                if type(k) is int:
-                    first.append(r + extra)
-                    at.append(r)
-                    extra += k - 1
-        self._scanned = len(fields) // _STRIDE
-
-    def _locate(self, i: int) -> Tuple[int, int, int]:
-        """Where row ``i`` is stored: (stored row, copy within it, side
-        list position of that row's destinations or of the next group's)."""
-        j = bisect_right(self._first, i) - 1
-        if j < 0:
-            return i, 0, 0
-        r, start = self._at[j], self._first[j]
-        k = self._fields[r * _STRIDE + 2]
-        d = start - r + j  # destinations of the groups before this one
-        if i - start < k:
-            return r, i - start, d
-        return r + 1 + i - start - k, 0, d + k
+        """Rows ``lo`` to ``hi - 1`` as plain tuples, 0 <= lo < hi <= len(self),
+        walked from the stored row that holds the last read's first row,
+        or from the start when ``lo`` is before it."""
+        i, r, d = self._mark if lo >= self._mark[0] else (0, 0, 0)
+        fields = self._fields
+        while True:  # on to the stored row that holds row lo
+            k = fields[r * _STRIDE + 2]
+            grouped = type(k) is int
+            n = k if grouped else 1
+            if lo < i + n:
+                break
+            i, r, d = i + n, r + 1, d + (k if grouped else 0)
+        self._mark = (i, r, d)
+        tail = map(fields.__getitem__, range(r * _STRIDE, len(fields)))  # no copy
+        return list(islice(self._expand(tail, d), lo - i, hi - i))
 
 
 class MessageCounters:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 from unittest import mock
@@ -672,6 +673,28 @@ def test_sweep_replay_ignores_budget(tmp_path, capsys):
     assert main(["replay", str(first / "manifest.json"), "--out", str(again)]) == 0
     capsys.readouterr()
     assert _read(first / "summary.csv") == _read(again / "summary.csv")
+
+
+def test_sweep_replay_checks_its_jobs_without_building_the_sweep(tmp_path, capsys):
+    """A replayed sweep checks each recorded job against --n, --d and
+    --seeds; it does not build every job those name, so a manifest with
+    a huge ``seeds`` and one job replays in little memory."""
+    first = tmp_path / "first"
+    assert main(["sweep", "--n", "16", "--d", "3", "--seeds", "1", "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["config"]["jobs"] == [[16, 3, 0]]
+    manifest["config"]["seeds"] = 500_000
+    (first / "manifest.json").write_text(json.dumps(manifest))
+    tracemalloc.start()
+    try:
+        code = main(["replay", str(first / "manifest.json"), "--out", str(tmp_path / "again")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert _read(first / "summary.csv") == _read(tmp_path / "again" / "summary.csv")
+    assert peak < 5 * 2**20, peak
 
 
 # ===== scenario outputs =====

@@ -881,11 +881,12 @@ def test_counter_semantics_hold_on_random_overlays(run):
                 check()
 
 
-def _logged_requests(run):
+def _logged_requests(run, after=None):
     """Run a ``_random_overlay_runs`` draw; returns its system, the
     overlay's hop distances (node -> node -> hops, by BFS) and, per
     operation, the nodes that sent its Interests, their scope and the
-    log rows the operation added, read as one slice."""
+    log rows the operation added, read as one slice. ``after``, if
+    given, is called with the system after every operation."""
     n, links, ops, seed = run
     system, overlay, nscl, ids = _random_overlay(n, links, seed)
     neighbours = {node: set() for node in ids}
@@ -934,6 +935,8 @@ def _logged_requests(run):
                 for k in range(op[4]):
                     create_content_instance(system.scl(ids[t]), f"app{t}", "data", f"r{k}")
         requests.append((origins, scope, system.log[before:]))
+        if after is not None:
+            after(system)
     return system, hops, requests
 
 
@@ -962,6 +965,36 @@ def test_interests_stay_within_their_scope(run):
         for rec in rows:
             if rec.msg_type == "interest":
                 assert min(hops[o].get(rec.dst, math.inf) for o in origins) <= scope, rec
+
+
+@given(_random_overlay_runs())
+def test_a_node_sends_each_request_on_at_most_its_faces(run):
+    """One onward send per request: within the log slice of one
+    operation, whose origins each express one request, a node's nonce
+    check and pending entries let it forward each request once, so it
+    sends at most deg(v) Interest rows for its own request and deg(v) - 1,
+    all faces but the arrival one, for each other request."""
+    _, hops, requests = _logged_requests(run)
+    degree = {node: sum(d == 1 for d in dist.values()) for node, dist in hops.items()}
+    for origins, _, rows in requests:
+        sent = Counter(rec.src for rec in rows if rec.msg_type == "interest")
+        for node, count in sent.items():
+            most = (degree[node] - 1) * len(origins) + (node in origins)
+            assert count <= most, (node, count, degree[node])
+
+
+@given(_random_overlay_runs())
+def test_pending_entries_name_only_real_faces(run):
+    """Tables name real faces: after every operation, each PIT entry's
+    downstream faces are links of its node, or its application."""
+
+    def check(system):
+        for scl in system.scls.values():
+            node = scl.ndn
+            for name, entry in node.pit.items():
+                assert entry.downstream <= node.faces.keys() | {APP_FACE}, (scl.node_id, name)
+
+    _logged_requests(run, after=check)
 
 
 # ===== event queue =====

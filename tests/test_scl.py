@@ -358,10 +358,13 @@ _LOG_BATCH = st.tuples(
 def test_grouped_log_reads_like_the_per_copy_log(batches):
     """Rows added with ``extend_copies`` read back, by every kind of
     read, as the rows ``extend`` adds one copy at a time, mixed with
-    rows added with ``extend``; every batch of writes is read whole, so
-    the index each read extends is checked after every batch."""
+    rows added with ``extend``; every batch of writes is read on from
+    the length before it, as the log's readers read it, and then whole,
+    so the walk each read starts from the last is checked after every
+    batch."""
     log, records = MessageLog(), []
     for writes, start, stop, step in batches:
+        before = len(records)
         for row, dsts in writes:
             if dsts is None:
                 log.extend(row)
@@ -370,6 +373,7 @@ def test_grouped_log_reads_like_the_per_copy_log(batches):
             time_ms, src, _, relayer, msg_type, name = row
             log.extend_copies(time_ms, src, dsts, relayer, msg_type, name)
             records += [MessageRecord(time_ms, src, dst, relayer, msg_type, name) for dst in dsts]
+        assert log[before:] == records[before:]
         assert log[start:stop:step] == records[start:stop:step]
         assert len(log) == len(records)
         assert list(log) == records
