@@ -8,13 +8,8 @@ overlay variant discovers the producer, brings up one direct link and
 subscribes peer to peer. In the second, the meter sits three gateway
 domains away and the pre-seeded overlay chain is no longer than the
 overlay's MAX_PATH_HOPS, so discovery succeeds without the hub and no
-new link is needed. Link admission is split between two modules.
-run_scenario decides when to measure: it probes the path's QoS only
-when discovery found the producer over the overlay, at least one hop
-away, and never after a hub answer or on the subscriber's own node.
-The overlay module decides the rest: discovery searches MAX_PATH_HOPS
-deep, and ensure_link decides from the discovery and the measurement,
-if any, whether to bring up a direct link.
+new link is needed. Whether a link is needed is Overlay.ensure_link's
+decision, probes included; run_scenario only calls it.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .names import parse_name
-from .overlay import MAX_PATH_HOPS, LinkMetrics, Overlay, QosMetrics
+from .overlay import LinkMetrics, Overlay
 from .scl import (
     DiscoveryResult,
     M2mSystem,
@@ -110,7 +105,6 @@ class ScenarioResult:
     subscriber: SclInstance
     container_uri: str
     discovery: DiscoveryResult
-    qos: Optional[QosMetrics] = None
     new_links: int = 0  # overlay links the run added; ensure_link adds at most one
 
 
@@ -140,13 +134,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             overlay.add_link(u, v, LinkMetrics(delay_ms, loss, capacity))
 
     bare_app = parse_name(spec.app)
-    qos, new_links = None, 0
+    new_links = 0
     if config.oscl_enabled:
         query = app_uri if spec.discover_by_uri else bare_app
-        discovery = overlay.discover(dscl.node_id, query, scope=MAX_PATH_HOPS, nscl=nscl)
-        if discovery.path_hops not in (None, 0):
-            qos = overlay.qos_monitor(discovery.path)
-        new_links = int(overlay.ensure_link(dscl.node_id, discovery, qos))
+        discovery = overlay.discover(dscl.node_id, query, nscl=nscl)
+        new_links = int(overlay.ensure_link(dscl.node_id, discovery))
         overlay.p2p_subscribe(dscl.node_id, container_uri, expected_notifications=config.appends)
     else:
         discovery = centralized_discover(dscl, nscl, bare_app)
@@ -154,4 +146,4 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     for i in range(config.appends):
         create_content_instance(producer, spec.app, CONTAINER, f"reading-{i}")
-    return ScenarioResult(config, system, overlay, dscl, container_uri, discovery, qos, new_links)
+    return ScenarioResult(config, system, overlay, dscl, container_uri, discovery, new_links)

@@ -123,8 +123,12 @@ def test_scenario_rejects_unknown_name_and_bad_oscl(tmp_path, capsys):
         ('{"command": "scenario", "config": {"oscl": "on", "appends": 3, "seed": 0}}',
          "manifest.json: manifest config lacks 'name'"),
         (b"\xff\xfe", "manifest.json: cannot read manifest: not UTF-8 text"),
+        ('{"command": "serve", "config": {}}',
+         "manifest.json: manifest command 'serve' is not replayable"),
+        ('{"command": "scenario", "config": []}',
+         "manifest.json: manifest config must be a JSON object"),
     ],
-    ids=["missing", "not-json", "not-object", "config-key", "not-utf8"],
+    ids=["missing", "not-json", "not-object", "config-key", "not-utf8", "command", "config-list"],
 )
 def test_replay_bad_manifest_is_flag_error(tmp_path, capsys, body, message):
     manifest = tmp_path / "manifest.json"
@@ -174,6 +178,8 @@ _SCENARIO = {"name": "usecase1", "oscl": "on", "appends": 3, "seed": 0}
             "jobs[1] [64, 7, 5] is not a job of --n, --d and --seeds",
         ),
         ("sweep", {**_SWEEP, "jobs": [[8, 1, 0], [8, 1, 0]]}, "jobs[1] repeats the job [8, 1, 0]"),
+        ("sweep", {**_SWEEP, "jobs": [[8, 1]]}, "jobs[0] must be [n, d, seed], got [8, 1]"),
+        ("sweep", {**_SWEEP, "jobs": {}}, "jobs must be a list of [n, d, seed], got {}"),
         ("scenario", {**_SCENARIO, "appends": 0}, "--appends must be an integer >= 1, got 0"),
         (
             "scenario",
@@ -188,6 +194,7 @@ _SCENARIO = {"name": "usecase1", "oscl": "on", "appends": 3, "seed": 0}
             },
             "links[1]: repeats the link Gscl1 -- Dscl1 of links[0]",
         ),
+        ("scenario", {**_SCENARIO, "links": {}}, "links must be a list, got {}"),
         (
             "scenario",
             {**_SCENARIO, "links": [["Dscl1", "Gscl1", 5.0]]},
@@ -228,9 +235,12 @@ _SCENARIO = {"name": "usecase1", "oscl": "on", "appends": 3, "seed": 0}
         "sweep-budget-infinity",
         "sweep-foreign-job",
         "sweep-repeated-job",
+        "sweep-short-job",
+        "sweep-jobs-object",
         "scenario-appends-0",
         "scenario-unknown-node",
         "scenario-repeated-link",
+        "scenario-links-object",
         "scenario-short-link",
         "topology-unread-key",
         "sweep-unread-key",
@@ -387,8 +397,10 @@ def test_bad_links_value_reports_line(tmp_path, capsys, bad):
         ("link Gscl1 Gscl1", "self link Gscl1 -- Gscl1"),
         ("link Gscl1 Dscl1 delay_ms=1", "repeats the link Gscl1 -- Dscl1 of line 1"),
         ("link Gscl1 Nscl delay_ms=1 delay_ms=50", "repeats the key 'delay_ms'"),
+        ("link Gscl1 Nscl delay_ms", "expected key=value, got 'delay_ms'"),
+        ("link Gscl1 Nscl speed=1", "unknown key 'speed'"),
     ],
-    ids=["unknown-node", "self-link", "repeated-link", "repeated-key"],
+    ids=["unknown-node", "self-link", "repeated-link", "repeated-key", "no-value", "unknown-key"],
 )
 def test_bad_links_line_reports_line(tmp_path, capsys, line, message):
     links = tmp_path / "links.txt"

@@ -216,6 +216,16 @@ def test_interest_forwarded_decrements_hop_limit():
     assert node.pit[NAME].downstream == {"a"}
 
 
+@pytest.mark.parametrize(
+    "hop_limit, solicit, message",
+    [(-1, 1, "hop_limit must be >= 0"), (4, 0, "solicit_count must be >= 1")],
+    ids=["negative-hop-limit", "no-solicit-budget"],
+)
+def test_interest_refuses_a_negative_hop_limit_or_an_empty_budget(hop_limit, solicit, message):
+    with pytest.raises(ValueError, match=message):
+        _interest(hop_limit=hop_limit, solicit=solicit)
+
+
 def test_interest_hop_budget_blocks_overlay_but_not_local_delivery():
     node = _node(faces=["a", "b"])
     assert on_interest(node, _interest(nonce=1, hop_limit=0), "a", 0.0) == [Drop("no-route")]

@@ -21,17 +21,20 @@ from oscl_sim.ndn import (
 )
 from oscl_sim.overlay import (
     DEFAULT_SUBSCRIBE_SCOPE,
+    MAX_DELAY_MS,
     MAX_PATH_HOPS,
+    MIN_THROUGHPUT,
     PROBE_COUNT,
     BrokenPath,
     DuplicateLink,
     LinkMetrics,
     NoPath,
     Overlay,
-    QosMetrics,
     UnknownNode,
 )
 from oscl_sim.scl import (
+    DiscoveryResult,
+    Locator,
     M2mSystem,
     NotFound,
     SclKind,
@@ -208,6 +211,11 @@ def test_discover_not_found_anywhere():
     _, overlay, consumer, _, _ = _chain()
     with pytest.raises(NotFound):
         overlay.discover(consumer, parse_name("Gscl9/applications/x"), scope=3)
+    # with no network SCL there is no registry to fall back to
+    _, hubless = _unlinked("A", "B")
+    hubless.add_link("A", "B")
+    with pytest.raises(NotFound):
+        hubless.discover("A", parse_name("B/applications/x"), scope=3)
 
 
 # ===== fetch and caching =====
@@ -425,6 +433,8 @@ def test_qos_broken_path_and_bad_args():
         overlay.qos_monitor(["Ghost", consumer])
     with pytest.raises(BrokenPath):  # the application face is no link
         overlay.qos_monitor([consumer, APP_FACE])
+    with pytest.raises(BrokenPath, match="empty path"):
+        overlay.qos_monitor([])
 
 
 def test_qos_probes_never_touch_counters():
@@ -478,11 +488,66 @@ def test_ensure_link_path_hop_boundary(hops, decision):
     assert _edge_count(system) == hops + decision
 
 
-def test_ensure_link_triggered_by_bad_metrics():
-    _, overlay, consumer, _, _ = _chain(n_relays=2)
-    result = overlay.distributed_discover(consumer, parse_name(APP_URI), scope=3)
-    bad = QosMetrics(loss_ratio=0.5, mean_delay_ms=10.0, throughput=100.0)
-    assert overlay.ensure_link(consumer, result, bad) is True
+def _admit_over(links):
+    """ensure_link from A for an answer that C, the SCL it locates, sent
+    over the real path A -- B -- C with the given link metrics; returns
+    (decision, the message log's (msg_type, name) rows)."""
+    system, overlay = _unlinked("A", "B", "C")
+    for (u, v), metrics in zip([("A", "B"), ("B", "C")], links):
+        overlay.add_link(u, v, metrics)
+    result = DiscoveryResult("C/applications/app", Locator("C"), path=("A", "B", "C"))
+    decision = overlay.ensure_link("A", result)
+    return decision, [(row.msg_type, row.name) for row in system.log]
+
+
+@pytest.mark.parametrize(
+    "links, lost",
+    [
+        ([LinkMetrics(loss=1.0), LinkMetrics()], PROBE_COUNT),
+        ([LinkMetrics(delay_ms=MAX_DELAY_MS / 2), LinkMetrics(delay_ms=MAX_DELAY_MS / 2 + 1)], 0),
+        ([LinkMetrics(), LinkMetrics(capacity=MIN_THROUGHPUT / 2)], 0),
+        ([LinkMetrics(), LinkMetrics(loss=0.3)], 1),  # at seed 0
+    ],
+    ids=["all-lost", "delay-over", "capacity-under", "lossy"],
+)
+def test_ensure_link_triggered_by_bad_metrics(links, lost):
+    decision, rows = _admit_over(links)
+    assert decision is True
+    assert rows[-1] == ("link_up", "C/applications/app")  # after the probes
+    probes = [outcome for kind, outcome in rows[:-1] if kind == "probe"]
+    assert (len(probes), probes.count("lost")) == (PROBE_COUNT, lost)
+
+
+@pytest.mark.parametrize(
+    "links",
+    [
+        [LinkMetrics(delay_ms=MAX_DELAY_MS / 2)] * 2,
+        [LinkMetrics(), LinkMetrics(capacity=MIN_THROUGHPUT)],
+        [LinkMetrics(), LinkMetrics()],
+    ],
+    ids=["delay-at-bound", "capacity-at-bound", "lossless"],
+)
+def test_ensure_link_keeps_a_path_at_the_bounds(links):
+    decision, rows = _admit_over(links)
+    assert decision is False
+    assert rows == [("probe", "delivered")] * PROBE_COUNT
+
+
+def test_ensure_link_links_past_a_content_store_answer():
+    """R1's discovery leaves the producer's answer in the stores of R1..R4,
+    so Dscl1's 3-hop discovery of the 5-hop-away producer is answered
+    by R1. That one-hop path says nothing about the way to the producer:
+    the answer links, unprobed."""
+    system, overlay, consumer, relays, producer = _chain(n_relays=4)
+    name = parse_name(APP_URI)
+    assert overlay.distributed_discover(relays[0], name, scope=5).path_hops == 4
+    result = overlay.distributed_discover(consumer, name, scope=3)
+    assert (result.method, result.path, result.locator) == (
+        "distributed", (consumer, relays[0]), producer.locator,
+    )
+    assert overlay.ensure_link(consumer, result) is True
+    assert producer.node_id in system.scl(consumer).ndn.faces
+    assert not any(row.msg_type == "probe" for row in system.log)
 
 
 def test_ensure_link_self_result_is_noop():
@@ -628,6 +693,15 @@ def test_negative_scope_raises_for_every_origin(origin):
     _, overlay, _, _, _ = _chain()
     with pytest.raises(ValueError):
         overlay.fetch_resource(origin, parse_name(INSTANCE_URI), scope=-1)
+
+
+@pytest.mark.parametrize("origin", ["Gscl1", "Dscl1"], ids=["local", "remote"])
+def test_subscription_needs_a_positive_budget(origin):
+    system, overlay, _, _, _ = _chain()
+    before = len(system.log)
+    with pytest.raises(ValueError, match="expected_notifications"):
+        overlay.p2p_subscribe(origin, parse_name(CONTAINER_URI), expected_notifications=0)
+    assert len(system.log) == before
 
 
 @pytest.mark.parametrize("origin", ["Gscl1", "Dscl1"], ids=["local", "remote"])

@@ -1,6 +1,7 @@
 import pytest
 
 from oscl_sim.names import parse_name
+from oscl_sim.overlay import PROBE_COUNT
 from oscl_sim.scenarios import CONTAINER, NSCL_ID, SUBSCRIBER_ID, ScenarioConfig, run_scenario
 from oscl_sim.scl import create_content_instance
 
@@ -25,13 +26,18 @@ def _edge_count(system):
     return sum(len(scl.ndn.faces) for scl in system.scls.values()) // 2
 
 
+def _probes(system):
+    """(src, dst, outcome) of each QoS probe row in the message log."""
+    return [(row.src, row.dst, row.name) for row in system.log if row.msg_type == "probe"]
+
+
 # ===== single gateway =====
 
 
 def test_usecase1_overlay_path():
     r = run_scenario(ScenarioConfig("usecase1", appends=4))
     assert r.discovery.method == "centralized"  # no links yet, hub answers
-    assert r.qos is None
+    assert _probes(r.system) == []  # a hub answer links unprobed
     assert r.new_links == 1
     # budget spent: one more append delivers nothing, and the hook goes
     producer = r.system.scl("Gscl1")
@@ -64,10 +70,11 @@ def test_usecase2_overlay_reuses_existing_chain():
     assert r.discovery.method == "distributed"
     assert r.discovery.path == (SUBSCRIBER_ID, "Gscl3", "Gscl2", "Gscl1")
     assert r.discovery.path_hops == 3
-    assert r.qos is not None
-    assert r.qos.loss_ratio == 0.0
-    assert r.qos.mean_delay_ms == pytest.approx(15.0)
-    assert r.qos.throughput == pytest.approx(100.0)
+    assert _probes(r.system) == [(SUBSCRIBER_ID, "Gscl1", "delivered")] * PROBE_COUNT
+    qos = r.overlay.qos_monitor(r.discovery.path)
+    assert qos.loss_ratio == 0.0
+    assert qos.mean_delay_ms == pytest.approx(15.0)
+    assert qos.throughput == pytest.approx(100.0)
     assert r.new_links == 0
     assert _edge_count(r.system) == 3
 
@@ -165,8 +172,10 @@ def test_usecase2_custom_links_replace_chain():
     r = run_scenario(config)
     assert r.discovery.method == "distributed"
     assert r.discovery.path == (SUBSCRIBER_ID, "Gscl2", "Gscl1")
-    assert r.qos.mean_delay_ms == pytest.approx(4.0)
-    assert r.qos.throughput == pytest.approx(10.0)
+    assert _probes(r.system) == [(SUBSCRIBER_ID, "Gscl1", "delivered")] * PROBE_COUNT
+    qos = r.overlay.qos_monitor(r.discovery.path)
+    assert qos.mean_delay_ms == pytest.approx(4.0)
+    assert qos.throughput == pytest.approx(10.0)
     assert r.new_links == 0
 
 

@@ -16,6 +16,7 @@ from oscl_sim.scl import (
     NotAnNscl,
     NotFound,
     NotRegistered,
+    SclError,
     SclKind,
     centralized_discover,
     create_application,
@@ -70,6 +71,20 @@ def test_register_with_non_nscl_rejected():
         register_scl(dscl, gscl)
 
 
+def test_registration_stays_within_one_system():
+    _, nscl, _, _ = _system()
+    stranger = M2mSystem().add_scl(SclKind.GSCL, "Gscl9")
+    with pytest.raises(SclError, match="different systems"):
+        register_scl(stranger, nscl)
+    assert nscl.registry == {} and not stranger.registered
+
+
+def test_unknown_node_id_is_not_found():
+    system, *_ = _system()
+    with pytest.raises(NotFound, match="no SCL 'Gscl9'"):
+        system.scl("Gscl9")
+
+
 def test_single_nscl_per_system():
     system, *_ = _system()
     with pytest.raises(Exception):
@@ -119,9 +134,14 @@ def test_tree_missing_resources():
         "Gscl1/applications/meter_app/containers/meter_data/content_instances/5",
         "Gscl2/applications/meter_app",
         "Gscl1/bogus/meter_app",
+        "Gscl1/applications/meter_app/bogus/meter_data",
+        "Gscl1/applications/meter_app/containers/meter_data/bogus/0",
     ):
         with pytest.raises(NotFound):
             resolve_resource(gscl, parse_name(uri))
+    for app, container in (("nope", "meter_data"), ("meter_app", "nope")):
+        with pytest.raises(NotFound):
+            create_content_instance(gscl, app, container, "v0")
 
 
 @pytest.mark.parametrize(
@@ -289,6 +309,19 @@ def test_hub_operations_raise_invalid_name_and_send_nothing(op, bad):
     before = len(system.log)
     with pytest.raises(InvalidName):
         op(dscl, nscl, bad)
+    assert len(system.log) == before
+
+
+@pytest.mark.parametrize("op", [centralized_discover, subscribe_centralized])
+def test_hub_operations_need_a_hub_and_a_registered_origin(op):
+    system, nscl, gscl, dscl = _populated()
+    stranger = system.add_scl(SclKind.DSCL, "Dscl2")
+    uri = parse_name("Gscl1/applications/meter_app/containers/meter_data")
+    before = len(system.log)
+    with pytest.raises(NotAnNscl):
+        op(dscl, gscl, uri)
+    with pytest.raises(NotRegistered):
+        op(stranger, nscl, uri)
     assert len(system.log) == before
 
 
