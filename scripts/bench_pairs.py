@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Compare the working tree against a git revision on one benchmark workload.
+"""Compare the working tree against a git revision on benchmark workloads.
 
     python3 scripts/bench_pairs.py --base HEAD --workload overlay-flood \\
         --pairs 10 --seconds 6 --seed-start 1
+
+``--workload`` takes one workload or a comma-separated list, run in
+turn from the same two extracted trees.
 
 Extracts ``--base`` with ``git archive`` into a temporary directory, and
 the working tree beside it the same way (a ``git stash create`` snapshot
@@ -16,9 +19,9 @@ the median of each side, the change of the medians in percent, how many
 pairs the working tree won (in the direction BENCHMARK.json gives) and
 the interquartile range of the base runs; then whether both trees
 printed the same output digest on each seed, and whether every run
-reported itself correct with no failed operation. The last line is one
-JSON object with the same facts, each side's quartiles included, for
-a BENCH_*.json file. Stdlib only.
+reported itself correct with no failed operation. A workload's output
+ends with one JSON line with the same facts, each side's quartiles
+included, for a BENCH_*.json file. Stdlib only.
 """
 
 from __future__ import annotations
@@ -78,40 +81,24 @@ def quartiles(values: List[float]) -> List[float]:
     return statistics.quantiles(values, n=4)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=6)
-    parser.add_argument("--seed-start", type=int, default=1)
-    args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds < 1:
-        parser.error("--pairs and --seconds must be >= 1")
-
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+def compare(trees: Dict[str, Path], workload: str, args: argparse.Namespace,
+            better: Dict[str, str], snapshot: str) -> bool:
+    """Run ``args.pairs`` alternated pairs of ``workload`` from the two
+    trees and print their table and JSON line; True when every run was
+    correct with no failed operation and every seed's digests matched."""
     runs: Dict[str, List[Dict]] = {"base": [], "change": []}
-    # a commit of the working tree's tracked files; empty when nothing changed
-    snapshot = git("stash", "create").decode().strip() or "HEAD"
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        # equal name lengths: the same code read peak_rss_mb 0.1 MB apart
-        # from two paths of different lengths
-        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "work"}
-        extract(args.base, trees["base"])
-        extract(snapshot, trees["change"])
-        print(f"{args.workload}: base {args.base} against the working tree "
-              f"({snapshot[:12]}), {args.pairs} pairs of {args.seconds} s runs")
-        for i in range(args.pairs):
-            seed = args.seed_start + i
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
-                runs[side].append(run_once(trees[side], args.workload, seed, args.seconds))
-            base, change = runs["base"][-1], runs["change"][-1]
-            same = "same digest" if base["digest"] == change["digest"] else "DIGESTS DIFFER"
-            print(f"pair {i + 1} seed {seed} ({order[0]} first): wall_s "
-                  f"{base['metrics']['wall_s']['value']:.4g} -> "
-                  f"{change['metrics']['wall_s']['value']:.4g}, {same}")
+    print(f"{workload}: base {args.base} against the working tree "
+          f"({snapshot[:12]}), {args.pairs} pairs of {args.seconds} s runs")
+    for i in range(args.pairs):
+        seed = args.seed_start + i
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            runs[side].append(run_once(trees[side], workload, seed, args.seconds))
+        base, change = runs["base"][-1], runs["change"][-1]
+        same = "same digest" if base["digest"] == change["digest"] else "DIGESTS DIFFER"
+        print(f"pair {i + 1} seed {seed} ({order[0]} first): wall_s "
+              f"{base['metrics']['wall_s']['value']:.4g} -> "
+              f"{change['metrics']['wall_s']['value']:.4g}, {same}")
 
     print(f"{'metric':<12} {'base':>10} {'change':>10} {'change%':>8} {'wins':>6} {'base_iqr':>9}")
     metrics = {}
@@ -145,7 +132,7 @@ def main(argv=None) -> int:
         clean[side] = ok
         print(f"{side}: {ok}/{len(results)} runs correct with no failed operation")
     print(json.dumps({
-        "workload": args.workload,
+        "workload": workload,
         "base": git("rev-parse", args.base).decode().strip(),
         "change": git("rev-parse", snapshot).decode().strip(),
         "pairs": args.pairs,
@@ -158,8 +145,39 @@ def main(argv=None) -> int:
         "digests_match": not mismatched,
         "mismatched_seeds": mismatched,
         "runs_clean": clean,
-    }, sort_keys=True))
-    return 0 if all_ok and not mismatched else 1
+    }, sort_keys=True), flush=True)
+    return all_ok and not mismatched
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--workload", required=True,
+                        help="a workload, or several separated by commas, compared in turn")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=6)
+    parser.add_argument("--seed-start", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.seconds < 1:
+        parser.error("--pairs and --seconds must be >= 1")
+    workloads = args.workload.split(",")
+    if not all(workloads):
+        parser.error("--workload names an empty workload")
+
+    better = {m["name"]: m["better"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    # a commit of the working tree's tracked files; empty when nothing changed
+    snapshot = git("stash", "create").decode().strip() or "HEAD"
+    all_ok = True
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        # equal name lengths: the same code read peak_rss_mb 0.1 MB apart
+        # from two paths of different lengths
+        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "work"}
+        extract(args.base, trees["base"])
+        extract(snapshot, trees["change"])
+        for workload in workloads:
+            all_ok = compare(trees, workload, args, better, snapshot) and all_ok
+    return 0 if all_ok else 1
 
 
 if __name__ == "__main__":

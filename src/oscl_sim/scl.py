@@ -313,30 +313,47 @@ class MessageLog(FlatRows):
 
 
 class MessageCounters:
-    """Per-node, per-type, per-role message tallies."""
+    """Per-node, per-type, per-role message tallies.
+
+    Kept as message type -> role -> node id -> count, nested dicts keyed
+    by the strs the callers pass, so ``record``, called once per link
+    traversal, is two str-keyed lookups and one update and builds no
+    key tuple. A tally recorded with count 0 is still a row; ``get`` of
+    an absent tally reads 0 and adds none. ``rows`` flattens the tallies
+    to (node, type, role, count) and sorts them, the order of
+    ``counters.csv``.
+    """
 
     def __init__(self) -> None:
-        self._counts: Dict[Tuple[str, str, str], int] = {}
+        self._counts: Dict[str, Dict[str, Dict[str, int]]] = {}
 
     def record(self, node_id: str, msg_type: str, role: str, count: int = 1) -> None:
         """Add ``count`` messages to the tally of (node_id, msg_type, role)."""
-        key = (node_id, msg_type, role)
-        self._counts[key] = self._counts.get(key, 0) + count
+        try:
+            by_node = self._counts[msg_type][role]
+        except KeyError:
+            by_node = self._counts.setdefault(msg_type, {}).setdefault(role, {})
+        by_node[node_id] = by_node.get(node_id, 0) + count
 
     def get(self, node_id: str, msg_type: str, role: str) -> int:
-        return self._counts.get((node_id, msg_type, role), 0)
+        return self._counts.get(msg_type, {}).get(role, {}).get(node_id, 0)
 
     def total(self, msg_type: Optional[str] = None, role: Optional[str] = None) -> int:
         return sum(
-            v
-            for (_, t, r), v in self._counts.items()
-            if (msg_type is None or t == msg_type) and (role is None or r == role)
+            sum(by_node.values())
+            for t, by_role in self._counts.items()
+            if msg_type is None or t == msg_type
+            for r, by_node in by_role.items()
+            if role is None or r == role
         )
 
     def rows(self) -> List[Tuple[str, str, str, int]]:
-        return [
-            (n, t, r, v) for (n, t, r), v in sorted(self._counts.items())
-        ]
+        return sorted(
+            (n, t, r, v)
+            for t, by_role in self._counts.items()
+            for r, by_node in by_role.items()
+            for n, v in by_node.items()
+        )
 
 
 class M2mSystem:

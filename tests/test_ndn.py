@@ -1,3 +1,4 @@
+import time
 from collections import OrderedDict
 from unittest import mock
 
@@ -180,6 +181,42 @@ def test_nonce_set_fifo_through_the_handler():
         assert repeat_first == [Drop("no-route")]
         repeat_third = on_interest(node, _interest(name=parse_name("Gscl2/x3"), nonce=3), "peer", 1.0)
         assert repeat_third == [Drop("loop")]
+
+
+@given(st.integers(1, 6), st.integers(1, 20))
+def test_nonce_set_and_queue_hold_the_last_keys_in_arrival_order(capacity, extra):
+    node = _node(faces=["peer"])
+    keys = [(NAME, nonce) for nonce in range(capacity + extra)]
+    with mock.patch.object(ndn, "DEFAULT_NONCE_CAPACITY", capacity):
+        for nonce in range(capacity + extra):
+            on_interest(node, _interest(nonce=nonce), "peer", 0.0)
+        assert list(node.seen_nonces) == keys[-capacity:]
+        assert list(node.nonce_queue) == keys[-capacity:]
+        # an evicted key is a new Interest again: no route on its only face,
+        # and filed as the newest key
+        evicted = extra - 1
+        assert on_interest(node, _interest(nonce=evicted), "peer", 1.0) == [Drop("no-route")]
+        assert list(node.seen_nonces) == keys[extra + 1:] + [(NAME, evicted)]
+        assert list(node.nonce_queue) == list(node.seen_nonces)
+
+
+@pytest.mark.slow
+def test_a_full_nonce_set_files_a_key_at_the_cost_of_a_filling_one():
+    # Interests with no hop budget for a foreign name: each is filed in the
+    # nonce set, then dropped for want of a route, with no PIT entry
+    node = _node(faces=["peer"])
+    fill, past = ndn.DEFAULT_NONCE_CAPACITY, 100_000
+
+    def per_call(nonces):
+        started = time.perf_counter()
+        for nonce in nonces:
+            on_interest(node, _interest(nonce=nonce, hop_limit=0), "peer", 0.0)
+        return (time.perf_counter() - started) / len(nonces)
+
+    filling = per_call(range(fill))
+    full = per_call(range(fill, fill + past))
+    assert not node.pit and len(node.seen_nonces) == fill
+    assert full < 4 * filling, (filling, full)
 
 
 # ===== on_interest =====

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from oscl_sim.scl import (
     DuplicateResource,
     EmptyContainer,
     M2mSystem,
+    MessageCounters,
     MessageLog,
     MessageRecord,
     NotAnNscl,
@@ -428,6 +430,40 @@ def test_clock_is_monotone_and_relay_costs_two_legs():
     assert system.clock_ms == t0 + 8.0  # 4 relayed messages, 2 legs each
     times = [r.time_ms for r in system.log]
     assert times == sorted(times)
+
+
+_COUNTER_NODES = ("Dscl1", "Gscl1", "Nscl")
+_COUNTER_TYPES = ("interest", "data")
+_COUNTER_ROLES = ("originated", "relayed", "received")
+_COUNTER_RECORDS = st.lists(
+    st.tuples(
+        st.sampled_from(_COUNTER_NODES),
+        st.sampled_from(_COUNTER_TYPES),
+        st.sampled_from(_COUNTER_ROLES),
+        st.integers(0, 3),
+    ),
+    max_size=12,
+)
+
+
+@given(_COUNTER_RECORDS)
+def test_counters_match_a_flat_tally(records):
+    # a flat {(node, type, role): count} dict is the model; a tally
+    # recorded with count 0 is a row, as it is in counters.csv
+    counters, tally = MessageCounters(), {}
+    for node, msg_type, role, count in records:
+        counters.record(node, msg_type, role, count)
+        tally[node, msg_type, role] = tally.get((node, msg_type, role), 0) + count
+        expected_rows = sorted(key + (v,) for key, v in tally.items())
+        assert counters.rows() == expected_rows
+        for triple in itertools.product(_COUNTER_NODES, _COUNTER_TYPES, _COUNTER_ROLES):
+            assert counters.get(*triple) == tally.get(triple, 0)
+        assert counters.rows() == expected_rows  # reading an absent tally adds no row
+        for msg_type, role in itertools.product((None,) + _COUNTER_TYPES, (None,) + _COUNTER_ROLES):
+            assert counters.total(msg_type, role) == sum(
+                v for (_, t, r), v in tally.items()
+                if msg_type in (None, t) and role in (None, r)
+            )
 
 
 def test_control_plane_counter_conservation():
