@@ -459,7 +459,7 @@ COMMANDS = {
     "topology": Command("one topology-formation experiment", (
         Param("n", "--n", int, 2, help="node count (>= 2)"),
         Param("d", "--d", int, 1, help="hop budget (>= 1)"),
-        Param("seed", "--seed", int, default=ExperimentConfig.seed),
+        Param("seed", "--seed", int, 0, ExperimentConfig.seed, help="RNG seed (>= 0)"),
         Param("pairs", "--pairs", int, 1, ExperimentConfig.pair_count, help="override pair draws"),
     ), _run_topology),
     "sweep": Command("degree scaling sweep over n and d", (
@@ -477,7 +477,7 @@ COMMANDS = {
               default="on" if ScenarioConfig.oscl_enabled else "off"),
         Param("appends", "--appends", int, 1, ScenarioConfig.appends,
               help="content instances to append"),
-        Param("seed", "--seed", int, default=ScenarioConfig.seed),
+        Param("seed", "--seed", int, 0, ScenarioConfig.seed, help="RNG seed (>= 0)"),
         Param("links", "--links", LINKS, default=ScenarioConfig.links, optional=True,
               help="custom overlay links file"),
     ), _run_scenario),

@@ -32,10 +32,15 @@ reaches its oldest live key only by scanning the deleted slots at its
 front, and an OrderedDict, which finds it at once, takes about twice
 the memory per key.
 
-Packets are frozen, so an Interest builds its hop-spent copy and its
-nonce key once, on first use: every forwarder at one hop of a request
-sends the same copy, on all of its faces, and every nonce set files the
-same key for it. Emissions and PIT entries are slotted, not frozen: a
+Packets are frozen, so an Interest builds its nonce key once, when it
+is made, and its hop-spent copy once, on first use: every forwarder at
+one hop of a request sends the same copy, on all of its faces, and
+every nonce set files the same key for it. A flood's faces depend only
+on the node's links and the arrival face, so a forwarder keeps each
+arrival face's sorted tuple of its other faces (``NdnNode.flood``),
+built on the first flood from that face and cleared by ``add_face``,
+the one way to add a face, and every flood from that face sends the
+kept tuple itself. Emissions and PIT entries are slotted, not frozen: a
 frozen dataclass sets each field through ``object.__setattr__``, about
 2.5 times the cost, and an emission lives only until the harness has
 read it.
@@ -64,10 +69,14 @@ class InterestPacket:
     """A request for ``name``, identified by ``nonce``, that may cross
     ``hop_limit`` more overlay links.
 
-    ``spent`` and ``key`` are built on first use and kept in the
-    instance dict, which leaves the frozen fields, equality and hash
-    alone: the forwarders that flood one packet all send its one
-    ``spent``, and all their nonce sets hold its one ``key``.
+    ``key`` is built with the packet and ``spent`` on first use, only
+    a forwarded packet needing one; both live in the instance dict,
+    which leaves the frozen fields, equality and hash alone: the
+    forwarders that flood one packet all send its one ``spent``, and
+    all their nonce sets hold its one ``key``. A ``cached_property``
+    would build ``key`` on its first read too, but takes a lock there,
+    at about eight times the cost of building the tuple, and every
+    packet's key is read.
     """
 
     name: str
@@ -80,16 +89,13 @@ class InterestPacket:
             raise ValueError("hop_limit must be >= 0")
         if self.solicit_count < 1:
             raise ValueError("solicit_count must be >= 1")
+        # the nonce-set key: (name, nonce)
+        object.__setattr__(self, "key", (self.name, self.nonce))
 
     @cached_property
     def spent(self) -> InterestPacket:
         """This request one hop on: the copy a forwarder floods."""
         return InterestPacket(self.name, self.nonce, self.hop_limit - 1, self.solicit_count)
-
-    @cached_property
-    def key(self) -> Tuple[str, int]:
-        """The nonce-set key: (name, nonce)."""
-        return (self.name, self.nonce)
 
 
 @dataclass(frozen=True)
@@ -194,7 +200,13 @@ class NdnNode:
     iterates oldest first, and ``nonce_queue`` the same keys in the same
     order, the end it evicts from on the left; the nonce set and ``cs``
     have the fixed sizes DEFAULT_NONCE_CAPACITY and DEFAULT_CS_CAPACITY
-    on every node."""
+    on every node.
+
+    ``flood`` maps an arrival face to the sorted tuple of the node's
+    other faces, the faces a flood from it goes out on; it is filled on
+    the first flood from each face and emptied by ``add_face``, so a
+    face must be added through it. ``below`` is ``prefix + "/"``, the
+    text every name strictly under the prefix starts with."""
 
     prefix: str
     cs: ContentStore = field(default_factory=ContentStore)
@@ -203,9 +215,24 @@ class NdnNode:
     nonce_queue: deque = field(default_factory=deque, init=False, repr=False)
     # neighbor id -> the harness's record of the link to it
     faces: Dict[str, Any] = field(default_factory=dict)
+    flood: Dict[str, Tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    below: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.below = self.prefix + "/"
 
 
 # ===== operations =====
+
+
+def add_face(node: NdnNode, face: str, attachment: Any) -> None:
+    """Give ``node`` the face ``face``, carrying the harness's
+    ``attachment``, or re-attach it; the kept flood faces are rebuilt
+    on the next flood from each arrival face."""
+    node.faces[face] = attachment
+    node.flood.clear()
 
 
 def pit_expire(node: NdnNode, now: float) -> List[str]:
@@ -238,16 +265,19 @@ def on_interest(
     forwarded onward); otherwise a name under the node's prefix goes up
     to the application, any other is flooded, as the packet's one
     ``spent`` copy, to every overlay face but the arrival one, and a PIT
-    entry records the way back.
+    entry records the way back. The flood's faces are the node's kept
+    tuple for the arrival face (``NdnNode.flood``), sorted and built on
+    that face's first flood; a send files that tuple itself.
 
     Each check keeps that order and is a C-level dict or str probe;
     ``lookup`` and ``pending``, the only code for freshness and expiry,
     run only on a held name. Components hold no '/', so the text test
-    for the own prefix equals the component-wise one. The nonce set files
-    the packet's own ``key``, shared by every forwarder it reaches, in
-    its dict and at the right of its queue; past DEFAULT_NONCE_CAPACITY
-    keys, the key at the queue's left, the oldest, leaves both. Most
-    copies end at the nonce check, so the name is read after it.
+    for the own prefix, against the prefix and ``below``, equals the
+    component-wise one. The nonce set files the packet's own ``key``,
+    shared by every forwarder it reaches, in its dict and at the right
+    of its queue; past DEFAULT_NONCE_CAPACITY keys, the key at the
+    queue's left, the oldest, leaves both. Most copies end at the nonce
+    check, so the name is read after it.
     """
     key = pkt.key
     seen = node.seen_nonces
@@ -274,18 +304,17 @@ def on_interest(
             entry.expiry = max(entry.expiry, now + DEFAULT_PIT_LIFETIME_MS)
             return []
 
-    prefix = node.prefix
-    if name == prefix or name.startswith(prefix + "/"):
+    if name == node.prefix or name.startswith(node.below):
         send = SendInterest((APP_FACE,), pkt)
     elif pkt.hop_limit <= 0:
         return [_NO_ROUTE]
     else:
-        faces = sorted(node.faces)
-        if in_face in node.faces:
-            faces.remove(in_face)
+        faces = node.flood.get(in_face)
+        if faces is None:
+            faces = node.flood[in_face] = tuple(sorted(f for f in node.faces if f != in_face))
         if not faces:
             return [_NO_ROUTE]
-        send = SendInterest(tuple(faces), pkt.spent)
+        send = SendInterest(faces, pkt.spent)
     node.pit[name] = PitEntry(
         downstream={in_face},
         remaining=pkt.solicit_count,

@@ -27,7 +27,11 @@ grows only where it lives on. A copy the forwarder sends on costs one
 emission and one relay count however many faces it goes out on, and
 one queue entry for all of its link faces that fall due together; the
 log stores that entry's arrivals as one row plus one slot per copy
-(see MessageLog), and reads them back as one row each.
+(see MessageLog), and reads them back as one row each. A node whose
+links all share one delay and none loses, every link of the default
+LinkMetrics, queues a send of link faces as that one entry at once:
+the entry files the send's own faces tuple, which a flood takes from
+the forwarder's kept flood faces, so such a send walks no face.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .ndn import (
     Packet,
     PitEntry,
     SendInterest,
+    add_face,
     on_data,
     on_interest,
     pending,
@@ -162,9 +167,12 @@ class Overlay:
     and 3.2% (faster in 0 and 2 of 8 pairs), and draining the dict by
     ``min`` by 2.3% and 2.4% (1 of 8 each). ``drops`` keeps one
     ``(node, reason, name)`` row per dropped copy, in drop order, as
-    flat fields (a ``FlatRows``). The overlay moves packets; the
-    application endpoints decide what an Interest means (see
-    ``_app_interest``).
+    flat fields (a ``FlatRows``). ``_delay`` keeps, per node id, the
+    one delay of its links when none of them loses and ``None``
+    otherwise (a node with no link has no key); ``add_link`` keeps it
+    for both ends, and ``_handle`` reads it to queue a send from such a
+    node as one entry. The overlay moves packets; the application
+    endpoints decide what an Interest means (see ``_app_interest``).
     """
 
     def __init__(self, system: M2mSystem, seed: int = 0) -> None:
@@ -175,6 +183,8 @@ class Overlay:
         self._running = False
         # node id -> forwarder; its faces are the node's links
         self._nodes: Dict[str, NdnNode] = {}
+        # node id -> its links' one delay when none loses, else None
+        self._delay: Dict[str, Optional[float]] = {}
         # (consumer, name) -> delivered (packet, trail) answers; a
         # trail is the delivering copy's own tuple, copied only when read
         self._inbox: DefaultDict[Tuple[str, str], List[Tuple[DataPacket, Tuple[str, ...]]]] = (
@@ -197,16 +207,21 @@ class Overlay:
 
     def add_link(self, u: str, v: str, metrics: Optional[LinkMetrics] = None) -> None:
         """Link two nodes: each gets a face toward the other, and both
-        faces carry the same LinkMetrics."""
+        faces carry the same LinkMetrics. Each end's kept flood faces
+        and one-entry delay are brought up to date."""
         if u == v:
             raise ValueError("self links are not allowed")
         for x in (u, v):
             if x not in self._nodes:
                 raise UnknownNode(x)
-        u_faces, v_faces = self._nodes[u].faces, self._nodes[v].faces
-        if v in u_faces:
+        if v in self._nodes[u].faces:
             raise DuplicateLink(f"{u} -- {v}")
-        u_faces[v] = v_faces[u] = metrics or LinkMetrics()
+        link = metrics or LinkMetrics()
+        delay = link.delay_ms if link.loss == 0.0 else None
+        for x, y in ((u, v), (v, u)):
+            node = self._nodes[x]
+            self._delay[x] = delay if not node.faces or self._delay.get(x) == delay else None
+            add_face(node, y, link)
 
     # ----- event loop -----
 
@@ -303,9 +318,13 @@ class Overlay:
         queued after the copies before that face and ahead of those
         after it, as it would be with one entry per copy. A send on a
         single face files the emission's own tuple, so its entry costs
-        what a lone arrival would. A Data
-        answer to an Interest is a Content Store hit, which ends the
-        Interest and starts a Data journey at this node.
+        what a lone arrival would. A node whose links all share one
+        delay and none loses (``_delay``) skips the walk for a send
+        without APP_FACE: no face would draw or split the entry, so the
+        walk would build one entry of all the send's faces, in order,
+        due after that delay, and the send's own tuple is queued as it.
+        A Data answer to an Interest is a Content Store hit, which ends
+        the Interest and starts a Data journey at this node.
         """
         record = self.system.counters.record
         if not emissions or type(emissions[0]) is Drop:
@@ -323,12 +342,25 @@ class Overlay:
                 record(at_node, MSG_INTEREST, ROLE_RECEIVED)
                 record(at_node, MSG_DATA, ROLE_ORIGINATED)
                 trail = (at_node,)
+        to_app = APP_FACE in faces
         if at_node != trail[0]:
-            link_faces = len(faces) - (APP_FACE in faces)
+            link_faces = len(faces) - to_app
             if link_faces:
                 record(at_node, out_kind, ROLE_RELAYED, link_faces)
-        links, events = self._nodes[at_node].faces, self._events
+        events = self._events
         now = self.system.clock_ms
+        delay = self._delay.get(at_node)
+        if delay is not None and not to_app:
+            at = now + delay
+            entry = (at_node, faces, out, trail)
+            bucket = events.get(at)
+            if bucket is None:
+                events[at] = [entry]
+                heapq.heappush(self._times, at)
+            else:
+                bucket.append(entry)
+            return
+        links = self._nodes[at_node].faces
         due = -1.0  # the open entry's due time; the clock starts at 0, so none is open
         for face in faces:
             if face == APP_FACE:

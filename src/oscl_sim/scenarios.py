@@ -95,6 +95,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.appends < 1:
             raise ValueError("appends must be >= 1")
+        if self.seed < 0:  # random.Random(-s) would replay seed s
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -17,17 +17,18 @@ drops one that does not.
 
 Every message, here and on the overlay, reads back as one row of the
 system's MessageLog. The log keeps its rows as flat fields in a
-FlatRows, whose one list is the only object the garbage collector
+FlatRows, whose one deque is the only object the garbage collector
 tracks however many rows it holds, and builds a MessageRecord only when
 a row is read; the copies of one overlay send that arrive together are
 stored as one row and its destinations, and read back one row per copy.
-An index or a slice is found by walking on from where the last read
-began, so reads in sending order walk the log once.
+An index or a slice is read on from where the last read ended, so
+reads in sending order walk the log once.
 The overlay keeps its dropped copies in a FlatRows too.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -179,13 +180,22 @@ _STRIDE = len(MessageRecord.__slots__)  # fields per log row
 class FlatRows:
     """Rows of ``width`` fields each, in the order they were added.
 
-    One list holds every row's fields back to back, so a row of floats
-    and strings is ``width`` list slots and no object the cyclic garbage
-    collector tracks. The list itself is tracked, and a full collection
+    One deque holds every row's fields back to back, so a row of floats
+    and strings is ``width`` slots and no object the cyclic garbage
+    collector tracks. The deque itself is tracked, and a full collection
     walks its slots, so the store saves one tracked object per row but
     not the cost of its slots; the message log keeps a flood's copies
-    in fewer of them (see MessageLog). A writer adds a row with
-    ``extend(row)``, ``row`` being a sequence of ``width`` fields.
+    in fewer of them (see MessageLog). A deque grows in blocks of 64
+    slots where a list regrows one array. An ``overlay-flood`` episode
+    of the benchmark outgrows glibc's mmap threshold with its log or
+    drop array, and freeing it raises the threshold, so the next
+    episodes regrow their arrays by moving them inside the heap: with
+    lists, the resident size after each of one run's identical episodes
+    went up and down between about 35 and 48 MB; with deques it grows
+    by 0.1 MB an episode, the timings the benchmark keeps of each
+    (2-vCPU x86-64, CPython 3.11.7, glibc malloc).
+    A writer adds a row with ``extend(row)``, ``row`` being a sequence
+    of ``width`` fields.
     ``len()`` counts rows; iteration and ``rows()`` give each one as a
     plain tuple.
     """
@@ -193,7 +203,7 @@ class FlatRows:
     __slots__ = ("_fields", "_width", "extend")
 
     def __init__(self, width: int) -> None:
-        self._fields: list = []
+        self._fields: deque = deque()
         self._width = width
         self.extend = self._fields.extend
 
@@ -216,9 +226,9 @@ class MessageLog(FlatRows):
     copies of one message to several destinations, added with
     ``extend_copies(time_ms, src, dsts, relayer, msg_type, name)``, are
     stored as one row whose ``dst`` field is the copy count, an int,
-    and their destinations go to a flat side list: six slots per send
+    and their destinations go to a flat side deque: six slots per send
     plus one per copy, not six per copy, and no tracked object per row
-    in either list. A seed-1 ``overlay-flood`` episode of the benchmark
+    in either deque. A seed-1 ``overlay-flood`` episode of the benchmark
     ends with 182,785 rows in 372,581 slots (3.1 MB), where one stored
     row per copy took 1,096,710 (8.7 MB); a full ``gc.collect()`` then
     took 15.0 ms against 18.2 ms (medians of five runs, 2-vCPU x86-64,
@@ -228,22 +238,23 @@ class MessageLog(FlatRows):
 
     ``len()`` counts the expanded rows. Iteration builds
     ``MessageRecord``s and ``rows()`` plain tuples; while no grouped row
-    is stored both are a C-level walk of the flat list. An int index or
-    a slice builds ``MessageRecord``s from the stored rows that hold
-    them, walking the rows' ``dst`` fields on from where the last read
-    began (from the first row if the key is before it), so reads in
-    order, like one slice per discovery, walk each stored row about once.
+    is stored both are a C-level walk of the flat deque. An int index or
+    a slice builds ``MessageRecord``s from the rows that ``rows()`` gives
+    on from where the last read ended, or from the first row when the key
+    is before that or the log has grown since, so reads in order, like
+    one slice per discovery, walk each stored row once. A deque is
+    indexed by walking its blocks, so the read keeps that iterator
+    rather than an index.
     """
 
-    __slots__ = ("_dsts", "_groups", "_mark")
+    __slots__ = ("_dsts", "_groups", "_cursor")
 
     def __init__(self) -> None:
         super().__init__(_STRIDE)
-        self._dsts: list = []  # every grouped row's destinations, in order
+        self._dsts: deque = deque()  # every grouped row's destinations, in order
         self._groups = 0  # grouped rows stored
-        # the stored row the last read began in: (its first row, its
-        # index, side list position of its or the next group's destinations)
-        self._mark = (0, 0, 0)
+        # the last read's (stored slots when it began, next row, rows() on from it)
+        self._cursor: Tuple[int, int, Iterator[Tuple]] = (-1, 0, iter(()))
 
     def extend_copies(
         self, time_ms: float, src: str, dsts: Sequence[str], relayer: str, msg_type: str,
@@ -264,7 +275,7 @@ class MessageLog(FlatRows):
         """Each row as a plain tuple, in ``messages.csv`` column order."""
         if not self._groups:
             return super().rows()
-        return self._expand(self._fields, 0)
+        return self._expand(self._fields, iter(self._dsts))
 
     def __getitem__(self, key):
         """A record for an int index, a list of records for a slice,
@@ -280,36 +291,29 @@ class MessageLog(FlatRows):
             rows = self._span(picked[-1], picked.start + 1)[::-1][:: -picked.step]
         return list(starmap(MessageRecord, rows))
 
-    def _expand(self, fields: Iterable, d: int) -> Iterator[Tuple]:
-        """The rows of ``fields``, whole stored rows whose first grouped
-        row's destinations start at ``d`` in the side list, one per copy."""
-        dsts = self._dsts
+    @staticmethod
+    def _expand(fields: Iterable, dsts: Iterator[str]) -> Iterator[Tuple]:
+        """The rows of ``fields``, whole stored rows, one per copy; ``dsts``
+        yields the destinations from those of the first grouped row on."""
         for row in zip(*[iter(fields)] * _STRIDE):
             k = row[2]
             if type(k) is int:
                 time_ms, src, _, relayer, msg_type, name = row
-                for dst in dsts[d : d + k]:
+                for dst in islice(dsts, k):
                     yield time_ms, src, dst, relayer, msg_type, name
-                d += k
             else:
                 yield row
 
     def _span(self, lo: int, hi: int) -> List[Tuple]:
         """Rows ``lo`` to ``hi - 1`` as plain tuples, 0 <= lo < hi <= len(self),
-        walked from the stored row that holds the last read's first row,
-        or from the start when ``lo`` is before it."""
-        i, r, d = self._mark if lo >= self._mark[0] else (0, 0, 0)
-        fields = self._fields
-        while True:  # on to the stored row that holds row lo
-            k = fields[r * _STRIDE + 2]
-            grouped = type(k) is int
-            n = k if grouped else 1
-            if lo < i + n:
-                break
-            i, r, d = i + n, r + 1, d + (k if grouped else 0)
-        self._mark = (i, r, d)
-        tail = map(fields.__getitem__, range(r * _STRIDE, len(fields)))  # no copy
-        return list(islice(self._expand(tail, d), lo - i, hi - i))
+        read on from the row after the last read's, or from the first row
+        when ``lo`` is before that or the log has grown since."""
+        size, at, rows = self._cursor
+        if lo < at or size != len(self._fields):  # the log only grows
+            size, at, rows = len(self._fields), 0, self.rows()
+        span = list(islice(rows, lo - at, hi - at))
+        self._cursor = (size, hi, rows)
+        return span
 
 
 class MessageCounters:

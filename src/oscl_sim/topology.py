@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ValueError("n_nodes must be >= 2")
         if self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
+        if self.seed < 0:  # random.Random(-s) would replay seed s
+            raise ValueError("seed must be >= 0")
         if self.pair_count is not None and self.pair_count < 1:
             raise ValueError("pair_count must be >= 1")
 

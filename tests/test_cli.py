@@ -107,6 +107,19 @@ def test_sweep_rejects_negative_or_nan_budget(tmp_path, capsys, budget):
     assert not (tmp_path / "out").exists()
 
 
+# random.Random(-s) seeds as random.Random(s): a negative seed would
+# replay a positive one's run under another name
+@pytest.mark.parametrize(
+    "argv",
+    [["topology", "--n", "64", "--d", "3"], ["scenario", "usecase1", "--appends", "20"]],
+    ids=["topology", "scenario"],
+)
+def test_negative_seed_flag_is_flag_error(tmp_path, capsys, argv):
+    assert main(argv + ["--seed", "-3", "--out", str(tmp_path / "out")]) == 2
+    assert "--seed must be an integer >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scenario_rejects_unknown_name_and_bad_oscl(tmp_path, capsys):
     assert main(["scenario", "usecase9", "--out", str(tmp_path)]) == 2
     assert main(["scenario", "usecase1", "--oscl", "maybe", "--out", str(tmp_path)]) == 2
@@ -161,6 +174,7 @@ _SCENARIO = {"name": "usecase1", "oscl": "on", "appends": 3, "seed": 0}
     [
         ("topology", {**_TOPOLOGY, "n": "abc"}, "--n must be an integer >= 2, got 'abc'"),
         ("topology", {**_TOPOLOGY, "n": 1}, "--n must be an integer >= 2, got 1"),
+        ("topology", {**_TOPOLOGY, "seed": -7}, "--seed must be an integer >= 0, got -7"),
         ("sweep", {**_SWEEP, "jobs": [[1, 1, 0]]}, "jobs[0] n must be an integer >= 2, got 1"),
         (
             "sweep",
@@ -181,6 +195,7 @@ _SCENARIO = {"name": "usecase1", "oscl": "on", "appends": 3, "seed": 0}
         ("sweep", {**_SWEEP, "jobs": [[8, 1]]}, "jobs[0] must be [n, d, seed], got [8, 1]"),
         ("sweep", {**_SWEEP, "jobs": {}}, "jobs must be a list of [n, d, seed], got {}"),
         ("scenario", {**_SCENARIO, "appends": 0}, "--appends must be an integer >= 1, got 0"),
+        ("scenario", {**_SCENARIO, "seed": -2}, "--seed must be an integer >= 0, got -2"),
         (
             "scenario",
             {**_SCENARIO, "links": [["Dscl1", "Gscl9", 5.0, 0.0, 100.0]]},
@@ -230,6 +245,7 @@ _SCENARIO = {"name": "usecase1", "oscl": "on", "appends": 3, "seed": 0}
     ids=[
         "topology-n-text",
         "topology-n-1",
+        "topology-negative-seed",
         "sweep-job",
         "sweep-budget",
         "sweep-budget-infinity",
@@ -238,6 +254,7 @@ _SCENARIO = {"name": "usecase1", "oscl": "on", "appends": 3, "seed": 0}
         "sweep-short-job",
         "sweep-jobs-object",
         "scenario-appends-0",
+        "scenario-negative-seed",
         "scenario-unknown-node",
         "scenario-repeated-link",
         "scenario-links-object",

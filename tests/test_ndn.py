@@ -20,6 +20,7 @@ from oscl_sim.ndn import (
     PitEntry,
     SendData,
     SendInterest,
+    add_face,
     on_data,
     on_interest,
     pit_expire,
@@ -33,7 +34,7 @@ ELSEWHERE = parse_name("Gscl9")  # a prefix that does not cover NAME
 def _node(prefix=ELSEWHERE, faces=()):
     node = NdnNode(prefix)
     for face in faces:
-        node.faces[face] = None
+        add_face(node, face, None)
     return node
 
 
@@ -289,6 +290,21 @@ def test_interest_flood_copies_everywhere_but_arrival():
     node = _node(faces=["a", "b", "c"])
     out = on_interest(node, _interest(hop_limit=2), "a", 0.0)
     assert out == [SendInterest(("b", "c"), _interest(hop_limit=1))]
+
+
+def test_flood_faces_follow_a_face_added_after_a_flood():
+    """A flood goes out on the arrival face's kept tuple of faces, and a
+    face added after that flood joins the next one from the same face."""
+    node = _node(faces=["b", "a"])
+    [first] = on_interest(node, _interest(hop_limit=2), "a", 0.0)
+    assert first.faces == ("b",)
+    add_face(node, "c", None)
+    other = parse_name("Gscl1/applications/other_app")
+    [second] = on_interest(node, _interest(name=other, nonce=8, hop_limit=2), "a", 0.0)
+    assert second.faces == ("b", "c")
+    third = parse_name("Gscl1/applications/third_app")
+    [again] = on_interest(node, _interest(name=third, nonce=9, hop_limit=2), "a", 0.0)
+    assert again.faces is second.faces  # kept, not rebuilt
 
 
 def test_interest_flood_prefers_local_producer():

@@ -187,3 +187,5 @@ def test_config_validation():
         ScenarioConfig("usecase3")
     with pytest.raises(ValueError):
         ScenarioConfig("usecase1", appends=0)
+    with pytest.raises(ValueError):
+        ScenarioConfig("usecase1", seed=-3)

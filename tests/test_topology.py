@@ -126,6 +126,7 @@ def test_config_defaults():
         {"n_nodes": 8, "max_hops": 0},
         {"n_nodes": 8, "max_hops": 3, "pair_count": -1},
         {"n_nodes": 8, "max_hops": 3, "pair_count": 0},
+        {"n_nodes": 8, "max_hops": 3, "seed": -7},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
